@@ -1,6 +1,6 @@
 //! Recovery critical-path benchmarks (`BENCH_pr10.json`).
 //!
-//! Three groups cover the recovery-latency claims of this PR:
+//! Two groups cover the recovery critical path's byte-bound legs:
 //!
 //! - `state_transfer` times getting a replacement its state over the
 //!   *socket* transport (the backend real processes use, where bytes are
@@ -26,33 +26,21 @@
 //! every row against the committed baseline; the absolute speedup gates
 //! run with the full repetition counts that produced that baseline.
 //!
-//! - `mttr_*` rows crash a replica mid-update in a real in-process DP
-//!   job and decompose the measured MTTR from the swift-obs spans the
-//!   recovery emits: detect → undo → fence → transfer (broadcast) →
-//!   resume, plus the total. These rows have no algorithmic baseline
-//!   (speedup 1.0); they are gated purely against the committed
-//!   `BENCH_pr10.json` by the 2× regression check. Phase wall times on a
-//!   hot in-process cluster are microseconds and scheduler-noisy, so
-//!   every row is clamped to a floor ([`MTTR_FLOOR_NS`]) — the gate then
-//!   catches order-of-magnitude regressions (a sleep or a lost
-//!   rendezvous on the critical path) instead of flaking on jitter.
+//! MTTR itself, and its detect → undo → fence → transfer/replay → resume
+//! breakdown, is measured as distributions by the repository benchmark
+//! (`swiftbench`: `mttr_ms` and the `core.*_ms` metrics).
 //!
 //! `cargo xtask bench` drives these and persists `BENCH_pr10.json`.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use swift_ckpt::{Checkpoint, CheckpointManager, DeltaSession, IncrementalSave};
-use swift_core::DpScenario;
-use swift_data::BlobsDataset;
-use swift_dnn::models::mlp;
 use swift_dnn::ModelState;
 use swift_net::{
     default_chunk_bytes, default_shard_bytes, Comm, FailureController, KvStore, Rank, RetryPolicy,
     SocketTransport, Topology,
 };
-use swift_obs::{reconstruct, MemoryRecorder, Phase};
 use swift_optim::OptimState;
 use swift_tensor::{CounterRng, Tensor};
 
@@ -62,9 +50,7 @@ use crate::fastpath::BenchResult;
 /// (numbers stay comparable with the committed full run) but lowers the
 /// repetition count — the mode CI's smoke gate uses.
 pub fn run(quick: bool) -> Vec<BenchResult> {
-    let mut out = vec![bench_state_transfer(quick), bench_delta_ckpt_save(quick)];
-    out.extend(bench_mttr(quick));
-    out
+    vec![bench_state_transfer(quick), bench_delta_ckpt_save(quick)]
 }
 
 // ------------------------------------------------------- state_transfer
@@ -347,101 +333,9 @@ fn bench_delta_ckpt_save(quick: bool) -> BenchResult {
     r
 }
 
-// ---------------------------------------------------------------- mttr_*
-
-/// Floor for reported MTTR rows: phases on the in-process cluster finish
-/// in microseconds and vary with scheduling, so the committed numbers
-/// (and the 2× gate against them) work in units no smaller than this.
-const MTTR_FLOOR_NS: u64 = 2_000_000;
-
-/// A DP replica group killed mid-update: replication recovery end to
-/// end, decomposed from the swift-obs spans.
-fn mttr_scenario() -> (u64, Vec<(Phase, u64)>) {
-    let rec = Arc::new(MemoryRecorder::new());
-    swift_obs::install(rec.clone());
-    let result = DpScenario::builder(
-        Arc::new(|| mlp("mttr-dp", &[6, 16, 16, 3], 11)),
-        Arc::new(BlobsDataset::new(3, 6, 3, 0.3)),
-    )
-    .machines(3)
-    .batch_size(12)
-    .iters(8)
-    .crash(1, 4, 2)
-    .run();
-    swift_obs::uninstall();
-    assert!(result.recovered, "MTTR scenario must recover");
-
-    let timeline = reconstruct(&rec.events()).expect("recovery spans must reconstruct");
-    let inc = timeline
-        .incidents
-        .iter()
-        .find(|i| !i.aborted)
-        .expect("one completed incident");
-    let phases = inc
-        .segments
-        .iter()
-        .map(|s| (s.phase, s.duration_ns()))
-        .collect();
-    (inc.total_ns(), phases)
-}
-
-fn bench_mttr(quick: bool) -> Vec<BenchResult> {
-    let runs = if quick { 1 } else { 3 };
-    let mut best_total = u64::MAX;
-    let mut best_phases: Vec<(Phase, u64)> = Vec::new();
-    for _ in 0..runs {
-        let (total, phases) = mttr_scenario();
-        if total < best_total {
-            best_total = total;
-            best_phases = phases;
-        }
-    }
-    // Replication recovery synchronizes by broadcast; report it as the
-    // state-transfer segment of the MTTR decomposition.
-    let want = [
-        (Phase::Detect, "mttr_detect"),
-        (Phase::Undo, "mttr_undo"),
-        (Phase::Fence, "mttr_fence"),
-        (Phase::Broadcast, "mttr_transfer"),
-        (Phase::Resume, "mttr_resume"),
-    ];
-    let mut out = Vec::new();
-    let shape = "dp 3r kill@4 mid-update".to_string();
-    for (phase, op) in want {
-        let ns = best_phases
-            .iter()
-            .find(|(p, _)| *p == phase)
-            .map(|&(_, ns)| ns)
-            .unwrap_or_else(|| panic!("phase {phase} missing from the recovery timeline"));
-        let clamped = ns.max(MTTR_FLOOR_NS);
-        out.push(BenchResult::new(op, shape.clone(), clamped, clamped, 0));
-    }
-    let total = best_total.max(MTTR_FLOOR_NS);
-    out.push(BenchResult::new("mttr_total", shape, total, total, 0));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mttr_rows_cover_every_phase() {
-        let rows = bench_mttr(true);
-        let ops: Vec<&str> = rows.iter().map(|r| r.op.as_str()).collect();
-        assert_eq!(
-            ops,
-            [
-                "mttr_detect",
-                "mttr_undo",
-                "mttr_fence",
-                "mttr_transfer",
-                "mttr_resume",
-                "mttr_total"
-            ]
-        );
-        assert!(rows.iter().all(|r| r.ns_per_iter >= MTTR_FLOOR_NS));
-    }
 
     #[test]
     fn delta_ckpt_fixture_round_trips() {

@@ -35,8 +35,9 @@ use crate::supervisor::wait_cascade_aware as fence_wait;
 /// must call this with the same `generation` namespace (derived from the
 /// declared failure epoch via [`swift_obs::Epoch::generation`] or
 /// [`swift_obs::Epoch::fence_channel`]) and the same participant set.
-/// Waits are bounded by the [`RetryPolicy::poll`] deadline and abort
-/// early if a participant dies mid-fence.
+/// Waits wake on every KV write, are bounded by the
+/// [`RetryPolicy::recovery`] deadline, and abort early if a participant
+/// dies mid-fence.
 ///
 /// On success the caller is removed from the declared dead set: a
 /// replacement that completes the fence has rejoined, and leaving it
@@ -46,7 +47,7 @@ pub fn recovery_fence(
     generation: Generation,
     participants: &[Rank],
 ) -> Result<(), CommError> {
-    let policy = RetryPolicy::poll();
+    let policy = RetryPolicy::recovery();
     let me = ctx.rank();
     ctx.comm.trace_mark("fence-enter");
     let (_, entry_dead) = failure_state(&ctx.kv);

@@ -661,8 +661,12 @@ mod tests {
                                 let gen = swift_net::failure_epoch(&ctx.kv);
                                 ctx.kv.set(&format!("fsdp/ack/{gen}/{}", ctx.rank()), "1");
                                 assert!(
-                                    RetryPolicy::poll()
-                                        .wait_until(|| ctx.kv.get("fsdp/replacement").is_some()),
+                                    ctx.kv
+                                        .wait_for(
+                                            "fsdp/replacement",
+                                            RetryPolicy::recovery().deadline
+                                        )
+                                        .is_some(),
                                     "no replacement"
                                 );
                                 fsdp_recover_supervised(
@@ -681,14 +685,14 @@ mod tests {
             if crash {
                 // The driver learns of the failure from the *declared*
                 // state in the KV store, not the injector's ground truth.
-                assert!(
-                    RetryPolicy::poll().wait_until(|| !swift_net::failure_state(&kv).1.is_empty()),
-                    "failure never declared"
-                );
-                let p = RetryPolicy::poll();
+                let deadline = RetryPolicy::recovery().deadline;
+                let declared = kv.wait_until(deadline, || {
+                    (!swift_net::failure_state(&kv).1.is_empty()).then_some(())
+                });
+                assert!(declared.is_some(), "failure never declared");
                 for r in [0usize, 2] {
                     assert!(
-                        p.wait_until(|| kv.get(&format!("fsdp/ack/1/{r}")).is_some()),
+                        kv.wait_for(&format!("fsdp/ack/1/{r}"), deadline).is_some(),
                         "survivor ack"
                     );
                 }

@@ -210,7 +210,7 @@ fn pipeline_on_failure_survivor_inner(
     // the consensus so the supervisor can restart under the new epoch.
     let generation = failure_epoch(&ctx.kv);
     let (_, entry_dead) = failure_state(&ctx.kv);
-    let policy = RetryPolicy::poll();
+    let policy = RetryPolicy::recovery();
     let me = ctx.rank();
     ctx.kv.set(
         &format!("consensus/{generation}/{me}"),

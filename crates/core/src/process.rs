@@ -431,14 +431,13 @@ fn spawn_worker(
 
 fn wait_key(
     store: &KvStore,
-    policy: &RetryPolicy,
+    timeout: Duration,
     key: &str,
     what: impl Fn() -> String,
 ) -> Result<(), ProcessError> {
-    if policy.wait_until(|| store.get(key).is_some()) {
-        Ok(())
-    } else {
-        Err(ProcessError::Rendezvous { what: what() })
+    match store.wait_for(key, timeout) {
+        Some(_) => Ok(()),
+        None => Err(ProcessError::Rendezvous { what: what() }),
     }
 }
 
@@ -492,9 +491,8 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
             0,
         )?));
     }
-    let up = RetryPolicy::poll().with_deadline(cfg.spawn_deadline);
     for rank in 0..cfg.world {
-        wait_key(&store, &up, &up_key(rank, 0), || {
+        wait_key(&store, cfg.spawn_deadline, &up_key(rank, 0), || {
             format!("rank {rank} never reported up")
         })?;
     }
@@ -507,15 +505,14 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
     for (victim, at_iter) in cfg.faults.process_kills() {
         // Progress-based trigger: the process-backend analogue of the
         // injector firing inside note_iteration.
-        let trig = RetryPolicy::poll().with_deadline(cfg.exit_deadline);
         let progress_key = format!("proc/progress/{victim}");
-        let reached = trig.wait_until(|| {
+        let reached = store.wait_until(cfg.exit_deadline, || {
             store
                 .get(&progress_key)
                 .and_then(|s| s.parse::<u64>().ok())
-                .is_some_and(|p| p >= at_iter)
+                .filter(|&p| p >= at_iter)
         });
-        if !reached {
+        if reached.is_none() {
             return Err(ProcessError::Rendezvous {
                 what: format!("rank {victim} never reached iteration {at_iter}"),
             });
@@ -540,8 +537,10 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
         // Observable detection only: the supervisor waits for the lease
         // monitor's declaration like any other observer would.
         let bound = cfg.heartbeat.timeout * 10 + Duration::from_secs(5);
-        let det = RetryPolicy::poll().with_deadline(bound);
-        if !det.wait_until(|| failure_state(&store).1.contains(&victim)) {
+        let declared = store.wait_until(bound, || {
+            failure_state(&store).1.contains(&victim).then_some(())
+        });
+        if declared.is_none() {
             return Err(ProcessError::Rendezvous {
                 what: format!("rank {victim}'s death was never declared"),
             });
@@ -552,13 +551,12 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
         // drivers): reviving the rank re-opens its socket address, after
         // which a survivor that had not yet detected the failure would
         // block on the revived-but-recovering process.
-        let rdv = RetryPolicy::poll().with_deadline(cfg.exit_deadline);
         for r in (0..cfg.world).filter(|&r| r != victim) {
             let key = match cfg.kind {
                 ProcessKind::Dp => format!("dp/ack/{epoch}/{r}"),
                 ProcessKind::Pipeline => format!("consensus/{epoch}/{r}"),
             };
-            wait_key(&store, &rdv, &key, || {
+            wait_key(&store, cfg.exit_deadline, &key, || {
                 format!("survivor {r} never acknowledged epoch {epoch}")
             })?;
         }
@@ -575,8 +573,7 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
             rank: victim,
             epoch,
         });
-        let up = RetryPolicy::poll().with_deadline(cfg.spawn_deadline);
-        wait_key(&store, &up, &up_key(victim, attempt), || {
+        wait_key(&store, cfg.spawn_deadline, &up_key(victim, attempt), || {
             format!("replacement for rank {victim} never reported up")
         })?;
         respawned.push(victim);
@@ -625,6 +622,7 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
             });
             break;
         }
+        // lint:sleep-ok — the reaper polls `try_wait`, not a rendezvous.
         std::thread::sleep(Duration::from_millis(10));
     }
     if let Some(err) = failed {
@@ -753,6 +751,7 @@ fn run_worker() -> Result<(), ProcessError> {
     let env = WorkerEnv::from_env()?;
     let topology = Topology::uniform(env.world, 1);
     let fc = FailureController::new(topology.clone());
+    // lint:sleep-ok — connect retry while the supervisor binds its sockets.
     let connect = RetryPolicy::poll().with_deadline(Duration::from_secs(30));
     let kv = KvStore::connect(&env.layout.kv_sock(), &connect)?;
     let transport = SocketTransport::bind(&env.layout.sock_dir(), env.rank, env.world, connect)?;

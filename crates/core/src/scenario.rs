@@ -3,13 +3,14 @@
 //! experiments (paper Fig. 11), the examples, and the integration tests.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use swift_ckpt::CheckpointManager;
 use swift_data::{shard_batch, split_microbatches, Dataset};
 use swift_dnn::{accuracy, softmax_cross_entropy_scaled, Mode, ModelState, Sequential, StepCtx};
 use swift_net::{
     failure_epoch, failure_state, Cluster, CommError, CrashTrigger, FaultPlan, FaultStatsSnapshot,
-    Rank, RetryPolicy, Topology, Trace, WorkerCtx,
+    KvStore, Rank, RetryPolicy, Topology, Trace, WorkerCtx,
 };
 use swift_optim::OptimizerKind;
 use swift_pipeline::ScheduleKind;
@@ -31,6 +32,19 @@ use swift_obs::{Epoch, Event, Phase};
 /// A model factory (must be deterministic: every call builds the same
 /// initialization, as all replicas/replacements construct it).
 pub type ModelFn = Arc<dyn Fn() -> Sequential + Send + Sync>;
+
+/// How long a scenario thread waits on a recovery rendezvous before
+/// calling the run hung: the recovery policy's deadline.
+const RENDEZVOUS_DEADLINE: Duration = RetryPolicy::recovery().deadline;
+
+/// Blocks until a failure is declared in `kv`, returning its epoch.
+fn wait_declared(kv: &KvStore) -> Epoch {
+    let declared = kv.wait_until(RENDEZVOUS_DEADLINE, || {
+        let (epoch, dead) = failure_state(kv);
+        (!dead.is_empty()).then_some(epoch)
+    });
+    declared.expect("failure never declared")
+}
 
 /// Bridges a deterministic [`Dataset`] to the pipeline [`DataSource`].
 pub struct DatasetSource {
@@ -279,7 +293,9 @@ pub fn dp_worker_loop(
                 let epoch = failure_epoch(&ctx.kv);
                 ctx.kv.set(&format!("dp/ack/{epoch}/{}", ctx.rank()), "1");
                 assert!(
-                    RetryPolicy::poll().wait_until(|| ctx.kv.get("dp/replacement-up").is_some()),
+                    ctx.kv
+                        .wait_for("dp/replacement-up", RENDEZVOUS_DEADLINE)
+                        .is_some(),
                     "replacement never came up"
                 );
                 replication_recover_supervised(
@@ -381,15 +397,11 @@ fn run_dp_scenario_impl(cfg: DpScenario, trace: bool) -> ScenarioResult {
         // survivor to ack it before reviving the machine — revival
         // restores links, after which undetected survivors would block.
         let kv = cluster.kv();
-        let policy = RetryPolicy::poll();
-        assert!(
-            policy.wait_until(|| !failure_state(&kv).1.is_empty()),
-            "failure never declared"
-        );
-        let epoch = failure_epoch(&kv);
+        let epoch = wait_declared(&kv);
         for r in (0..world).filter(|&r| r != mach) {
             assert!(
-                policy.wait_until(|| kv.get(&format!("dp/ack/{epoch}/{r}")).is_some()),
+                kv.wait_for(&format!("dp/ack/{epoch}/{r}"), RENDEZVOUS_DEADLINE)
+                    .is_some(),
                 "survivor never acked the failure"
             );
         }
@@ -742,15 +754,13 @@ pub fn pipeline_replacement_recover(
         };
         // Consensus published by the survivors.
         let generation = failure_epoch(&rctx.kv);
-        let policy = RetryPolicy::poll();
         let mut consensus = u64::MAX;
         for &r in &survivors {
-            let key = format!("consensus/{generation}/{r}");
-            assert!(
-                policy.wait_until(|| rctx.kv.get(&key).is_some()),
-                "no consensus"
-            );
-            consensus = consensus.min(rctx.kv.get(&key).unwrap().parse().unwrap());
+            let v = rctx
+                .kv
+                .wait_for(&format!("consensus/{generation}/{r}"), RENDEZVOUS_DEADLINE)
+                .expect("no consensus");
+            consensus = consensus.min(v.parse().unwrap());
         }
         (from, consensus)
     };
@@ -934,15 +944,11 @@ fn run_pipeline_scenario_impl(cfg: PipelineScenario, trace: bool) -> ScenarioRes
         // every survivor to publish its consensus iteration (proof it
         // detected the failure) before reviving the machine.
         let kv = cluster.kv();
-        let policy = RetryPolicy::poll();
-        assert!(
-            policy.wait_until(|| !failure_state(&kv).1.is_empty()),
-            "failure never declared"
-        );
-        let generation = failure_epoch(&kv);
+        let generation = wait_declared(&kv);
         for r in (0..stages).filter(|&r| r != mach) {
             assert!(
-                policy.wait_until(|| kv.get(&format!("consensus/{generation}/{r}")).is_some()),
+                kv.wait_for(&format!("consensus/{generation}/{r}"), RENDEZVOUS_DEADLINE)
+                    .is_some(),
                 "survivor never reached consensus"
             );
         }

@@ -26,8 +26,6 @@
 //! participant runs its final attempt under the same epoch and the same
 //! (kv-derived) survivor set.
 
-use std::time::Instant;
-
 use swift_net::{failure_epoch, failure_state, CommError, Rank, RetryPolicy, WorkerCtx};
 use swift_obs::{Counter, Epoch, Event, Phase};
 
@@ -197,6 +195,9 @@ pub struct RecoveryReport {
 /// may be the victim, in which case the key will never come. Panics only
 /// when the policy deadline expires with *no* new failure declared,
 /// which indicates a protocol bug rather than a crash.
+///
+/// The wait is event-driven: every KV write and every fail-stop
+/// transition bumps the store's revision, which wakes it to re-check.
 pub fn wait_cascade_aware(
     ctx: &WorkerCtx,
     key: &str,
@@ -204,31 +205,26 @@ pub fn wait_cascade_aware(
     entry_dead: &[Rank],
     policy: &RetryPolicy,
 ) -> Result<String, CommError> {
-    let start = Instant::now();
-    let mut attempt = 0u32;
-    loop {
-        // Fail-stop applies to pollers too: a worker whose machine was
-        // killed while it sat in this loop must unwind (in a real
-        // deployment the process would simply be gone), not keep
-        // publishing rendezvous keys as a zombie.
-        ctx.comm.check_self()?;
+    let outcome = ctx.kv.wait_until(policy.deadline, || {
+        // Fail-stop applies to waiters too: a worker whose machine was
+        // killed while it sat here must unwind (in a real deployment the
+        // process would simply be gone), not keep publishing rendezvous
+        // keys as a zombie.
+        if let Err(e) = ctx.comm.check_self() {
+            return Some(Err(e));
+        }
         if let Some(v) = ctx.kv.get(key) {
-            return Ok(v);
+            return Some(Ok(v));
         }
         let (_, dead) = failure_state(&ctx.kv);
-        if let Some(&r) = dead
-            .iter()
+        dead.iter()
             .find(|r| participants.contains(r) && !entry_dead.contains(r))
-        {
-            return Err(CommError::PeerFailed { rank: r });
-        }
-        assert!(
-            start.elapsed() < policy.deadline,
-            "recovery wait: {key} never arrived and no failure was declared"
-        );
-        std::thread::sleep(policy.delay_for(attempt));
-        attempt += 1;
-    }
+            .map(|&rank| Err(CommError::PeerFailed { rank }))
+    });
+    let Some(outcome) = outcome else {
+        panic!("recovery wait: {key} never arrived and no failure was declared");
+    };
+    outcome
 }
 
 /// Runs `attempt` until it succeeds, restarting on cascading failures
@@ -272,6 +268,7 @@ pub fn supervise<T>(
                 // set.
                 tracker.close();
                 swift_obs::add(Counter::Restarts, 1);
+                // lint:sleep-ok — restart backoff, not a rendezvous.
                 std::thread::sleep(policy.delay_for(restarts));
                 restarts += 1;
             }
@@ -356,6 +353,27 @@ mod tests {
             });
         assert_eq!(r.unwrap_err(), CommError::SelfKilled);
         assert_eq!(calls, 1, "a dead worker must not retry");
+    }
+
+    #[test]
+    fn rank_killed_mid_wait_unwinds_at_once() {
+        let cluster = Cluster::new(Topology::uniform(2, 1));
+        let fc = cluster.failure_controller();
+        let waiter = cluster.spawn(0, |ctx| {
+            let policy = RetryPolicy::recovery();
+            let t0 = std::time::Instant::now();
+            let r = wait_cascade_aware(&ctx, "never", &[0, 1], &[], &policy);
+            (r, t0.elapsed())
+        });
+        let _ctx1 = cluster.take_ctx(1);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        fc.kill_machine(0);
+        let (r, waited) = waiter.join().unwrap();
+        assert_eq!(r, Err(CommError::SelfKilled));
+        assert!(
+            waited < std::time::Duration::from_secs(5),
+            "the kill must wake the wait long before its 30 s deadline, took {waited:?}"
+        );
     }
 
     #[test]

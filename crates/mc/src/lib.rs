@@ -29,8 +29,8 @@
 //! Violations come back as *minimized* (ddmin) schedules, serialized
 //! to JSON and replayable bit-for-bit with `cargo xtask mc --replay`.
 //! The mutation flags (`--mutation skip-generation-fence`,
-//! `skip-undo`) seed known protocol bugs to prove the oracles catch
-//! them — the checker checking itself.
+//! `skip-undo`, `skip-wake`) seed known protocol bugs to prove the
+//! oracles catch them — the checker checking itself.
 
 pub mod explore;
 pub mod json;
@@ -133,6 +133,25 @@ mod tests {
         let report = check(cfg, &ExploreOpts::default());
         let ce = report.violation.expect("mutation must be caught");
         assert_eq!(ce.violation.kind(), "apply-count-wrong");
+    }
+
+    #[test]
+    fn seeded_lost_wakeup_is_caught_as_a_replayable_stuck_state() {
+        let cfg = Config {
+            max_crashes: 1,
+            crash_slots: vec![1],
+            mutation: Mutation::SkipWake,
+            ..quick_cfg()
+        };
+        let report = check(cfg.clone(), &ExploreOpts::default());
+        let ce = report.violation.expect("mutation must be caught");
+        assert_eq!(ce.violation.kind(), "stuck");
+        assert!(ce.minimized);
+        let doc = counterexample_json(&cfg, &ce);
+        let (cfg2, choices2) = parse_replay(&doc).unwrap();
+        let (world, _) = execute(&cfg2, &choices2);
+        assert!(world.enabled().is_empty() && !world.done());
+        assert!(world.violations.iter().any(|v| v.kind() == "stuck"));
     }
 
     #[test]

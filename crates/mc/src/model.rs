@@ -15,6 +15,12 @@
 //! per-rank state machine because the production loop blocks threads;
 //! DESIGN.md ("Model-checked protocol invariants") states what that
 //! abstraction does and does not cover.
+//!
+//! Blocking KV waits follow the production wait contract: a rank reads
+//! the store's revision, checks its condition, and parks at that
+//! revision; it observes the keys only once a write has moved the
+//! revision past it. A write that forgets to bump the revision strands
+//! its waiters — the `skip-wake` mutation.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -46,6 +52,10 @@ pub enum Mutation {
     /// Recovery skips the undo of partially applied updates before
     /// resuming. Oracle 3 (exactly-once) must catch this.
     SkipUndo,
+    /// The replacement's up-key write lands without bumping the KV
+    /// revision, so a survivor already parked on it never wakes. The
+    /// stuck-state check must catch this.
+    SkipWake,
 }
 
 impl Mutation {
@@ -56,6 +66,7 @@ impl Mutation {
             Mutation::None => "none",
             Mutation::SkipGenerationFence => "skip-generation-fence",
             Mutation::SkipUndo => "skip-undo",
+            Mutation::SkipWake => "skip-wake",
         }
     }
 
@@ -65,6 +76,7 @@ impl Mutation {
             "none" => Some(Mutation::None),
             "skip-generation-fence" => Some(Mutation::SkipGenerationFence),
             "skip-undo" => Some(Mutation::SkipUndo),
+            "skip-wake" => Some(Mutation::SkipWake),
             _ => None,
         }
     }
@@ -313,6 +325,10 @@ pub struct RankState {
     /// Epoch + dead set this rank is recovering from.
     pub recover_epoch: u64,
     pub recover_dead: Vec<Slot>,
+    /// The KV revision this rank parked at in a blocking wait: read
+    /// before its condition was checked, and `None` when the condition
+    /// already held (or the rank is not waiting).
+    pub parked_rev: Option<u64>,
 }
 
 impl RankState {
@@ -335,6 +351,7 @@ impl RankState {
             applied: BTreeMap::new(),
             recover_epoch: 0,
             recover_dead: Vec::new(),
+            parked_rev: None,
         }
     }
 }
@@ -425,6 +442,8 @@ impl Action {
                 (format!("kvr:{client}"), true),
                 (format!("rank:{client}"), true),
                 (format!("kvq:{client}"), true),
+                // Entering a wait reads the revision and the keys.
+                ("kv".into(), false),
             ],
             Action::Detect { slot } | Action::ObserveEpoch { slot } => vec![
                 (format!("rank:{slot}"), true),
@@ -491,6 +510,10 @@ pub struct World {
     /// The real control-plane store (server side; applied atomically at
     /// `KvApply` points, which is the server thread's actual behavior).
     pub kv: KvStore,
+    /// The store's revision as waiters see it: bumped by every applied
+    /// write (kept here rather than read from `kv`, because `skip-wake`
+    /// must be able to write without bumping it).
+    pub rev: u64,
     kv_reqs: Vec<VecDeque<usize>>,
     kv_resps: Vec<VecDeque<usize>>,
     pub history: Vec<KvCall>,
@@ -514,6 +537,7 @@ impl World {
             ranks,
             queues: BTreeMap::new(),
             kv: KvStore::new(),
+            rev: 0,
             kv_reqs: vec![VecDeque::new(); cfg.ranks],
             kv_resps: vec![VecDeque::new(); cfg.ranks],
             history: Vec::new(),
@@ -538,6 +562,7 @@ impl World {
             ranks: self.ranks.clone(),
             queues: self.queues.clone(),
             kv,
+            rev: self.rev,
             kv_reqs: self.kv_reqs.clone(),
             kv_resps: self.kv_resps.clone(),
             history: self.history.clone(),
@@ -567,8 +592,9 @@ impl World {
             format!("{:?}", r.phase).hash(&mut h);
             r.stash.hash(&mut h);
             r.applied.hash(&mut h);
-            (r.recover_epoch, &r.recover_dead).hash(&mut h);
+            (r.recover_epoch, &r.recover_dead, r.parked_rev).hash(&mut h);
         }
+        self.rev.hash(&mut h);
         for ((s, d), q) in &self.queues {
             (s, d).hash(&mut h);
             for f in q {
@@ -630,7 +656,8 @@ impl World {
             }
         }
         for r in &self.ranks {
-            if r.alive && self.keys_ready(r) {
+            let woken = r.parked_rev.is_none_or(|p| self.rev > p);
+            if r.alive && woken && self.keys_ready(r) {
                 out.push(Action::ObserveKeys { slot: r.slot });
             }
         }
@@ -1023,6 +1050,7 @@ impl World {
 
     fn observe_keys(&mut self, slot: Slot) {
         let e = self.ranks[slot].recover_epoch;
+        self.ranks[slot].parked_rev = None;
         match self.ranks[slot].phase.clone() {
             Phase::FenceAwaitProgress => {
                 let dead = self.ranks[slot].recover_dead.clone();
@@ -1066,11 +1094,12 @@ impl World {
                 let min_survivor = (0..self.cfg.ranks)
                     .find(|s| !dead.contains(s))
                     .expect("at least one survivor");
-                self.ranks[slot].phase = if slot == min_survivor {
+                let next = if slot == min_survivor {
                     Phase::AwaitReplacementUp
                 } else {
                     Phase::AwaitAllClear
                 };
+                self.park(slot, next);
             }
             Phase::AwaitReplacementUp => {
                 self.ranks[slot].phase = Phase::RecoveredRead;
@@ -1231,17 +1260,25 @@ impl World {
     fn kv_apply(&mut self, client: Slot) {
         let id = self.kv_reqs[client].pop_front().expect("no pending req");
         let before = detector::failure_state(&self.kv);
+        let mut wrote = false;
         let res = match &self.history[id].req {
             KvReq::Get { key } => KvRes::Value(self.kv.get(key)),
             KvReq::Set { key, val } => {
                 self.kv.set(key, val.clone());
+                // The seeded bug: the replacement's up key lands silently.
+                wrote = !(self.cfg.mutation == Mutation::SkipWake
+                    && *key == replace_up_key(self.ranks[client].recover_epoch));
                 KvRes::SetOk
             }
             KvReq::Cas { key, old, new } => {
                 let (ok, actual) = self.kv.cas(key, old.as_deref(), new.clone());
+                wrote = ok;
                 KvRes::Cas { ok, actual }
             }
         };
+        if wrote {
+            self.bump_revision();
+        }
         // Oracle 2 — epoch/lease monotonicity, checked against the real
         // store at every write point.
         let after = detector::failure_state(&self.kv);
@@ -1331,15 +1368,9 @@ impl World {
                 }
                 other => unreachable!("declare cas got {other:?}"),
             },
-            Phase::FenceSetProgress => {
-                self.ranks[slot].phase = Phase::FenceAwaitProgress;
-            }
-            Phase::FenceSetPurged => {
-                self.ranks[slot].phase = Phase::FenceAwaitPurged;
-            }
-            Phase::ReplaceSetUp => {
-                self.ranks[slot].phase = Phase::AwaitAllClear;
-            }
+            Phase::FenceSetProgress => self.park(slot, Phase::FenceAwaitProgress),
+            Phase::FenceSetPurged => self.park(slot, Phase::FenceAwaitPurged),
+            Phase::ReplaceSetUp => self.park(slot, Phase::AwaitAllClear),
             Phase::RecoveredRead => {
                 let KvRes::Value(raw) = res else {
                     unreachable!("recovered read got {res:?}")
@@ -1354,7 +1385,7 @@ impl World {
                     .filter(|d| !self.ranks[slot].recover_dead.contains(d))
                     .collect();
                 if dead.is_empty() || cleared.len() == dead.len() {
-                    self.ranks[slot].phase = Phase::AwaitAllClear;
+                    self.park(slot, Phase::AwaitAllClear);
                 } else {
                     let new = detector::format_state(epoch, &cleared);
                     self.ranks[slot].phase = Phase::RecoveredCas;
@@ -1371,7 +1402,7 @@ impl World {
             Phase::RecoveredCas => match res {
                 KvRes::Cas { ok: true, .. } => {
                     self.note(format!("rank {slot}: declared recovery complete"));
-                    self.ranks[slot].phase = Phase::AwaitAllClear;
+                    self.park(slot, Phase::AwaitAllClear);
                 }
                 KvRes::Cas { ok: false, .. } => {
                     self.ranks[slot].phase = Phase::RecoveredRead;
@@ -1385,6 +1416,27 @@ impl World {
                 other => unreachable!("recovered cas got {other:?}"),
             },
             other => unreachable!("kv response in phase {other:?}"),
+        }
+    }
+
+    /// Enters a blocking KV wait the way the production wait does: read
+    /// the revision, check the condition, and park at that revision only
+    /// if the condition does not hold yet.
+    fn park(&mut self, slot: Slot, phase: Phase) {
+        self.ranks[slot].phase = phase;
+        let ready = self.keys_ready(&self.ranks[slot]);
+        self.ranks[slot].parked_rev = (!ready).then_some(self.rev);
+    }
+
+    /// A write bumped the revision: every parked rank wakes and re-checks;
+    /// those whose condition still fails park again at the new revision.
+    fn bump_revision(&mut self) {
+        self.rev += 1;
+        for i in 0..self.ranks.len() {
+            let r = &self.ranks[i];
+            if r.alive && r.parked_rev.is_some() && !self.keys_ready(r) {
+                self.ranks[i].parked_rev = Some(self.rev);
+            }
         }
     }
 

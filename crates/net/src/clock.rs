@@ -30,6 +30,15 @@ pub trait Clock: Send + Sync + fmt::Debug {
     /// protocol back-off loops into plain state transitions the
     /// checker can interleave.
     fn sleep(&self, d: Duration);
+
+    /// How long a thread may park on a wall-clock primitive (a condvar)
+    /// for `d` of this clock's time to pass. Wall time passes while a
+    /// thread is parked, so the system clock answers `d`. A virtual
+    /// clock does not: it advances by `d` itself and answers zero, which
+    /// turns a blocking wait into a non-blocking check.
+    fn park_for(&self, d: Duration) -> Duration {
+        d
+    }
 }
 
 /// Wall-clock time — the production behavior.
@@ -92,6 +101,11 @@ impl Clock for VirtualClock {
 
     fn sleep(&self, d: Duration) {
         self.advance(d);
+    }
+
+    fn park_for(&self, d: Duration) -> Duration {
+        self.advance(d);
+        Duration::ZERO
     }
 }
 

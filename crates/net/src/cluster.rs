@@ -977,9 +977,10 @@ mod tests {
 
     #[test]
     fn failure_detection_latency_is_bounded() {
-        // The paper's detector polls NCCL for async errors; ours polls the
-        // failure flag each `POLL` (200 µs). A blocked receiver must
-        // observe a kill within a few milliseconds.
+        // The paper's detector polls NCCL for async errors; here a
+        // link-down transition wakes every blocked receiver, which runs
+        // its failure checks at once. A blocked receiver must observe a
+        // kill within a few milliseconds.
         let cluster = Cluster::new(Topology::uniform(2, 1));
         let fc = cluster.failure_controller();
         let h = cluster.spawn(1, |mut ctx| {
@@ -993,11 +994,52 @@ mod tests {
         fc.kill_machine(0);
         let (r, _) = h.join().unwrap();
         let latency = kill_at.elapsed();
-        assert!(r.is_err());
+        assert_eq!(r, Err(CommError::PeerFailed { rank: 0 }));
         assert!(
             latency < std::time::Duration::from_millis(50),
             "detection took {latency:?}"
         );
+    }
+
+    #[test]
+    fn kill_machine_bumps_the_kv_revision_and_wakes_waiters() {
+        let cluster = Cluster::new(Topology::uniform(2, 1));
+        let fc = cluster.failure_controller();
+        let kv = cluster.kv();
+        let rev = kv.revision();
+        let h = std::thread::spawn(move || {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            (kv.wait_change(rev, deadline), std::time::Instant::now())
+        });
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let kill_at = std::time::Instant::now();
+        fc.kill_machine(1);
+        let (now, woke_at) = h.join().unwrap();
+        assert!(now > rev, "a fail-stop transition must bump the revision");
+        assert!(woke_at.duration_since(kill_at) < std::time::Duration::from_secs(5));
+        let rev = cluster.kv().revision();
+        fc.replace_machine(1);
+        assert!(cluster.kv().revision() > rev, "so must a replacement");
+    }
+
+    /// A link-down wake-up is invisible to the communicator: it is never
+    /// delivered or counted, and a purge drops any that are queued.
+    #[test]
+    fn wake_ups_are_never_delivered() {
+        let cluster = Cluster::new(Topology::uniform(3, 1));
+        let fc = cluster.failure_controller();
+        let ctx0 = cluster.take_ctx(0);
+        let mut ctx1 = cluster.take_ctx(1);
+        let _ctx2 = cluster.take_ctx(2);
+        // Two wake-ups queue behind a real frame in rank 1's inbox.
+        ctx0.comm.send_tensor(1, 3, &Tensor::scalar(5.0)).unwrap();
+        fc.kill_machine(2);
+        fc.kill_machine(2);
+        assert_eq!(ctx1.comm.recv_tensor(0, 3).unwrap().item(), 5.0);
+        ctx1.comm.purge();
+        ctx0.comm.send_tensor(1, 4, &Tensor::scalar(6.0)).unwrap();
+        assert_eq!(ctx1.comm.recv_tensor(0, 4).unwrap().item(), 6.0);
+        assert_eq!(ctx1.comm.bytes_received(), ctx0.comm.bytes_sent());
     }
 
     #[test]

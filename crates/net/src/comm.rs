@@ -43,7 +43,7 @@ use crate::faults::{FaultInjector, SendFate};
 use crate::kv::KvStore;
 use crate::topology::Rank;
 use crate::trace::Tracer;
-use crate::transport::{ChannelTransport, Frame, RecvEvent, TransmitOutcome, Transport};
+use crate::transport::{ChannelTransport, Frame, Inbound, RecvEvent, TransmitOutcome, Transport};
 
 /// Tag bit reserved for internal collective sequencing; user tags must
 /// leave it clear.
@@ -99,7 +99,7 @@ struct LinkState {
 /// [`FailureController::on_transition`] observer), which survivors see as
 /// connection errors — no ground-truth liveness is consulted.
 pub struct Fabric {
-    senders: RwLock<Vec<Sender<Frame>>>,
+    senders: RwLock<Vec<Sender<Inbound>>>,
     /// Per-rank "NIC is reachable".
     link_up: Vec<AtomicBool>,
     /// Sender-side stream counters.
@@ -152,6 +152,15 @@ impl Fabric {
     /// Raises or severs `rank`'s link.
     pub fn set_link(&self, rank: Rank, up: bool) {
         self.link_up[rank].store(up, Ordering::SeqCst);
+    }
+
+    /// Wakes every receiver blocked on the fabric: each sees an early
+    /// receive timeout and runs its failure checks at once.
+    pub(crate) fn wake_receivers(&self) {
+        for s in self.senders.read().iter() {
+            // A dropped inbox has no receiver left to wake.
+            let _ = s.send(Inbound::Wake);
+        }
     }
 
     /// Forgets sender-side stream state for every link *into* `rank` — a
@@ -214,7 +223,7 @@ impl Fabric {
                 payload: payload.clone(),
                 vc: vc.clone(),
             };
-            if sender.send(msg).is_err() {
+            if sender.send(Inbound::Frame(msg)).is_err() {
                 return TransmitOutcome::PeerGone;
             }
         }
@@ -248,12 +257,17 @@ pub struct Comm {
     clock: Arc<dyn Clock>,
 }
 
-/// Poll interval while blocked in `recv` (the failure-detector cadence).
+/// Poll interval while blocked in `recv`. Link-down transitions and
+/// declarations made through the fabric wake blocked receivers at once;
+/// this cadence only covers failure declarations made off the fabric,
+/// such as by the heartbeat monitor.
 const POLL: Duration = Duration::from_micros(200);
 
 /// Builds the fabric and one `Comm` per rank. The failure controller's
 /// kill/replace transitions are wired to the fabric's link state, which
-/// is how an injected crash becomes observable to survivors.
+/// is how an injected crash becomes observable to survivors. Each
+/// transition also bumps the KV revision, and a kill wakes every
+/// blocked receiver.
 pub fn build_comms(
     world: usize,
     fc: Arc<FailureController>,
@@ -276,9 +290,14 @@ pub fn build_comms(
     });
     {
         let fabric = fabric.clone();
+        let kv = kv.clone();
         fc.on_transition(move |ranks, alive| {
             for &r in ranks {
                 fabric.set_link(r, alive);
+            }
+            kv.bump_revision();
+            if !alive {
+                fabric.wake_receivers();
             }
         });
     }
@@ -437,6 +456,7 @@ impl Comm {
             return CommError::PeerFailed { rank: observed };
         }
         detector::declare_failed(&self.kv, &downed);
+        self.transport.wake_receivers();
         let rank = if downed.contains(&observed) {
             observed
         } else {

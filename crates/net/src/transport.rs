@@ -59,6 +59,17 @@ pub enum TransmitOutcome {
     PeerGone,
 }
 
+/// What travels on a rank's channel inbox: a frame, or a bare wake-up.
+/// A wake-up is never delivered, stashed, traced or counted: once the
+/// queued frames are consumed, the receiver sees it as an early
+/// [`RecvEvent::Timeout`] and runs its failure checks at once instead of
+/// on the next poll tick.
+#[derive(Debug)]
+pub(crate) enum Inbound {
+    Frame(Frame),
+    Wake,
+}
+
 /// What a bounded receive produced.
 #[derive(Debug)]
 pub enum RecvEvent {
@@ -98,6 +109,12 @@ pub trait Transport: Send {
         self.link_up(rank)
     }
 
+    /// Wakes every receiver blocked on this fabric, so each re-runs its
+    /// failure checks now. Called after a declaration made through the
+    /// fabric; backends without a wake path leave it to the receive
+    /// poll.
+    fn wake_receivers(&self) {}
+
     /// Raises the backend's generation fence floor: frames stamped with
     /// an older generation may be rejected before they are queued (the
     /// socket backend drops them at the boundary). Purely an early
@@ -121,16 +138,20 @@ pub trait Transport: Send {
 pub struct ChannelTransport {
     fabric: Arc<Fabric>,
     rank: Rank,
-    inbox: Receiver<Frame>,
+    inbox: Receiver<Inbound>,
+    /// A wake-up was dequeued and no receive has since found the inbox
+    /// empty: the next one that does returns at once.
+    woken: bool,
 }
 
 impl ChannelTransport {
     /// Wraps one rank's end of the channel fabric.
-    pub fn new(fabric: Arc<Fabric>, rank: Rank, inbox: Receiver<Frame>) -> Self {
+    pub(crate) fn new(fabric: Arc<Fabric>, rank: Rank, inbox: Receiver<Inbound>) -> Self {
         ChannelTransport {
             fabric,
             rank,
             inbox,
+            woken: false,
         }
     }
 }
@@ -142,23 +163,41 @@ impl Transport for ChannelTransport {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> RecvEvent {
-        match self.inbox.recv_timeout(timeout) {
-            Ok(f) => RecvEvent::Frame(f),
-            Err(RecvTimeoutError::Timeout) => RecvEvent::Timeout,
-            Err(RecvTimeoutError::Disconnected) => RecvEvent::Disconnected,
+        loop {
+            // Queued frames always come first; a wake-up only cuts short
+            // the wait for the next one. A timeout therefore still means
+            // "nothing is queued", and a receiver never runs its failure
+            // checks past traffic it could have consumed.
+            let wait = if self.woken { Duration::ZERO } else { timeout };
+            match self.inbox.recv_timeout(wait) {
+                Ok(Inbound::Frame(f)) => return RecvEvent::Frame(f),
+                Ok(Inbound::Wake) => self.woken = true,
+                Err(RecvTimeoutError::Timeout) => {
+                    self.woken = false;
+                    return RecvEvent::Timeout;
+                }
+                Err(RecvTimeoutError::Disconnected) => return RecvEvent::Disconnected,
+            }
         }
     }
 
     fn drain(&mut self) -> Vec<Frame> {
+        self.woken = false;
         let mut out = Vec::new();
-        while let Ok(f) = self.inbox.try_recv() {
-            out.push(f);
+        while let Ok(m) = self.inbox.try_recv() {
+            if let Inbound::Frame(f) = m {
+                out.push(f);
+            }
         }
         out
     }
 
     fn link_up(&self, rank: Rank) -> bool {
         self.fabric.link_up(rank)
+    }
+
+    fn wake_receivers(&self) {
+        self.fabric.wake_receivers();
     }
 
     fn injector(&self) -> Option<Arc<FaultInjector>> {

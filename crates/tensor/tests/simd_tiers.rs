@@ -5,11 +5,16 @@
 //! across random shapes, unaligned slice offsets, and remainder tails.
 //!
 //! The elementwise and f16 properties deliberately feed raw bit patterns
-//! (NaN payloads, infinities, subnormals, signed zero): x86 scalar and
-//! packed ops share per-lane semantics, so even non-finite lanes must
-//! come out identical on every tier. The matmul/dot properties use
-//! finite values — their accumulation *order* is the contract there, and
-//! saturating every sum to the same ±inf would stop exercising it.
+//! (NaN payloads, infinities, subnormals, signed zero). Finite, ±inf and
+//! signed-zero lanes must come out bitwise identical on every tier, and
+//! the f16 conversions strictly bitwise. A NaN lane of a fused
+//! elementwise kernel need only be NaN on every tier: when an operation
+//! combines two NaNs, the payload it keeps depends on operand order, and
+//! LLVM does not preserve NaN payloads — an optimized build may swap the
+//! operands of a scalar `fadd` where `addps` keeps the first one's. The
+//! matmul/dot properties use finite values — their accumulation *order*
+//! is the contract there, and saturating every sum to the same ±inf
+//! would stop exercising it.
 
 use proptest::prelude::*;
 use swift_tensor::simd::{self, SimdTier};
@@ -26,6 +31,14 @@ fn arb_finite_f32() -> impl Strategy<Value = f32> {
 
 fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Like [`bits`], but every NaN maps to one marker (no non-NaN value has
+/// the all-ones pattern), so NaN lanes compare by NaN-ness only.
+fn lanes(xs: &[f32]) -> Vec<u32> {
+    xs.iter()
+        .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+        .collect()
 }
 
 /// A fused elementwise kernel under test, `(xs, ys, zs)` with `xs` in-out.
@@ -91,9 +104,9 @@ proptest! {
     }
 
     // The fused elementwise kernels — one per distinct operation mix
-    // (mul/add, square, clamp, max, sqrt/div) — are bitwise
-    // tier-independent on raw bit patterns, at unaligned offsets, with
-    // remainder tails.
+    // (mul/add, square, clamp, max, sqrt/div) — are tier-independent on
+    // raw bit patterns, at unaligned offsets, with remainder tails:
+    // bitwise on every lane that is not NaN, NaN where scalar is NaN.
     #[test]
     fn zip_kernels_bitwise_across_tiers(
         xs in prop::collection::vec(arb_bits_f32(), 1..300),
@@ -109,7 +122,7 @@ proptest! {
         let run = |kernel: &ZipKernel<'_>| {
             let mut out = xs.clone();
             kernel(&mut out[off..], &ys[off..], &zs[off..]);
-            bits(&out)
+            lanes(&out)
         };
         assert_tiers_bit_eq(&|| run(&|x, y, _| simd::axpby_seq(x, y, a, b)));
         assert_tiers_bit_eq(&|| run(&|x, y, _| simd::sq_add_scale_clamp0_seq(x, y, a, b)));
@@ -160,4 +173,29 @@ proptest! {
             bits(&dst)
         });
     }
+}
+
+/// The input that exposed the NaN-payload exception. In `a·x + b·ĥ`, `x`
+/// is a NaN with a payload and `ĥ` is the default NaN from `√` of a
+/// negative `c2·z`. AVX2 `addps` keeps `x`'s payload (0xffe2ea3f); an
+/// optimized scalar build may swap the `fadd` operands and keep the
+/// default NaN (0xffc00000). Both lanes are NaN, which is the contract.
+#[test]
+fn adam_dir_nan_sum_agrees_across_tiers_up_to_payload() {
+    let n = 19; // two 8-lane vectors plus a remainder tail
+    let xs = vec![f32::from_bits(0xffe2_ea3f); n];
+    let ys = vec![f32::from_bits(0xf175_1fff); n];
+    let zs = vec![f32::from_bits(0xa5b8_b065); n];
+    let run = || {
+        let mut out = xs.clone();
+        simd::adam_dir_axpby_seq(&mut out, &ys, &zs, 0.5, 0.25, 1.5, 0.25, 1e-8);
+        lanes(&out)
+    };
+    assert_tiers_bit_eq(&run);
+    assert!(
+        simd::with_tier(SimdTier::Scalar, run)
+            .iter()
+            .all(|&l| l == u32::MAX),
+        "every lane adds two NaNs"
+    );
 }

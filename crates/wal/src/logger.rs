@@ -541,37 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn bubble_budget_spills_synchronously_and_accounts_hidden_bytes() {
-        static TEST_GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _g = TEST_GUARD.lock().unwrap();
-        let rec = std::sync::Arc::new(swift_obs::MemoryRecorder::new());
-        swift_obs::install(rec.clone());
-
-        let mut l = setup(LogMode::BubbleAsync);
-        let t = Tensor::ones([4]);
-        let one = crate::record::LogRecord::encoded_len(&t, false);
-        // Budget fits exactly one staged record; the second must spill.
-        l.set_bubble_budget(one);
-        l.log_send(1, 2, ctx(0, 0), MsgKind::Activation, &t);
-        l.log_send(1, 2, ctx(0, 1), MsgKind::Activation, &t);
-        assert_eq!(l.staged_len(), 1, "over-budget record must not stage");
-        assert_eq!(
-            l.store().list("wal/").unwrap().len(),
-            1,
-            "spilled record is immediately durable"
-        );
-        l.on_bubble();
-        l.flush();
-        swift_obs::uninstall();
-
-        assert_eq!(l.stats().records_written.load(Ordering::Relaxed), 2);
-        // Hidden vs spilled must partition the logged volume exactly.
-        assert_eq!(rec.counter(swift_obs::Counter::SpilledBytes), one as u64);
-        assert_eq!(rec.counter(swift_obs::Counter::BubbleBytes), one as u64);
-        assert_eq!(rec.counter(swift_obs::Counter::BytesLogged), 2 * one as u64);
-    }
-
-    #[test]
     fn gc_drops_queued_but_unflushed_records() {
         let mut l = setup(LogMode::BubbleAsync);
         for it in 0..6u64 {

@@ -23,7 +23,13 @@
 //!      steady-state contract is zero allocations per train step, and a
 //!      stray `vec![]` in a kernel silently re-introduces per-step
 //!      malloc traffic. Cold code opts out with a `lint:alloc-ok`
-//!      comment on the line.
+//!      comment on the line;
+//!    - no `thread::sleep(` / `RetryPolicy::poll()` in the `crates/core`
+//!      recovery modules ([`RECOVERY_WAIT_PATHS`]) — a rendezvous wait
+//!      parks on the KV revision and wakes on the write it waits for,
+//!      so a sleep there puts a poll tick on the recovery critical
+//!      path. Timers that are not rendezvous (restart backoff, the
+//!      process reaper) opt out with a `lint:sleep-ok` comment.
 //!
 //!    All lints skip the `#[cfg(test)]` region (test modules sit at the
 //!    bottom of each file by repo convention) and comment lines.
@@ -150,7 +156,7 @@ fn mc(rest: Vec<String>) -> ExitCode {
                     None => {
                         return usage_err(&format!(
                             "xtask mc: unknown mutation `{name}` \
-                             (none, skip-generation-fence, skip-undo)"
+                             (none, skip-generation-fence, skip-undo, skip-wake)"
                         ))
                     }
                 },
@@ -261,6 +267,7 @@ fn verify() -> ExitCode {
     failures += lint_no_instant_in_sim(&root);
     failures += lint_no_wall_clock_in_net(&root);
     failures += lint_no_alloc_in_hot_loops(&root);
+    failures += lint_no_sleep_polling_in_recovery(&root);
 
     if failures > 0 {
         eprintln!("xtask verify: {failures} lint violation(s); skipping analyzers");
@@ -283,8 +290,8 @@ fn verify() -> ExitCode {
 /// The benchmark suites and the committed baseline each quick run gates
 /// against: the recovery fast path (PR 3), the collective/WAL overlap
 /// layer (PR 5), the SIMD dispatch + zero-alloc layer (PR 8), and the
-/// recovery critical path — sharded state transfer, delta checkpoints,
-/// MTTR decomposition (PR 10).
+/// recovery critical path (`BENCH_pr10.json`): sharded state transfer
+/// and delta checkpoints.
 const BENCH_SUITES: &[(&str, &str)] = &[
     ("fastpath", "BENCH_pr3.json"),
     ("overlap", "BENCH_pr5.json"),
@@ -599,6 +606,48 @@ fn lint_no_alloc_in_hot_loops(root: &Path) -> usize {
     violations
 }
 
+/// The `crates/core` modules on the recovery path: their waits must wake
+/// on the event they wait for, never on a sleep tick.
+const RECOVERY_WAIT_PATHS: &[&str] = &[
+    "crates/core/src/supervisor.rs",
+    "crates/core/src/fence.rs",
+    "crates/core/src/replication.rs",
+    "crates/core/src/pipeline_ft.rs",
+    "crates/core/src/scenario.rs",
+    "crates/core/src/fsdp.rs",
+    "crates/core/src/process.rs",
+];
+
+/// What sleep-polling looks like: a raw sleep, or the backoff schedule
+/// built for polling loops.
+const SLEEP_POLL_NEEDLES: &[&str] = &["thread::sleep(", "RetryPolicy::poll()"];
+
+/// Recovery-path waits must not sleep-poll: a rendezvous parks on the KV
+/// revision (`KvStore::wait_until` / `wait_for`) and wakes on the write
+/// or fail-stop transition it waits for. Timers that are not rendezvous
+/// opt out with a `lint:sleep-ok` comment on — or immediately above —
+/// the line, placed by the same rule as `lint:alloc-ok`.
+fn lint_no_sleep_polling_in_recovery(root: &Path) -> usize {
+    RECOVERY_WAIT_PATHS
+        .iter()
+        .map(|rel| {
+            lint_file(
+                root,
+                rel,
+                SLEEP_POLL_NEEDLES,
+                Some("lint:sleep-ok"),
+                |line| {
+                    format!(
+                        "`{line}` sleep-polls on the recovery path — wait on the KV \
+                         revision instead (a timer that is not a rendezvous: mark the \
+                         line `lint:sleep-ok`)"
+                    )
+                },
+            )
+        })
+        .sum()
+}
+
 /// Scans the non-test, non-comment lines of `rel` for any of `needles`.
 /// Returns the number of violations (each printed with file:line).
 fn lint_file(
@@ -671,6 +720,34 @@ mod tests {
     #[test]
     fn hot_loop_modules_are_allocation_free() {
         assert_eq!(lint_no_alloc_in_hot_loops(&workspace_root()), 0);
+    }
+
+    #[test]
+    fn recovery_paths_do_not_sleep_poll() {
+        assert_eq!(lint_no_sleep_polling_in_recovery(&workspace_root()), 0);
+    }
+
+    /// Self-test of the sleep-poll rule: a poll loop fires, and a timer
+    /// marked `lint:sleep-ok` does not.
+    #[test]
+    fn sleep_poll_lint_scan_rules() {
+        let count = |text: &str| {
+            lint_text(
+                "synthetic.rs",
+                text,
+                SLEEP_POLL_NEEDLES,
+                Some("lint:sleep-ok"),
+                |l| l.into(),
+            )
+        };
+        assert_eq!(
+            count("assert!(RetryPolicy::poll().wait_until(|| kv.get(k).is_some()));\n"),
+            1
+        );
+        assert_eq!(
+            count("// lint:sleep-ok — restart backoff\nstd::thread::sleep(delay);\n"),
+            0
+        );
     }
 
     /// Self-test of the alloc-lint rule against synthetic sources: the
