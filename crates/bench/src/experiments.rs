@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use swift_core::{DpScenario, PipelineScenario};
+use swift_core::{JobCrash, Parallelism, SwiftJob};
 use swift_data::BlobsDataset;
 use swift_dnn::profile::{bert_128, vit_128_32, wide_resnet_50, PaperModel, TESTBED};
 use swift_optim::OptimizerKind;
@@ -475,16 +475,20 @@ pub fn fig11_accuracy() -> String {
         momentum: 0.9,
         dampening: 0.0,
     };
+    let dp = SwiftJob::builder(model_fn.clone(), opt, dataset.clone())
+        .parallelism(Parallelism::Data { machines: 2 })
+        .batch_size(16)
+        .build()
+        .expect("valid plan");
     let base = |crash: Option<(usize, u64, usize)>| {
-        let mut b = DpScenario::builder(model_fn.clone(), dataset.clone())
-            .machines(2)
-            .opt(opt)
-            .batch_size(16)
-            .iters(iters);
-        if let Some((mach, it, groups)) = crash {
-            b = b.crash(mach, it, groups);
-        }
-        b.run()
+        dp.run(
+            iters,
+            crash.map(|(machine, iteration, after_groups)| JobCrash {
+                machine,
+                iteration,
+                after_groups,
+            }),
+        )
     };
     let clean = base(None);
     let failed = base(Some((1, iters / 2, 2)));
@@ -502,21 +506,24 @@ pub fn fig11_accuracy() -> String {
     let model_fn_p: swift_core::ModelFn =
         Arc::new(|| swift_dnn::models::mlp("p", &[8, 24, 24, 3], 43));
     let datap = Arc::new(BlobsDataset::new(9, 8, 3, 0.3));
+    let pp = SwiftJob::builder(model_fn_p.clone(), opt, datap.clone())
+        .parallelism(Parallelism::Pipeline {
+            stages: 3,
+            microbatches: 4,
+        })
+        .batch_size(8)
+        .ckpt_interval(10)
+        .build()
+        .expect("valid plan");
     let basep = |crash: Option<(usize, u64)>| {
-        let mut b = PipelineScenario::builder(model_fn_p.clone(), datap.clone())
-            .stages(3)
-            .opt(opt)
-            .batch_size(8)
-            .microbatches(4)
-            .ckpt_interval(10)
-            .iters(iters)
-            .schedule(swift_pipeline::ScheduleKind::OneFOneB)
-            .log_mode(LogMode::BubbleAsync)
-            .log_precision(swift_wal::LogPrecision::F32);
-        if let Some((mach, after)) = crash {
-            b = b.crash(mach, after);
-        }
-        b.run()
+        pp.run(
+            iters,
+            crash.map(|(machine, iteration)| JobCrash {
+                machine,
+                iteration,
+                after_groups: 0,
+            }),
+        )
     };
     let cleanp = basep(None);
     let failedp = basep(Some((1, iters / 2)));

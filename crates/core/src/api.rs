@@ -14,12 +14,13 @@
 use std::sync::Arc;
 
 use swift_data::Dataset;
+use swift_net::FaultPlan;
 use swift_optim::{chain_for, ChainError, OptimizerKind};
 use swift_pipeline::ScheduleKind;
 use swift_wal::{LogMode, LogPrecision};
 
 use crate::config::{select_strategy, JobShape, Strategy};
-use crate::scenario::{DpScenario, ModelFn, PipelineScenario, ScenarioResult};
+use crate::scenario::{run_job, ModelFn, ScenarioResult};
 
 /// How the job is parallelized across machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +50,23 @@ pub enum PlanError {
         /// What exactly cannot be inverted, from the symbolic derivation.
         error: ChainError,
     },
+    /// The layout leaves no replica or pipeline peer on another machine,
+    /// so the only strategy is global checkpointing (§3), which
+    /// [`SwiftJob::run`] does not execute.
+    CheckpointOnly {
+        /// The rejected layout.
+        parallelism: Parallelism,
+    },
+    /// Parallel recovery (§5.2) splits the replayed micro-batches over
+    /// `replicas` workers, but only the replacement and the `stages − 1`
+    /// survivors can replay: some micro-batches would never be
+    /// recomputed.
+    ReplicasExceedStages {
+        /// The requested parallel-recovery replica count `d`.
+        replicas: usize,
+        /// The pipeline's stage count.
+        stages: usize,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -59,23 +77,41 @@ impl std::fmt::Display for PlanError {
                 "optimizer update is not undoable, so crash-consistency \
                  repair (§4) would fail at first recovery: {error}"
             ),
+            PlanError::CheckpointOnly { parallelism } => write!(
+                f,
+                "{parallelism:?} leaves no replica or pipeline peer on another \
+                 machine, so the only strategy is global checkpointing (§3), \
+                 which this runtime does not execute"
+            ),
+            PlanError::ReplicasExceedStages { replicas, stages } => write!(
+                f,
+                "parallel recovery with d = {replicas} needs d ≤ {stages} stages: \
+                 only the replacement and the {} survivors replay, so the \
+                 micro-batches of the other replicas would never be recomputed",
+                stages - 1
+            ),
         }
     }
 }
 
 impl std::error::Error for PlanError {}
 
-/// A fault-tolerant training job. Build with [`SwiftJob::builder`].
+/// A fault-tolerant training job: the only description of an in-process
+/// job. Build with [`SwiftJob::builder`].
 pub struct SwiftJob {
-    model_fn: ModelFn,
-    opt: OptimizerKind,
-    dataset: Arc<dyn Dataset>,
-    parallelism: Parallelism,
-    batch_size: usize,
-    ckpt_interval: u64,
-    log_mode: LogMode,
-    log_precision: LogPrecision,
-    parallel_recovery: usize,
+    pub(crate) model_fn: ModelFn,
+    pub(crate) opt: OptimizerKind,
+    pub(crate) dataset: Arc<dyn Dataset>,
+    pub(crate) parallelism: Parallelism,
+    pub(crate) batch_size: usize,
+    pub(crate) ckpt_interval: u64,
+    pub(crate) schedule: ScheduleKind,
+    pub(crate) log_mode: LogMode,
+    pub(crate) log_precision: LogPrecision,
+    pub(crate) parallel_recovery: usize,
+    pub(crate) bucket_cap_bytes: Option<usize>,
+    pub(crate) faults: Option<FaultPlan>,
+    pub(crate) trace: bool,
 }
 
 /// Builder for [`SwiftJob`].
@@ -85,6 +121,10 @@ pub struct SwiftJobBuilder {
 
 impl SwiftJob {
     /// Starts building a job from its three required ingredients.
+    /// Defaults: 2 data-parallel machines, batch size 16, a checkpoint
+    /// every 100 iterations, the 1F1B schedule, bubble-async F32 logging,
+    /// sequential replay, the default bucket cap, no fault plan, no
+    /// tracing.
     pub fn builder(
         model_fn: ModelFn,
         opt: OptimizerKind,
@@ -98,9 +138,13 @@ impl SwiftJob {
                 parallelism: Parallelism::Data { machines: 2 },
                 batch_size: 16,
                 ckpt_interval: 100,
+                schedule: ScheduleKind::OneFOneB,
                 log_mode: LogMode::BubbleAsync,
                 log_precision: LogPrecision::F32,
                 parallel_recovery: 1,
+                bucket_cap_bytes: None,
+                faults: None,
+                trace: false,
             },
         }
     }
@@ -125,46 +169,11 @@ impl SwiftJob {
     }
 
     /// Trains for `iters` iterations, transparently recovering from the
-    /// optional injected machine failure. Returns the final per-rank model
-    /// states and the loss history.
+    /// optional injected machine failure or the fault plan's first crash
+    /// trigger. Returns the final per-rank model states and the loss
+    /// history.
     pub fn run(&self, iters: u64, crash: Option<JobCrash>) -> ScenarioResult {
-        match (self.parallelism, self.strategy()) {
-            (Parallelism::Data { machines }, Strategy::Replication) => {
-                let mut b = DpScenario::builder(self.model_fn.clone(), self.dataset.clone())
-                    .machines(machines)
-                    .opt(self.opt)
-                    .batch_size(self.batch_size)
-                    .iters(iters);
-                if let Some(c) = crash {
-                    b = b.crash(c.machine, c.iteration, c.after_groups.max(1));
-                }
-                b.run()
-            }
-            (
-                Parallelism::Pipeline {
-                    stages,
-                    microbatches,
-                },
-                Strategy::Logging { .. },
-            ) => {
-                let mut b = PipelineScenario::builder(self.model_fn.clone(), self.dataset.clone())
-                    .stages(stages)
-                    .opt(self.opt)
-                    .batch_size(self.batch_size)
-                    .microbatches(microbatches)
-                    .ckpt_interval(self.ckpt_interval)
-                    .iters(iters)
-                    .schedule(ScheduleKind::OneFOneB)
-                    .log_mode(self.log_mode)
-                    .log_precision(self.log_precision)
-                    .parallel_recovery(self.parallel_recovery);
-                if let Some(c) = crash {
-                    b = b.crash(c.machine, c.iteration);
-                }
-                b.run()
-            }
-            (p, s) => unreachable!("no runner for {p:?} under {s:?}"),
-        }
+        run_job(self, iters, crash)
     }
 }
 
@@ -198,35 +207,86 @@ impl SwiftJobBuilder {
         self
     }
 
+    /// Sets the pipeline schedule flavor (pipeline jobs; logging recovery
+    /// is not limited to 1F1B, §2.1).
+    pub fn schedule(mut self, s: ScheduleKind) -> Self {
+        self.job.schedule = s;
+        self
+    }
+
     /// Sets the logging mode (pipeline jobs).
     pub fn log_mode(mut self, m: LogMode) -> Self {
         self.job.log_mode = m;
         self
     }
 
-    /// Sets the logged-payload precision (pipeline jobs).
+    /// Sets the logged-payload precision (pipeline jobs). F16 halves the
+    /// volume; replay then carries a bounded quantization error instead
+    /// of being bitwise.
     pub fn log_precision(mut self, p: LogPrecision) -> Self {
         self.job.log_precision = p;
         self
     }
 
-    /// Enables parallel recovery with `d` replicas (pipeline jobs).
+    /// Enables parallel recovery with `d` replicas (pipeline jobs);
+    /// assistants are drawn from the lowest-ranked survivors.
     pub fn parallel_recovery(mut self, d: usize) -> Self {
         self.job.parallel_recovery = d.max(1);
         self
     }
 
-    /// Finalizes the job, statically validating the plan: the optimizer's
-    /// update chain must be symbolically invertible (undo derivable for
-    /// every op under its hyperparameters), because every recovery
-    /// strategy leans on update-undo for crash consistency (§4). AMSGrad
-    /// (running max) and AdamW with `η·λ ≥ 1` are rejected here, before
-    /// training starts, instead of failing at first undo.
+    /// Sets the gradient-bucket capacity in bytes for every rank and any
+    /// replacement (DP jobs). Smaller caps split the model into more
+    /// buckets, making mid-update crash windows observable on tiny test
+    /// models.
+    pub fn bucket_cap_bytes(mut self, cap: usize) -> Self {
+        self.job.bucket_cap_bytes = Some(cap);
+        self
+    }
+
+    /// Installs an adversarial fault plan on the fabric (delay, reorder,
+    /// drop/retransmit, duplicate, stall, crash triggers).
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        self.job.faults = Some(plan);
+        self
+    }
+
+    /// Enables the vector-clocked fabric tracer; the snapshot lands in
+    /// [`ScenarioResult::trace`].
+    pub fn trace(mut self) -> Self {
+        self.job.trace = true;
+        self
+    }
+
+    /// Finalizes the job, statically validating the plan:
+    ///
+    /// - the optimizer's update chain must be symbolically invertible
+    ///   (undo derivable for every op under its hyperparameters), because
+    ///   every recovery strategy leans on update-undo for crash
+    ///   consistency (§4). AMSGrad (running max) and AdamW with `η·λ ≥ 1`
+    ///   are rejected here, before training starts, instead of failing at
+    ///   first undo;
+    /// - the layout must leave a peer on another machine to recover from;
+    /// - parallel recovery may use at most one replica per stage.
     pub fn build(self) -> Result<SwiftJob, PlanError> {
-        chain_for(&self.job.opt)
+        let job = self.job;
+        chain_for(&job.opt)
             .derive_undo()
             .map_err(|error| PlanError::NonInvertibleOptimizer { error })?;
-        Ok(self.job)
+        if job.strategy() == Strategy::GlobalCheckpointOnly {
+            return Err(PlanError::CheckpointOnly {
+                parallelism: job.parallelism,
+            });
+        }
+        if let Parallelism::Pipeline { stages, .. } = job.parallelism {
+            if job.parallel_recovery > stages {
+                return Err(PlanError::ReplicasExceedStages {
+                    replicas: job.parallel_recovery,
+                    stages,
+                });
+            }
+        }
+        Ok(job)
     }
 }
 
@@ -281,7 +341,7 @@ mod tests {
             .ckpt_interval(4)
             .build()
             .unwrap();
-        assert!(matches!(job.strategy(), Strategy::Logging { .. }));
+        assert_eq!(job.strategy(), Strategy::Logging);
         let clean = job.run(10, None);
         let failed = job.run(
             10,
@@ -359,6 +419,51 @@ mod tests {
         assert!(matches!(err, PlanError::NonInvertibleOptimizer { .. }));
         let msg = err.to_string();
         assert!(msg.contains("η·λ"), "got: {msg}");
+    }
+
+    #[test]
+    fn build_rejects_single_machine_layouts() {
+        for parallelism in [
+            Parallelism::Data { machines: 1 },
+            Parallelism::Pipeline {
+                stages: 1,
+                microbatches: 4,
+            },
+        ] {
+            let err = base()
+                .parallelism(parallelism)
+                .build()
+                .map(|_| ())
+                .unwrap_err();
+            assert_eq!(err, PlanError::CheckpointOnly { parallelism });
+            let msg = err.to_string();
+            assert!(msg.contains("global checkpointing"), "got: {msg}");
+        }
+    }
+
+    #[test]
+    fn build_rejects_more_recovery_replicas_than_stages() {
+        let pipeline = |d| {
+            base()
+                .parallelism(Parallelism::Pipeline {
+                    stages: 3,
+                    microbatches: 4,
+                })
+                .parallel_recovery(d)
+                .build()
+                .map(|_| ())
+        };
+        assert!(pipeline(3).is_ok(), "one replica per stage is the limit");
+        let err = pipeline(4).unwrap_err();
+        assert_eq!(
+            err,
+            PlanError::ReplicasExceedStages {
+                replicas: 4,
+                stages: 3
+            }
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("d = 4 needs d ≤ 3"), "got: {msg}");
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! Global checkpointing runs periodically in every case as the
 //! catastrophic-failure backstop.
 
-use swift_wal::LogMode;
-
 /// The recovery strategy SWIFT runs with.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Strategy {
@@ -21,14 +19,7 @@ pub enum Strategy {
     Replication,
     /// Log inter-machine (inter-group) boundary tensors and replay the
     /// failed sub-pipeline.
-    Logging {
-        /// When records leave the critical path.
-        mode: LogMode,
-        /// Number of selective-logging machine groups.
-        groups: usize,
-        /// Whether recovery re-computation is data-parallelized (§5.2).
-        parallel_recovery: bool,
-    },
+    Logging,
     /// Checkpoint/restart only.
     GlobalCheckpointOnly,
 }
@@ -51,34 +42,9 @@ pub fn select_strategy(shape: JobShape) -> Strategy {
     if shape.cross_machine_replica {
         Strategy::Replication
     } else if shape.cross_machine_pipeline && shape.logging_worth_it {
-        Strategy::Logging {
-            mode: LogMode::BubbleAsync,
-            groups: 0,
-            parallel_recovery: false,
-        }
+        Strategy::Logging
     } else {
         Strategy::GlobalCheckpointOnly
-    }
-}
-
-/// Top-level fault-tolerance configuration for a SWIFT job.
-#[derive(Debug, Clone)]
-pub struct FtConfig {
-    /// Recovery strategy.
-    pub strategy: Strategy,
-    /// Global checkpoint interval in iterations (the backstop, §3).
-    pub ckpt_interval: u64,
-    /// Global RNG seed (determinism root, §6).
-    pub seed: u64,
-}
-
-impl Default for FtConfig {
-    fn default() -> Self {
-        FtConfig {
-            strategy: Strategy::GlobalCheckpointOnly,
-            ckpt_interval: 100,
-            seed: 0,
-        }
     }
 }
 
@@ -103,13 +69,7 @@ mod tests {
             cross_machine_pipeline: true,
             logging_worth_it: true,
         });
-        assert!(matches!(
-            s,
-            Strategy::Logging {
-                mode: LogMode::BubbleAsync,
-                ..
-            }
-        ));
+        assert_eq!(s, Strategy::Logging);
     }
 
     #[test]

@@ -21,13 +21,14 @@ use swift_net::{
     bytemuck_f32, default_chunk_bytes, default_shard_bytes, f32_from_bytes, failure_epoch,
     failure_state, CommError, Rank, RetryPolicy, WorkerCtx,
 };
+use swift_obs::Phase;
 use swift_optim::Optimizer;
 use swift_tensor::{Shape, Tensor};
 
 use crate::bucket::BucketedAllreduce;
 use crate::consistency::UpdateTracker;
 use crate::fence::recovery_fence;
-use crate::supervisor::{supervise, RecoveryPhase, RecoveryReport};
+use crate::supervisor::{supervise, RecoveryReport};
 
 /// Shard assignment: contiguous blocks of parameter groups per rank.
 #[derive(Debug, Clone)]
@@ -373,13 +374,13 @@ pub fn fsdp_recover_supervised(
             .iter()
             .find(|r| dead.contains(r))
             .expect("supervised shard recovery: no declared failure in group");
-        phases.enter(RecoveryPhase::RepairConsistency);
+        phases.enter(Phase::Undo);
         fsdp_repair_consistency(w);
-        phases.enter(RecoveryPhase::Fence);
+        phases.enter(Phase::Fence);
         recovery_fence(ctx, epoch.fence_channel(7), group)?;
-        phases.enter(RecoveryPhase::Synchronize);
+        phases.enter(Phase::Broadcast);
         fsdp_ship_shards(ctx, w, failed)?;
-        phases.enter(RecoveryPhase::Rejoin);
+        phases.enter(Phase::Resume);
         Ok(())
     })?;
     Ok(report)
@@ -399,10 +400,10 @@ pub fn fsdp_join_supervised(
     supervise(ctx, policy, |ctx, _epoch, phases| {
         // `fsdp_join` runs the fence and the shard synchronization
         // back-to-back; the phase entries bracket the whole call.
-        phases.enter(RecoveryPhase::Fence);
-        phases.enter(RecoveryPhase::Synchronize);
+        phases.enter(Phase::Fence);
+        phases.enter(Phase::Broadcast);
         let w = fsdp_join(ctx, model_fn(), opt_fn(), world, group)?;
-        phases.enter(RecoveryPhase::Rejoin);
+        phases.enter(Phase::Resume);
         Ok(w)
     })
 }

@@ -2,23 +2,24 @@
 //! that both the supervisor (at runtime) and `swift-verify`'s FSM
 //! analyzer (statically, on every CI run) check against.
 //!
-//! PR 1 encoded the phase order — repair → fence → synchronize → rejoin,
-//! with failure-triggered restarts — implicitly in the per-strategy
-//! recovery closures. This module makes the legal transition graph
-//! explicit so the analyzer can prove, independently of any execution:
-//! every phase is reachable, terminal states have no exits, every
-//! non-terminal phase has a failure edge back to the restart state, and
-//! the only cycles run through backoff-bounded restart edges (so the
-//! supervisor's bounded-restart argument is structural, not incidental).
+//! The states are the recovery phases of [`swift_obs::Phase`] — the same
+//! vocabulary the spans and the timeline use — minus `Detect`, which no
+//! recovery code enters: the timeline derives it from kill → declaration.
+//! Making the legal transition graph explicit lets the analyzer prove,
+//! independently of any execution: every phase is reachable, terminal
+//! states have no exits, every non-terminal phase has a failure edge back
+//! to the restart state, and the only cycles run through backoff-bounded
+//! restart edges (so the supervisor's bounded-restart argument is
+//! structural, not incidental).
 
-use crate::supervisor::RecoveryPhase;
+use swift_obs::Phase;
 
-/// A node of the recovery state machine: the four in-attempt phases plus
-/// the two ways an attempt sequence ends.
+/// A node of the recovery state machine: the in-attempt phases plus the
+/// two ways an attempt sequence ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FsmState {
     /// An in-progress recovery phase.
-    Phase(RecoveryPhase),
+    Phase(Phase),
     /// Recovery completed; training resumes.
     Done,
     /// Recovery abandoned: the worker itself died (fail-stop) or the
@@ -96,7 +97,7 @@ impl TransitionTable {
     /// Whether an attempt may move directly from phase `from` to phase
     /// `to` (an `Advance` edge). Used by the runtime `PhaseTracker` to
     /// reject transitions the static table does not license.
-    pub fn advance_allowed(&self, from: RecoveryPhase, to: RecoveryPhase) -> bool {
+    pub fn advance_allowed(&self, from: Phase, to: Phase) -> bool {
         self.transitions.iter().any(|t| {
             t.from == FsmState::Phase(from)
                 && t.to == FsmState::Phase(to)
@@ -105,62 +106,63 @@ impl TransitionTable {
     }
 
     /// Whether `phase` is a legal first phase of an attempt: the start
-    /// phase itself, or any phase on the `Advance` chain from it
-    /// (strategies whose repair step is vacuous may enter at the fence).
-    pub fn entry_allowed(&self, phase: RecoveryPhase) -> bool {
-        let mut cur = self.start;
-        loop {
+    /// phase itself, or any phase the start reaches over `Advance` edges
+    /// (a replacement has nothing to undo, so it may enter at the fence).
+    pub fn entry_allowed(&self, phase: Phase) -> bool {
+        let mut seen = vec![self.start];
+        let mut i = 0;
+        while let Some(&cur) = seen.get(i) {
             if cur == FsmState::Phase(phase) {
                 return true;
             }
-            match self
-                .outgoing(cur)
-                .find(|t| t.kind == EdgeKind::Advance)
-                .map(|t| t.to)
-            {
-                Some(next) => cur = next,
-                None => return false,
+            for t in self.outgoing(cur).filter(|t| t.kind == EdgeKind::Advance) {
+                if !seen.contains(&t.to) {
+                    seen.push(t.to);
+                }
             }
+            i += 1;
         }
+        false
     }
 }
 
-/// The SWIFT recovery state machine the supervisor implements: four
-/// phases advancing in order; completion from rejoin; a backoff-bounded
-/// failure edge from every phase back to the restart state (cascading
-/// failures, Appendix B); and an abort edge from every phase (fail-stop
-/// self-kill or exhausted restart budget).
+/// The SWIFT recovery state machine every recovery path implements:
+/// undo → fence → (broadcast | replay) → resume, where a pipeline
+/// survivor with no replay share skips straight from undo to resume;
+/// completion from resume; a backoff-bounded failure edge from every
+/// phase back to the restart state (cascading failures, Appendix B); and
+/// an abort edge from every phase (fail-stop self-kill or exhausted
+/// restart budget).
 pub fn recovery_fsm() -> TransitionTable {
+    use swift_obs::Phase::*;
     use EdgeKind::*;
     use FsmState::*;
-    use RecoveryPhase::*;
-    let phases = [RepairConsistency, Fence, Synchronize, Rejoin];
-    let mut transitions = vec![
-        Transition {
-            from: Phase(RepairConsistency),
-            to: Phase(Fence),
-            kind: Advance,
-        },
-        Transition {
-            from: Phase(Fence),
-            to: Phase(Synchronize),
-            kind: Advance,
-        },
-        Transition {
-            from: Phase(Synchronize),
-            to: Phase(Rejoin),
-            kind: Advance,
-        },
-        Transition {
-            from: Phase(Rejoin),
-            to: Done,
-            kind: Complete,
-        },
+    let phases = [Undo, Fence, Broadcast, Replay, Resume];
+    let advance = [
+        (Undo, Fence),
+        (Undo, Resume),
+        (Fence, Broadcast),
+        (Fence, Replay),
+        (Broadcast, Resume),
+        (Replay, Resume),
     ];
+    let mut transitions: Vec<Transition> = advance
+        .into_iter()
+        .map(|(from, to)| Transition {
+            from: Phase(from),
+            to: Phase(to),
+            kind: Advance,
+        })
+        .collect();
+    transitions.push(Transition {
+        from: Phase(Resume),
+        to: Done,
+        kind: Complete,
+    });
     for p in phases {
         transitions.push(Transition {
             from: Phase(p),
-            to: Phase(RepairConsistency),
+            to: Phase(Undo),
             kind: Failure { backoff: true },
         });
         transitions.push(Transition {
@@ -176,8 +178,8 @@ pub fn recovery_fsm() -> TransitionTable {
             .map(Phase)
             .chain([Done, Aborted])
             .collect(),
-        start: Phase(RepairConsistency),
-        restart: Phase(RepairConsistency),
+        start: Phase(Undo),
+        restart: Phase(Undo),
         transitions,
     }
 }
@@ -185,24 +187,62 @@ pub fn recovery_fsm() -> TransitionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use RecoveryPhase::*;
+    use Phase::*;
 
-    #[test]
-    fn advance_chain_is_the_phase_order() {
-        let t = recovery_fsm();
-        assert!(t.advance_allowed(RepairConsistency, Fence));
-        assert!(t.advance_allowed(Fence, Synchronize));
-        assert!(t.advance_allowed(Synchronize, Rejoin));
-        assert!(!t.advance_allowed(RepairConsistency, Rejoin));
-        assert!(!t.advance_allowed(Rejoin, Fence));
+    /// Whether the table licenses `seq` as one rank's recovery: a legal
+    /// entry, `Advance` edges between consecutive phases, and a
+    /// completion edge out of the last.
+    fn licensed(t: &TransitionTable, seq: &[Phase]) -> bool {
+        let last = FsmState::Phase(*seq.last().unwrap());
+        t.entry_allowed(seq[0])
+            && seq.windows(2).all(|w| t.advance_allowed(w[0], w[1]))
+            && t.outgoing(last).any(|tr| tr.kind == EdgeKind::Complete)
     }
 
     #[test]
-    fn any_phase_on_the_chain_may_begin_an_attempt() {
+    fn phase_states_are_every_phase_but_detect() {
         let t = recovery_fsm();
-        for p in [RepairConsistency, Fence, Synchronize, Rejoin] {
-            assert!(t.entry_allowed(p), "{p} must be a legal attempt entry");
+        let phases: Vec<Phase> = t
+            .states
+            .iter()
+            .filter_map(|s| match s {
+                FsmState::Phase(p) => Some(*p),
+                _ => None,
+            })
+            .collect();
+        let want: Vec<Phase> = Phase::ALL.into_iter().filter(|&p| p != Detect).collect();
+        assert_eq!(phases, want);
+        assert!(!t.entry_allowed(Detect), "nothing enters detect");
+    }
+
+    #[test]
+    fn table_licenses_every_runtime_sequence() {
+        let t = recovery_fsm();
+        let runtime: [(&str, &[Phase]); 7] = [
+            ("DP survivor", &[Undo, Fence, Broadcast, Resume]),
+            ("DP replacement", &[Undo, Fence, Broadcast, Resume]),
+            ("FSDP survivor", &[Undo, Fence, Broadcast, Resume]),
+            ("FSDP join", &[Fence, Broadcast, Resume]),
+            ("pipeline survivor", &[Undo, Resume]),
+            (
+                "assisting pipeline survivor",
+                &[Undo, Fence, Replay, Resume],
+            ),
+            ("pipeline replacement", &[Fence, Replay, Resume]),
+        ];
+        for (who, seq) in runtime {
+            assert!(licensed(&t, seq), "{who}: {seq:?} must be licensed");
         }
+    }
+
+    #[test]
+    fn table_rejects_out_of_order_and_mixed_sync() {
+        let t = recovery_fsm();
+        assert!(!t.advance_allowed(Broadcast, Replay));
+        assert!(!t.advance_allowed(Replay, Broadcast));
+        assert!(!t.advance_allowed(Resume, Fence));
+        assert!(!t.advance_allowed(Undo, Broadcast));
+        assert!(!licensed(&t, &[Undo, Fence]), "fence cannot complete");
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod tensor_parallel;
 
 pub use api::{JobCrash, Parallelism, PlanError, SwiftJob, SwiftJobBuilder};
 pub use bucket::{BucketedAllreduce, GradBucketer, DEFAULT_BUCKET_CAP_BYTES};
-pub use config::{select_strategy, FtConfig, JobShape, Strategy};
+pub use config::{select_strategy, JobShape, Strategy};
 pub use consistency::{consensus_undo, repair_partial_update, UpdateTracker};
 pub use elastic::{
     elastic_join, elastic_leave, elastic_transition_incumbent, elastic_transition_scale_in,
@@ -48,8 +48,7 @@ pub use replication::{
 };
 pub use scenario::{
     dp_replacement_join, dp_worker_loop, evaluate_state, optimizer_from_state,
-    pipeline_replacement_recover, pipeline_worker_loop, DatasetSource, DpScenario,
-    DpScenarioBuilder, ModelFn, PipelineScenario, PipelineScenarioBuilder, ScenarioResult,
+    pipeline_replacement_recover, pipeline_worker_loop, DatasetSource, ModelFn, ScenarioResult,
 };
-pub use supervisor::{supervise, wait_cascade_aware, PhaseTracker, RecoveryPhase, RecoveryReport};
+pub use supervisor::{supervise, wait_cascade_aware, PhaseTracker, RecoveryReport};
 pub use tensor_parallel::TpLinear;

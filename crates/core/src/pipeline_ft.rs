@@ -16,7 +16,7 @@ use swift_dnn::Sequential;
 use swift_net::{
     default_chunk_bytes, failure_epoch, failure_state, CommError, Rank, RetryPolicy, WorkerCtx,
 };
-use swift_obs::{Event, IterationId, Phase};
+use swift_obs::IterationId;
 use swift_optim::Optimizer;
 use swift_pipeline::{run_iteration, run_ops, CommTransport, Op, ScheduleKind, StagePlacement};
 use swift_store::GlobalStore;
@@ -169,29 +169,11 @@ pub fn pipeline_maybe_checkpoint(
 /// Survivor-side failure handling (Fig. 6b steps 1–3 plus §4 consensus):
 /// abort the in-flight iteration, flush + upload logs, agree on the
 /// consensus iteration via the KV store, and undo past it. Returns the
-/// consensus iteration.
+/// consensus iteration. The caller's [`PhaseTracker`] spans it as
+/// `Phase::Undo`.
+///
+/// [`PhaseTracker`]: crate::supervisor::PhaseTracker
 pub fn pipeline_on_failure_survivor(
-    ctx: &mut WorkerCtx,
-    w: &mut PipelineWorker,
-    survivors: &[Rank],
-) -> Result<u64, CommError> {
-    let obs_epoch = failure_epoch(&ctx.kv);
-    let me = ctx.rank();
-    swift_obs::emit(|| Event::PhaseBegin {
-        rank: me,
-        epoch: obs_epoch,
-        phase: Phase::Undo,
-    });
-    let result = pipeline_on_failure_survivor_inner(ctx, w, survivors);
-    swift_obs::emit(|| Event::PhaseEnd {
-        rank: me,
-        epoch: obs_epoch,
-        phase: Phase::Undo,
-    });
-    result
-}
-
-fn pipeline_on_failure_survivor_inner(
     ctx: &mut WorkerCtx,
     w: &mut PipelineWorker,
     survivors: &[Rank],
@@ -303,37 +285,12 @@ pub struct RecoveryRole {
 /// With `num_replicas > 1` this is parallel recovery (§5.2): this worker
 /// re-computes only its assigned micro-batches and all-reduces gradients
 /// with its peers before updating, which is logically equivalent to the
-/// sequential replay.
+/// sequential replay. The caller's [`PhaseTracker`] spans it as
+/// `Phase::Replay`.
+///
+/// [`PhaseTracker`]: crate::supervisor::PhaseTracker
 #[allow(clippy::too_many_arguments)]
 pub fn pipeline_replay(
-    ctx: &mut WorkerCtx,
-    job: &PipelineJob,
-    role: &RecoveryRole,
-    model: &mut Sequential,
-    opt: &mut dyn Optimizer,
-    reader: &WalReader,
-    data: &dyn DataSource,
-    from: u64,
-    to: u64,
-) -> Result<(), CommError> {
-    let obs_epoch = failure_epoch(&ctx.kv);
-    let me = ctx.rank();
-    swift_obs::emit(|| Event::PhaseBegin {
-        rank: me,
-        epoch: obs_epoch,
-        phase: Phase::Replay,
-    });
-    let result = pipeline_replay_inner(ctx, job, role, model, opt, reader, data, from, to);
-    swift_obs::emit(|| Event::PhaseEnd {
-        rank: me,
-        epoch: obs_epoch,
-        phase: Phase::Replay,
-    });
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pipeline_replay_inner(
     ctx: &mut WorkerCtx,
     job: &PipelineJob,
     role: &RecoveryRole,

@@ -29,8 +29,8 @@
 //!    supervisor never tells the detector anything), recording the
 //!    detection latency;
 //! 3. wait for every survivor's recovery acknowledgement under the
-//!    declared epoch (`dp/ack/…` or `consensus/…`), exactly like the
-//!    in-process drivers, then respawn the rank as a replacement
+//!    declared epoch (`dp/ack/…` or `consensus/…`) through the same wait
+//!    the in-process driver uses, then respawn the rank as a replacement
 //!    process that re-runs the recovery sequence and rejoins training.
 
 use std::path::{Path, PathBuf};
@@ -56,8 +56,8 @@ use swift_wal::{GroupMap, LogMode, LogPrecision, Logger, WalReader};
 use crate::pipeline_ft::{PipelineJob, PipelineWorker};
 use crate::replication::DpWorker;
 use crate::scenario::{
-    dp_replacement_join, dp_worker_loop, pipeline_replacement_recover, pipeline_worker_loop,
-    DatasetSource, ModelFn,
+    await_survivor_acks, dp_replacement_join, dp_worker_loop, pipeline_replacement_recover,
+    pipeline_worker_loop, DatasetSource, ModelFn,
 };
 
 /// Environment variable carrying the run directory to worker processes.
@@ -112,7 +112,9 @@ pub fn pipeline_reference_dataset() -> Arc<BlobsDataset> {
     Arc::new(BlobsDataset::new(9, 8, 3, 0.3))
 }
 
-/// Which reference workload a process scenario runs.
+/// Which reference workload a process scenario runs; on both backends,
+/// also which acknowledgement survivors publish before a replacement may
+/// come up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcessKind {
     /// Data parallelism with replication recovery.
@@ -547,19 +549,19 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
         }
         detection.push(killed_at.elapsed());
         let epoch = failure_epoch(&store);
-        // Survivor rendezvous before the respawn (mirrors the in-process
-        // drivers): reviving the rank re-opens its socket address, after
-        // which a survivor that had not yet detected the failure would
-        // block on the revived-but-recovering process.
-        for r in (0..cfg.world).filter(|&r| r != victim) {
-            let key = match cfg.kind {
-                ProcessKind::Dp => format!("dp/ack/{epoch}/{r}"),
-                ProcessKind::Pipeline => format!("consensus/{epoch}/{r}"),
-            };
-            wait_key(&store, cfg.exit_deadline, &key, || {
-                format!("survivor {r} never acknowledged epoch {epoch}")
-            })?;
-        }
+        // Survivor rendezvous before the respawn, on the same
+        // acknowledgements the in-process driver waits for.
+        await_survivor_acks(
+            &store,
+            cfg.kind,
+            epoch,
+            cfg.world,
+            victim,
+            cfg.exit_deadline,
+        )
+        .map_err(|r| ProcessError::Rendezvous {
+            what: format!("survivor {r} never acknowledged epoch {epoch}"),
+        })?;
         attempts[victim] += 1;
         let attempt = attempts[victim];
         children[victim] = Some(spawn_worker(

@@ -14,13 +14,14 @@ use swift_net::{
     default_chunk_bytes, default_shard_bytes, failure_epoch, failure_state, CommError, Rank,
     RetryPolicy, WorkerCtx,
 };
+use swift_obs::Phase;
 use swift_optim::{OptimState, Optimizer};
 use swift_tensor::Tensor;
 
 use crate::bucket::BucketedAllreduce;
 use crate::consistency::UpdateTracker;
 use crate::fence::recovery_fence;
-use crate::supervisor::{supervise, RecoveryPhase, RecoveryReport};
+use crate::supervisor::{supervise, RecoveryReport};
 
 /// One data-parallel replica worker's training state.
 pub struct DpWorker {
@@ -451,14 +452,14 @@ pub fn replication_recover_supervised(
     policy: &RetryPolicy,
 ) -> Result<RecoveryReport, CommError> {
     let (_, report) = supervise(ctx, policy, |ctx, epoch, phases| {
-        phases.enter(RecoveryPhase::RepairConsistency);
+        phases.enter(Phase::Undo);
         repair_dp_consistency(w);
         let survivors = live_survivors(ctx, group);
-        phases.enter(RecoveryPhase::Fence);
+        phases.enter(Phase::Fence);
         recovery_fence(ctx, epoch.generation(), group)?;
-        phases.enter(RecoveryPhase::Synchronize);
+        phases.enter(Phase::Broadcast);
         synchronize_state(ctx, w, &survivors, group)?;
-        phases.enter(RecoveryPhase::Rejoin);
+        phases.enter(Phase::Resume);
         Ok(())
     })?;
     Ok(report)
@@ -475,14 +476,14 @@ pub fn replication_join_supervised(
     policy: &RetryPolicy,
 ) -> Result<(DpWorker, RecoveryReport), CommError> {
     supervise(ctx, policy, |ctx, epoch, phases| {
-        phases.enter(RecoveryPhase::RepairConsistency);
+        phases.enter(Phase::Undo);
         let mut w = DpWorker::new(model_fn(), opt_fn());
         let survivors = live_survivors(ctx, group);
-        phases.enter(RecoveryPhase::Fence);
+        phases.enter(Phase::Fence);
         recovery_fence(ctx, epoch.generation(), group)?;
-        phases.enter(RecoveryPhase::Synchronize);
+        phases.enter(Phase::Broadcast);
         synchronize_state(ctx, &mut w, &survivors, group)?;
-        phases.enter(RecoveryPhase::Rejoin);
+        phases.enter(Phase::Resume);
         Ok(w)
     })
 }

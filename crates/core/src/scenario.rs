@@ -1,7 +1,10 @@
-//! Turn-key failure scenarios: spawn a cluster, train, kill a machine,
-//! recover, finish — the orchestration shared by the end-to-end accuracy
-//! experiments (paper Fig. 11), the examples, and the integration tests.
+//! The in-process job driver: runs a [`SwiftJob`] on a cluster of
+//! threads — train, kill a machine, recover, finish — for the end-to-end
+//! accuracy experiments (paper Fig. 11), the examples, the integration
+//! tests and the benchmark. Also home to the worker loops and replacement
+//! sequences the process backend runs unchanged.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -12,22 +15,24 @@ use swift_net::{
     failure_epoch, failure_state, Cluster, CommError, CrashTrigger, FaultPlan, FaultStatsSnapshot,
     KvStore, Rank, RetryPolicy, Topology, Trace, WorkerCtx,
 };
+use swift_obs::{Epoch, Phase};
 use swift_optim::OptimizerKind;
-use swift_pipeline::ScheduleKind;
 use swift_store::{BlobStore, GlobalStore};
 use swift_tensor::Tensor;
 use swift_wal::{GroupMap, LogMode, LogPrecision, Logger, WalReader};
 
+use crate::api::{JobCrash, Parallelism, SwiftJob};
 use crate::fence::recovery_fence;
 use crate::pipeline_ft::{
     pipeline_maybe_checkpoint, pipeline_on_failure_survivor, pipeline_replay,
     pipeline_train_iteration, DataSource, PipelineJob, PipelineWorker, RecoveryRole,
 };
+use crate::process::ProcessKind;
 use crate::replication::{
     dp_train_step, replication_join_supervised, replication_recover_supervised, CrashPoint,
     DpWorker,
 };
-use swift_obs::{Epoch, Event, Phase};
+use crate::supervisor::PhaseTracker;
 
 /// A model factory (must be deterministic: every call builds the same
 /// initialization, as all replicas/replacements construct it).
@@ -93,127 +98,6 @@ pub fn evaluate_state(
     acc / batches as f32
 }
 
-/// Configuration of a data-parallel failure scenario.
-pub struct DpScenario {
-    /// Number of machines (one replica rank per machine).
-    pub machines: usize,
-    /// Deterministic model factory.
-    pub model_fn: ModelFn,
-    /// Optimizer configuration.
-    pub opt: OptimizerKind,
-    /// Training data.
-    pub dataset: Arc<dyn Dataset>,
-    /// Global mini-batch size.
-    pub batch_size: usize,
-    /// Iterations to train.
-    pub iters: u64,
-    /// Optional mid-backward crash: (machine, iteration, after_groups
-    /// staged).
-    pub crash: Option<(usize, u64, usize)>,
-    /// Optional adversarial fault plan installed on the fabric (delay,
-    /// reorder, drop/retransmit, duplicate, stall, crash triggers).
-    pub faults: Option<FaultPlan>,
-    /// Gradient-bucket capacity for the overlapped all-reduce; `None`
-    /// keeps [`crate::bucket::DEFAULT_BUCKET_CAP_BYTES`]. Part of the
-    /// protocol: every rank (and any replacement) must use the same cap.
-    pub bucket_cap_bytes: Option<usize>,
-}
-
-impl DpScenario {
-    /// Starts building a data-parallel scenario from its two required
-    /// ingredients. Defaults: 2 machines, SGD+momentum, batch size 8,
-    /// 4 iterations, no crash, no fault plan.
-    pub fn builder(model_fn: ModelFn, dataset: Arc<dyn Dataset>) -> DpScenarioBuilder {
-        DpScenarioBuilder {
-            cfg: DpScenario {
-                machines: 2,
-                model_fn,
-                opt: OptimizerKind::SgdMomentum {
-                    lr: 0.05,
-                    weight_decay: 0.0,
-                    momentum: 0.9,
-                    dampening: 0.0,
-                },
-                dataset,
-                batch_size: 8,
-                iters: 4,
-                crash: None,
-                faults: None,
-                bucket_cap_bytes: None,
-            },
-            trace: false,
-        }
-    }
-}
-
-/// Builder for [`DpScenario`]; finish with [`DpScenarioBuilder::run`].
-#[must_use = "a scenario builder does nothing until .run()"]
-pub struct DpScenarioBuilder {
-    cfg: DpScenario,
-    trace: bool,
-}
-
-impl DpScenarioBuilder {
-    /// Sets the number of machines (one replica rank per machine).
-    pub fn machines(mut self, n: usize) -> Self {
-        self.cfg.machines = n;
-        self
-    }
-
-    /// Sets the optimizer configuration.
-    pub fn opt(mut self, opt: OptimizerKind) -> Self {
-        self.cfg.opt = opt;
-        self
-    }
-
-    /// Sets the global mini-batch size.
-    pub fn batch_size(mut self, b: usize) -> Self {
-        self.cfg.batch_size = b;
-        self
-    }
-
-    /// Sets the number of iterations to train.
-    pub fn iters(mut self, iters: u64) -> Self {
-        self.cfg.iters = iters;
-        self
-    }
-
-    /// Injects a mid-backward crash on `machine` at `iteration`, right
-    /// after `after_groups` parameter groups have been staged into the
-    /// overlapped all-reduce (already-shipped buckets fold and apply on
-    /// peers; unshipped ones strand them mid-update).
-    pub fn crash(mut self, machine: usize, iteration: u64, after_groups: usize) -> Self {
-        self.cfg.crash = Some((machine, iteration, after_groups));
-        self
-    }
-
-    /// Sets the gradient-bucket capacity in bytes for every rank (and
-    /// any replacement). Smaller caps split the model into more buckets,
-    /// making mid-update crash windows observable on tiny test models.
-    pub fn bucket_cap_bytes(mut self, cap: usize) -> Self {
-        self.cfg.bucket_cap_bytes = Some(cap);
-        self
-    }
-
-    /// Installs an adversarial fault plan on the fabric.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.cfg.faults = Some(plan);
-        self
-    }
-
-    /// Enables the vector-clocked fabric tracer; the snapshot lands in
-    /// [`ScenarioResult::trace`].
-    pub fn trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
-    /// Consumes the builder and runs the scenario end to end.
-    pub fn run(self) -> ScenarioResult {
-        run_dp_scenario_impl(self.cfg, self.trace)
-    }
-}
-
 /// Result of a scenario run.
 pub struct ScenarioResult {
     /// Final model state per rank (bit-identical across replicas for DP).
@@ -223,15 +107,322 @@ pub struct ScenarioResult {
     pub losses: Vec<f32>,
     /// Whether a failure was injected and recovered.
     pub recovered: bool,
-    /// Wall-clock recovery phases recorded by the replacement, in order:
-    /// `(phase name, milliseconds)`. Empty for failure-free runs.
-    pub recovery_trace: Vec<(String, f64)>,
     /// Fault-injector counters (delays, reorders, drops, duplicates,
     /// crashes fired) when a [`FaultPlan`] was installed.
     pub fault_stats: Option<FaultStatsSnapshot>,
-    /// The vector-clocked fabric trace, when the scenario was built with
+    /// The vector-clocked fabric trace, when the job was built with
     /// tracing enabled — feed it to `swift-verify`'s race checker.
     pub trace: Option<Trace>,
+}
+
+/// What one rank's thread hands back: its final state (`None` when the
+/// rank was killed) and the losses it recorded.
+type RankOutcome = (Option<ModelState>, Vec<f32>);
+
+/// One recovery strategy's half of an in-process job. [`drive`] is the
+/// other half, and the same for every strategy.
+trait Runner: Send + Sync + 'static {
+    /// The acknowledgement each survivor publishes under the declared
+    /// epoch before the replacement may come up.
+    const ACK: ProcessKind;
+    /// Runs a rank from iteration 0: training plus the survivor side of
+    /// recovery.
+    fn start(&self, ctx: WorkerCtx) -> RankOutcome;
+    /// Runs a replacement: its side of recovery, then training to the end.
+    fn rejoin(&self, ctx: WorkerCtx) -> RankOutcome;
+    /// The rank whose losses the job reports.
+    fn loss_owner(&self) -> Rank;
+}
+
+/// Waits, up to `deadline` per survivor, until every rank in `0..world`
+/// but `victim` has acknowledged the failure declared at `epoch`: a DP
+/// replica under `dp/ack/{epoch}/{rank}`, a pipeline stage by publishing
+/// its consensus iteration. Both backends wait here before reviving the
+/// victim: revival restores its links, after which a survivor that had
+/// not yet detected the failure would block on the revived but still
+/// recovering rank. Returns the first survivor that missed the deadline.
+pub(crate) fn await_survivor_acks(
+    kv: &KvStore,
+    kind: ProcessKind,
+    epoch: Epoch,
+    world: usize,
+    victim: Rank,
+    deadline: Duration,
+) -> Result<(), Rank> {
+    for r in (0..world).filter(|&r| r != victim) {
+        let key = match kind {
+            ProcessKind::Dp => format!("dp/ack/{epoch}/{r}"),
+            ProcessKind::Pipeline => format!("consensus/{epoch}/{r}"),
+        };
+        kv.wait_for(&key, deadline).ok_or(r)?;
+    }
+    Ok(())
+}
+
+/// Runs one job on `world` single-rank machines: installs the fault plan
+/// and (optionally) the fabric tracer, runs a thread per rank and, when
+/// `victim` is doomed, brings its replacement up once the failure is
+/// declared and every survivor has acknowledged it. The driver reacts to
+/// the declaration only, never to injector ground truth.
+fn drive<R: Runner>(
+    runner: R,
+    world: usize,
+    faults: Option<FaultPlan>,
+    victim: Option<Rank>,
+    trace: bool,
+) -> ScenarioResult {
+    let cluster = Cluster::new(Topology::uniform(world, 1));
+    let tracer = trace.then(|| cluster.enable_tracing());
+    let fc = cluster.failure_controller();
+    let injector = faults.map(|plan| cluster.install_faults(plan));
+    let runner = Arc::new(runner);
+    let handles: Vec<_> = (0..world)
+        .map(|rank| {
+            let runner = runner.clone();
+            cluster.spawn(rank, move |ctx| runner.start(ctx))
+        })
+        .collect();
+    let replacement = victim.map(|mach| {
+        let kv = cluster.kv();
+        let epoch = wait_declared(&kv);
+        await_survivor_acks(&kv, R::ACK, epoch, world, mach, RENDEZVOUS_DEADLINE)
+            .unwrap_or_else(|r| panic!("survivor {r} never acknowledged epoch {epoch}"));
+        fc.replace_machine(mach);
+        let rctx = cluster.respawn(mach);
+        let runner = runner.clone();
+        (mach, std::thread::spawn(move || runner.rejoin(rctx)))
+    });
+    let mut outcomes: Vec<(Rank, RankOutcome)> = handles
+        .into_iter()
+        .enumerate()
+        .map(|(rank, h)| (rank, h.join().expect("worker panicked")))
+        .collect();
+    if let Some((mach, h)) = replacement {
+        outcomes.push((mach, h.join().expect("replacement panicked")));
+    }
+    let mut states = vec![None; world];
+    let mut losses = Vec::new();
+    for (rank, (state, l)) in outcomes {
+        if rank == runner.loss_owner() && !l.is_empty() {
+            losses = l;
+        }
+        states[rank] = state;
+    }
+    ScenarioResult {
+        states: states
+            .into_iter()
+            .map(|s| s.expect("missing final state"))
+            .collect(),
+        losses,
+        recovered: victim.is_some(),
+        fault_stats: injector.map(|i| i.stats()),
+        trace: tracer.map(|t| t.snapshot()),
+    }
+}
+
+/// Runs `job` for `iters` iterations (see [`SwiftJob::run`]). The doomed
+/// machine is the scripted `crash`'s, else the fault plan's first crash
+/// trigger's.
+pub(crate) fn run_job(job: &SwiftJob, iters: u64, crash: Option<JobCrash>) -> ScenarioResult {
+    let plan_victim = job.faults.as_ref().and_then(|p| {
+        p.crashes.first().map(|t| match *t {
+            CrashTrigger::AtNthSend { rank, .. }
+            | CrashTrigger::AtNthDelivery { rank, .. }
+            | CrashTrigger::AtIteration { rank, .. }
+            | CrashTrigger::KillProcess { rank, .. } => rank,
+        })
+    });
+    let victim = crash.map(|c| c.machine).or(plan_victim);
+    match job.parallelism {
+        Parallelism::Data { machines } => {
+            let runner = DpRunner {
+                model_fn: job.model_fn.clone(),
+                opt: job.opt,
+                dataset: job.dataset.clone(),
+                replicas: (0..machines).collect(),
+                batch: job.batch_size,
+                iters,
+                bucket_cap: job.bucket_cap_bytes,
+                crash: crash.map(|c| {
+                    let at = CrashPoint {
+                        iteration: c.iteration,
+                        after_groups: c.after_groups.max(1),
+                    };
+                    (c.machine, at)
+                }),
+                crash_armed: AtomicBool::new(true),
+            };
+            drive(runner, machines, job.faults.clone(), victim, job.trace)
+        }
+        Parallelism::Pipeline {
+            stages,
+            microbatches,
+        } => {
+            // The scripted crash rides on the fault injector: an
+            // `AtIteration` trigger kills the machine when the victim
+            // reports that iteration (one rank per machine, so rank ==
+            // machine). Triggers are one-shot, so the replacement
+            // re-running the same iteration survives.
+            let faults = match crash {
+                Some(c) => Some(
+                    job.faults
+                        .clone()
+                        .unwrap_or_else(|| FaultPlan::new(0))
+                        .with_crash(CrashTrigger::AtIteration {
+                            rank: c.machine,
+                            iteration: c.iteration,
+                        }),
+                ),
+                None => job.faults.clone(),
+            };
+            let runner = PipelineRunner {
+                job: PipelineJob {
+                    stage_ranks: (0..stages).collect(),
+                    microbatches,
+                    kind: job.schedule,
+                    ckpt_interval: job.ckpt_interval,
+                    batch_size: job.batch_size,
+                },
+                model_fn: job.model_fn.clone(),
+                opt: job.opt,
+                data: DatasetSource {
+                    dataset: job.dataset.clone(),
+                    batch_size: job.batch_size,
+                    microbatches,
+                },
+                global: GlobalStore::new_temp().expect("global store"),
+                log_mode: job.log_mode,
+                log_precision: job.log_precision,
+                iters,
+                d: job.parallel_recovery,
+            };
+            drive(runner, stages, faults, victim, job.trace)
+        }
+    }
+}
+
+/// Replication recovery (§3–4): every machine holds a full replica.
+struct DpRunner {
+    model_fn: ModelFn,
+    opt: OptimizerKind,
+    dataset: Arc<dyn Dataset>,
+    replicas: Vec<Rank>,
+    batch: usize,
+    iters: u64,
+    bucket_cap: Option<usize>,
+    /// The scripted mid-update crash and its machine. It fires exactly
+    /// once: the replacement re-runs the same (machine, iteration)
+    /// coordinates and must not die again.
+    crash: Option<(usize, CrashPoint)>,
+    crash_armed: AtomicBool,
+}
+
+impl DpRunner {
+    fn train(&self, ctx: WorkerCtx, mut w: DpWorker) -> RankOutcome {
+        if let Some(cap) = self.bucket_cap {
+            w.bucket_cap_bytes = cap;
+        }
+        let my_crash = self
+            .crash
+            .filter(|&(mach, _)| {
+                ctx.machine() == mach && self.crash_armed.swap(false, Ordering::SeqCst)
+            })
+            .map(|(_, at)| at);
+        let (replicas, data) = (&self.replicas, &*self.dataset);
+        dp_worker_loop(ctx, w, replicas, data, self.batch, self.iters, my_crash)
+    }
+}
+
+impl Runner for DpRunner {
+    const ACK: ProcessKind = ProcessKind::Dp;
+
+    fn start(&self, ctx: WorkerCtx) -> RankOutcome {
+        let w = DpWorker::new((self.model_fn)(), self.opt.build());
+        self.train(ctx, w)
+    }
+
+    fn rejoin(&self, mut ctx: WorkerCtx) -> RankOutcome {
+        let w = dp_replacement_join(&mut ctx, &*self.model_fn, self.opt, &self.replicas);
+        // Its losses start mid-run; the original rank 0's are the job's.
+        (self.train(ctx, w).0, Vec::new())
+    }
+
+    fn loss_owner(&self) -> Rank {
+        0
+    }
+}
+
+/// Logging recovery (§5): one pipeline stage per machine.
+struct PipelineRunner {
+    job: PipelineJob,
+    model_fn: ModelFn,
+    opt: OptimizerKind,
+    data: DatasetSource,
+    global: GlobalStore,
+    log_mode: LogMode,
+    log_precision: LogPrecision,
+    iters: u64,
+    /// Parallel-recovery replica count (1 = the replacement replays
+    /// alone; assistants are the lowest-ranked survivors).
+    d: usize,
+}
+
+impl PipelineRunner {
+    fn stage(&self, stage: usize) -> Sequential {
+        swift_dnn::models::split_stages((self.model_fn)(), self.job.num_stages())
+            .into_iter()
+            .nth(stage)
+            .expect("one split per stage")
+    }
+
+    /// A fresh worker for `ctx`'s stage (one rank per machine, so the
+    /// stage is the rank).
+    fn worker(&self, ctx: &WorkerCtx) -> PipelineWorker {
+        let (rank, topo) = (ctx.rank(), &ctx.topology);
+        let store = BlobStore::new_temp(&format!("scen-m{}", topo.machine_of(rank)))
+            .expect("machine-local log store");
+        PipelineWorker {
+            stage: rank,
+            model: self.stage(rank),
+            opt: self.opt.build(),
+            iteration: 0,
+            logger: Logger::with_precision(
+                self.log_mode,
+                topo.clone(),
+                GroupMap::singletons(topo.num_machines()),
+                store,
+                self.log_precision,
+            ),
+            ckpt: CheckpointManager::new(self.global.blob().clone(), rank),
+            global: self.global.clone(),
+            last_grads: Vec::new(),
+        }
+    }
+
+    fn train(&self, ctx: WorkerCtx, w: PipelineWorker) -> RankOutcome {
+        let make_stage = |s| self.stage(s);
+        let (job, data) = (&self.job, &self.data);
+        pipeline_worker_loop(ctx, w, job, data, self.iters, &make_stage, self.opt, self.d)
+    }
+}
+
+impl Runner for PipelineRunner {
+    const ACK: ProcessKind = ProcessKind::Pipeline;
+
+    fn start(&self, ctx: WorkerCtx) -> RankOutcome {
+        let w = self.worker(&ctx);
+        self.train(ctx, w)
+    }
+
+    fn rejoin(&self, mut ctx: WorkerCtx) -> RankOutcome {
+        let mut w = self.worker(&ctx);
+        pipeline_replacement_recover(&mut ctx, &mut w, &self.job, &self.data, self.d);
+        self.train(ctx, w)
+    }
+
+    fn loss_owner(&self) -> Rank {
+        self.job.num_stages() - 1
+    }
 }
 
 /// One DP replica's steady-state + survivor-recovery loop — the code
@@ -331,120 +522,6 @@ pub fn dp_replacement_join(
     w
 }
 
-fn run_dp_scenario_impl(cfg: DpScenario, trace: bool) -> ScenarioResult {
-    let world = cfg.machines;
-    let cluster = Cluster::new(Topology::uniform(world, 1));
-    let tracer = trace.then(|| cluster.enable_tracing());
-    let fc = cluster.failure_controller();
-    let injector = cfg.faults.clone().map(|plan| cluster.install_faults(plan));
-    let replicas: Vec<Rank> = (0..world).collect();
-    // A machine doomed to die: either the scripted mid-update crash or a
-    // crash trigger in the fault plan (the plan is *configuration* — the
-    // driver still waits for the failure to be declared before reacting).
-    let trigger_victim = cfg.faults.as_ref().and_then(|p| {
-        p.crashes.first().map(|t| match t {
-            CrashTrigger::AtNthSend { rank, .. }
-            | CrashTrigger::AtNthDelivery { rank, .. }
-            | CrashTrigger::AtIteration { rank, .. }
-            | CrashTrigger::KillProcess { rank, .. } => *rank,
-        })
-    });
-    let doomed = cfg.crash.map(|(mach, _, _)| mach).or(trigger_victim);
-    let had_crash = doomed.is_some();
-
-    let model_fn = cfg.model_fn.clone();
-    let dataset = cfg.dataset.clone();
-    let opt_kind = cfg.opt;
-    let batch = cfg.batch_size;
-    let iters = cfg.iters;
-    let crash = cfg.crash;
-    let bucket_cap = cfg.bucket_cap_bytes;
-    // The injected crash fires exactly once: the replacement re-runs the
-    // same (machine, iteration) coordinates and must not die again.
-    let crash_armed = Arc::new(std::sync::atomic::AtomicBool::new(true));
-
-    let worker_loop =
-        move |ctx: WorkerCtx, w: DpWorker, replicas: Vec<Rank>| -> (Option<ModelState>, Vec<f32>) {
-            let my_crash = crash.and_then(|(mach, it, groups)| {
-                (ctx.machine() == mach
-                    && crash_armed.swap(false, std::sync::atomic::Ordering::SeqCst))
-                .then_some(CrashPoint {
-                    iteration: it,
-                    after_groups: groups,
-                })
-            });
-            dp_worker_loop(ctx, w, &replicas, &*dataset, batch, iters, my_crash)
-        };
-
-    let mut handles = Vec::new();
-    for rank in 0..world {
-        let wl = worker_loop.clone();
-        let mf = model_fn.clone();
-        let replicas = replicas.clone();
-        handles.push(cluster.spawn(rank, move |ctx| {
-            let mut w = DpWorker::new(mf(), opt_kind.build());
-            if let Some(cap) = bucket_cap {
-                w.bucket_cap_bytes = cap;
-            }
-            wl(ctx, w, replicas)
-        }));
-    }
-
-    let mut replacement_handle = None;
-    if let Some(mach) = doomed {
-        // Wait for the failure to be *declared* in the KV store (the
-        // driver has no access to injector ground truth) and for every
-        // survivor to ack it before reviving the machine — revival
-        // restores links, after which undetected survivors would block.
-        let kv = cluster.kv();
-        let epoch = wait_declared(&kv);
-        for r in (0..world).filter(|&r| r != mach) {
-            assert!(
-                kv.wait_for(&format!("dp/ack/{epoch}/{r}"), RENDEZVOUS_DEADLINE)
-                    .is_some(),
-                "survivor never acked the failure"
-            );
-        }
-        fc.replace_machine(mach);
-        let mut rctx = cluster.respawn(mach);
-        let wl = worker_loop.clone();
-        let mf = model_fn.clone();
-        let all = replicas.clone();
-        replacement_handle = Some(std::thread::spawn(move || {
-            let mut w = dp_replacement_join(&mut rctx, &*mf, opt_kind, &all);
-            if let Some(cap) = bucket_cap {
-                w.bucket_cap_bytes = cap;
-            }
-            wl(rctx, w, all)
-        }));
-    }
-
-    let mut states = vec![None; world];
-    let mut losses = Vec::new();
-    for (rank, h) in handles.into_iter().enumerate() {
-        let (state, l) = h.join().expect("worker panicked");
-        if rank == 0 && !l.is_empty() {
-            losses = l;
-        }
-        states[rank] = state;
-    }
-    if let Some(h) = replacement_handle {
-        let (state, _) = h.join().expect("replacement panicked");
-        states[doomed.unwrap()] = state;
-    }
-    ScenarioResult {
-        states: states
-            .into_iter()
-            .map(|s| s.expect("missing final state"))
-            .collect(),
-        losses,
-        recovered: had_crash,
-        recovery_trace: Vec::new(),
-        fault_stats: injector.map(|i| i.stats()),
-        trace: tracer.map(|t| t.snapshot()),
-    }
-}
-
 fn dataset_shard(
     ds: &dyn Dataset,
     it: u64,
@@ -455,172 +532,6 @@ fn dataset_shard(
     let b = ds.batch(it, batch);
     let s = shard_batch(&b, rank, world);
     (s.x, s.y)
-}
-
-/// Configuration of a pipeline-parallel failure scenario (one stage per
-/// machine, one rank per machine).
-pub struct PipelineScenario {
-    /// Number of stages/machines.
-    pub stages: usize,
-    /// Deterministic full-model factory (split into stages internally).
-    pub model_fn: ModelFn,
-    /// Optimizer configuration (per stage).
-    pub opt: OptimizerKind,
-    /// Training data.
-    pub dataset: Arc<dyn Dataset>,
-    /// Global mini-batch size.
-    pub batch_size: usize,
-    /// Micro-batches per iteration.
-    pub microbatches: usize,
-    /// Checkpoint interval.
-    pub ckpt_interval: u64,
-    /// Iterations to train.
-    pub iters: u64,
-    /// Pipeline schedule flavor.
-    pub schedule: ScheduleKind,
-    /// Logging mode.
-    pub log_mode: LogMode,
-    /// Logged-payload precision (F16 halves the volume; replay then
-    /// carries a bounded quantization error instead of being bitwise).
-    pub log_precision: LogPrecision,
-    /// Optional crash: (machine, after_iteration). Converted into a
-    /// [`CrashTrigger::AtIteration`] on the fault injector — the victim
-    /// discovers its death through the fabric, not an oracle flag.
-    pub crash: Option<(usize, u64)>,
-    /// Optional adversarial fault plan installed on the fabric; the
-    /// `crash` trigger (if any) is merged into it.
-    pub faults: Option<FaultPlan>,
-    /// Parallel-recovery replica count `d` (1 = sequential replay;
-    /// assistants are drawn from the lowest-ranked survivors).
-    pub parallel_recovery: usize,
-}
-
-impl PipelineScenario {
-    /// Starts building a pipeline-parallel scenario from its two required
-    /// ingredients. Defaults: 2 stages, SGD+momentum, batch size 8,
-    /// 2 micro-batches, checkpoint every 2 iterations, 4 iterations,
-    /// 1F1B schedule, bubble-async F32 logging, sequential replay,
-    /// no crash, no fault plan.
-    pub fn builder(model_fn: ModelFn, dataset: Arc<dyn Dataset>) -> PipelineScenarioBuilder {
-        PipelineScenarioBuilder {
-            cfg: PipelineScenario {
-                stages: 2,
-                model_fn,
-                opt: OptimizerKind::SgdMomentum {
-                    lr: 0.05,
-                    weight_decay: 0.0,
-                    momentum: 0.9,
-                    dampening: 0.0,
-                },
-                dataset,
-                batch_size: 8,
-                microbatches: 2,
-                ckpt_interval: 2,
-                iters: 4,
-                schedule: ScheduleKind::OneFOneB,
-                log_mode: LogMode::BubbleAsync,
-                log_precision: LogPrecision::F32,
-                crash: None,
-                faults: None,
-                parallel_recovery: 1,
-            },
-            trace: false,
-        }
-    }
-}
-
-/// Builder for [`PipelineScenario`]; finish with
-/// [`PipelineScenarioBuilder::run`].
-#[must_use = "a scenario builder does nothing until .run()"]
-pub struct PipelineScenarioBuilder {
-    cfg: PipelineScenario,
-    trace: bool,
-}
-
-impl PipelineScenarioBuilder {
-    /// Sets the number of stages/machines.
-    pub fn stages(mut self, n: usize) -> Self {
-        self.cfg.stages = n;
-        self
-    }
-
-    /// Sets the optimizer configuration (per stage).
-    pub fn opt(mut self, opt: OptimizerKind) -> Self {
-        self.cfg.opt = opt;
-        self
-    }
-
-    /// Sets the global mini-batch size.
-    pub fn batch_size(mut self, b: usize) -> Self {
-        self.cfg.batch_size = b;
-        self
-    }
-
-    /// Sets the number of micro-batches per iteration.
-    pub fn microbatches(mut self, m: usize) -> Self {
-        self.cfg.microbatches = m;
-        self
-    }
-
-    /// Sets the backstop checkpoint interval.
-    pub fn ckpt_interval(mut self, i: u64) -> Self {
-        self.cfg.ckpt_interval = i;
-        self
-    }
-
-    /// Sets the number of iterations to train.
-    pub fn iters(mut self, iters: u64) -> Self {
-        self.cfg.iters = iters;
-        self
-    }
-
-    /// Sets the pipeline schedule flavor.
-    pub fn schedule(mut self, s: ScheduleKind) -> Self {
-        self.cfg.schedule = s;
-        self
-    }
-
-    /// Sets the logging mode.
-    pub fn log_mode(mut self, m: LogMode) -> Self {
-        self.cfg.log_mode = m;
-        self
-    }
-
-    /// Sets the logged-payload precision.
-    pub fn log_precision(mut self, p: LogPrecision) -> Self {
-        self.cfg.log_precision = p;
-        self
-    }
-
-    /// Injects a crash on `machine` once it reports `after_iteration`.
-    pub fn crash(mut self, machine: usize, after_iteration: u64) -> Self {
-        self.cfg.crash = Some((machine, after_iteration));
-        self
-    }
-
-    /// Installs an adversarial fault plan on the fabric.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.cfg.faults = Some(plan);
-        self
-    }
-
-    /// Sets the parallel-recovery replica count `d`.
-    pub fn parallel_recovery(mut self, d: usize) -> Self {
-        self.cfg.parallel_recovery = d.max(1);
-        self
-    }
-
-    /// Enables the vector-clocked fabric tracer; the snapshot lands in
-    /// [`ScenarioResult::trace`].
-    pub fn trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
-    /// Consumes the builder and runs the scenario end to end.
-    pub fn run(self) -> ScenarioResult {
-        run_pipeline_scenario_impl(self.cfg, self.trace)
-    }
 }
 
 /// One pipeline stage's steady-state + survivor-recovery loop — like
@@ -671,12 +582,15 @@ pub fn pipeline_worker_loop(
                 // all recovery namespaces derive from the declared
                 // failure epoch.
                 let generation = failure_epoch(&ctx.kv);
+                let mut phases = PhaseTracker::new(ctx.rank(), generation);
                 let survivors: Vec<Rank> = all_ranks
                     .iter()
                     .copied()
                     .filter(|&r| r != failed_rank)
                     .collect();
+                phases.enter(Phase::Undo);
                 let consensus = pipeline_on_failure_survivor(&mut ctx, &mut w, &survivors).unwrap();
+                phases.close();
                 let assistants: Vec<Rank> = survivors.iter().copied().take(d - 1).collect();
                 if assistants.contains(&ctx.rank()) {
                     assist_replay(
@@ -689,23 +603,14 @@ pub fn pipeline_worker_loop(
                         failed_rank,
                         &assistants,
                         consensus,
-                        generation,
+                        &mut phases,
                         d,
                     );
                 }
                 // Rendezvous with the replacement, then resume.
-                let me = ctx.rank();
-                swift_obs::emit(|| Event::PhaseBegin {
-                    rank: me,
-                    epoch: generation,
-                    phase: Phase::Resume,
-                });
+                phases.enter(Phase::Resume);
                 recovery_fence(&mut ctx, generation.fence_channel(2), &all_ranks).unwrap();
-                swift_obs::emit(|| Event::PhaseEnd {
-                    rank: me,
-                    epoch: generation,
-                    phase: Phase::Resume,
-                });
+                phases.close();
             }
         }
     }
@@ -732,15 +637,6 @@ pub fn pipeline_replacement_recover(
         .copied()
         .filter(|&r| r != mach)
         .collect();
-    let trace_t0 = std::time::Instant::now();
-    let trace_mark = |kv: &swift_net::KvStore, phase: &str, since: std::time::Instant| {
-        kv.incr("trace/seq");
-        let seq: i64 = kv.get("trace/seq").unwrap().parse().unwrap();
-        kv.set(
-            &format!("trace/{seq:04}"),
-            format!("{phase}={:.3}", since.elapsed().as_secs_f64() * 1000.0),
-        );
-    };
     // Load the latest checkpoint from the global store.
     let (from, consensus) = {
         let ckpt = w.ckpt.load_latest().unwrap();
@@ -765,25 +661,17 @@ pub fn pipeline_replacement_recover(
         (from, consensus)
     };
     w.iteration = from;
-    trace_mark(&rctx.kv, "checkpoint-loaded+consensus", trace_t0);
     let generation = failure_epoch(&rctx.kv);
+    let mut phases = PhaseTracker::new(mach, generation);
     let replay_ranks = replay_participants(mach, &survivors, d);
     // Fence phase: the replay-group rendezvous. Recorded even when
     // the replacement replays alone (d = 1) so the per-incident
     // breakdown always carries a (possibly empty) fence segment.
-    swift_obs::emit(|| Event::PhaseBegin {
-        rank: mach,
-        epoch: generation,
-        phase: Phase::Fence,
-    });
+    phases.enter(Phase::Fence);
     if replay_ranks.len() > 1 {
         recovery_fence(rctx, generation.fence_channel(1), &replay_ranks).unwrap();
     }
-    swift_obs::emit(|| Event::PhaseEnd {
-        rank: mach,
-        epoch: generation,
-        phase: Phase::Fence,
-    });
+    phases.close();
     let reader = WalReader::new(w.global.blob().clone());
     let role = RecoveryRole {
         stage: job.stage_of(mach),
@@ -793,6 +681,7 @@ pub fn pipeline_replacement_recover(
         num_replicas: d,
         allreduce_peers: replay_ranks.clone(),
     };
+    phases.enter(Phase::Replay);
     pipeline_replay(
         rctx,
         job,
@@ -806,205 +695,14 @@ pub fn pipeline_replacement_recover(
     )
     .unwrap();
     w.iteration = consensus;
-    trace_mark(&rctx.kv, "replay-done", trace_t0);
-    swift_obs::emit(|| Event::PhaseBegin {
-        rank: mach,
-        epoch: generation,
-        phase: Phase::Resume,
-    });
+    phases.enter(Phase::Resume);
     recovery_fence(
         rctx,
         generation.fence_channel(2),
         &(0..stages).collect::<Vec<_>>(),
     )
     .unwrap();
-    swift_obs::emit(|| Event::PhaseEnd {
-        rank: mach,
-        epoch: generation,
-        phase: Phase::Resume,
-    });
-    trace_mark(&rctx.kv, "resume-fence-done", trace_t0);
-}
-
-fn run_pipeline_scenario_impl(cfg: PipelineScenario, trace: bool) -> ScenarioResult {
-    let stages = cfg.stages;
-    let cluster = Cluster::new(Topology::uniform(stages, 1));
-    let tracer = trace.then(|| cluster.enable_tracing());
-    let fc = cluster.failure_controller();
-    // The scripted crash rides on the fault injector: an `AtIteration`
-    // trigger kills the machine when the victim reports that iteration
-    // (one rank per machine, so rank == machine). Triggers are one-shot,
-    // so the replacement re-running the same iteration survives.
-    let injector = if cfg.faults.is_some() || cfg.crash.is_some() {
-        let mut plan = cfg.faults.clone().unwrap_or_else(|| FaultPlan::new(0));
-        if let Some((mach, after)) = cfg.crash {
-            plan = plan.with_crash(CrashTrigger::AtIteration {
-                rank: mach,
-                iteration: after,
-            });
-        }
-        Some(cluster.install_faults(plan))
-    } else {
-        None
-    };
-    let global = GlobalStore::new_temp().expect("global store");
-    let job = PipelineJob {
-        stage_ranks: (0..stages).collect(),
-        microbatches: cfg.microbatches,
-        kind: cfg.schedule,
-        ckpt_interval: cfg.ckpt_interval,
-        batch_size: cfg.batch_size,
-    };
-    // A machine doomed to die: the scripted crash or a crash trigger in
-    // the fault plan — either way the driver must respawn a replacement
-    // once the failure is declared, or the survivors' recovery fence
-    // waits forever for the dead rank's seq.
-    let trigger_victim = cfg.faults.as_ref().and_then(|p| {
-        p.crashes.first().map(|t| match t {
-            CrashTrigger::AtNthSend { rank, .. }
-            | CrashTrigger::AtNthDelivery { rank, .. }
-            | CrashTrigger::AtIteration { rank, .. }
-            | CrashTrigger::KillProcess { rank, .. } => *rank,
-        })
-    });
-    let doomed = cfg.crash.map(|(mach, _)| mach).or(trigger_victim);
-    let had_crash = doomed.is_some();
-    let d = cfg.parallel_recovery.max(1);
-
-    let model_fn = cfg.model_fn.clone();
-    let make_stage = {
-        let model_fn = model_fn.clone();
-        move |stage: usize| -> Sequential {
-            swift_dnn::models::split_stages(model_fn(), stages)
-                .into_iter()
-                .nth(stage)
-                .unwrap()
-        }
-    };
-    let make_worker = {
-        let make_stage = make_stage.clone();
-        let global = global.clone();
-        let opt = cfg.opt;
-        let log_mode = cfg.log_mode;
-        let log_precision = cfg.log_precision;
-        move |stage: usize, topo: &Topology, rank: Rank| -> PipelineWorker {
-            let store = BlobStore::new_temp(&format!("scen-m{}", topo.machine_of(rank))).unwrap();
-            PipelineWorker {
-                stage,
-                model: make_stage(stage),
-                opt: opt.build(),
-                iteration: 0,
-                logger: Logger::with_precision(
-                    log_mode,
-                    topo.clone(),
-                    GroupMap::singletons(topo.num_machines()),
-                    store,
-                    log_precision,
-                ),
-                ckpt: CheckpointManager::new(global.blob().clone(), rank),
-                global: global.clone(),
-                last_grads: Vec::new(),
-            }
-        }
-    };
-    let data = Arc::new(DatasetSource {
-        dataset: cfg.dataset.clone(),
-        batch_size: cfg.batch_size,
-        microbatches: cfg.microbatches,
-    });
-
-    let iters = cfg.iters;
-
-    // Survivor/steady-state loop, shared by original and replacement
-    // workers.
-    let opt_kind = cfg.opt;
-    let worker_loop = {
-        let job = job.clone();
-        let data = data.clone();
-        let make_stage = make_stage.clone();
-        move |ctx: WorkerCtx, w: PipelineWorker| -> (Option<ModelState>, Vec<f32>) {
-            pipeline_worker_loop(ctx, w, &job, &*data, iters, &make_stage, opt_kind, d)
-        }
-    };
-
-    let mut handles = Vec::new();
-    for rank in 0..stages {
-        let wl = worker_loop.clone();
-        let mw = make_worker.clone();
-        handles.push(cluster.spawn(rank, move |ctx| {
-            let topo = ctx.topology.clone();
-            let w = mw(ctx.rank(), &topo, ctx.rank());
-            wl(ctx, w)
-        }));
-    }
-
-    let mut replacement_handle = None;
-    if let Some(mach) = doomed {
-        // Wait for the failure to be *declared* in the KV store and for
-        // every survivor to publish its consensus iteration (proof it
-        // detected the failure) before reviving the machine.
-        let kv = cluster.kv();
-        let generation = wait_declared(&kv);
-        for r in (0..stages).filter(|&r| r != mach) {
-            assert!(
-                kv.wait_for(&format!("consensus/{generation}/{r}"), RENDEZVOUS_DEADLINE)
-                    .is_some(),
-                "survivor never reached consensus"
-            );
-        }
-        fc.replace_machine(mach);
-        let mut rctx = cluster.respawn(mach);
-        let wl = worker_loop.clone();
-        let mw = make_worker.clone();
-        let job2 = job.clone();
-        let data2 = data.clone();
-        replacement_handle = Some(std::thread::spawn(move || {
-            let topo = rctx.topology.clone();
-            let mut w = mw(mach, &topo, mach);
-            pipeline_replacement_recover(&mut rctx, &mut w, &job2, &*data2, d);
-            wl(rctx, w)
-        }));
-    }
-
-    let mut states = vec![None; stages];
-    let mut losses = Vec::new();
-    for (rank, h) in handles.into_iter().enumerate() {
-        let (state, l) = h.join().expect("worker panicked");
-        if !l.is_empty() {
-            losses = l;
-        }
-        states[rank] = state;
-    }
-    if let Some(h) = replacement_handle {
-        let (state, l) = h.join().expect("replacement panicked");
-        let mach = doomed.unwrap();
-        if !l.is_empty() {
-            losses = l; // replacement hosted the last stage
-        }
-        states[mach] = state;
-    }
-    let mut recovery_trace = Vec::new();
-    let kv = cluster.kv();
-    if let Some(n) = kv.get("trace/seq").and_then(|v| v.parse::<i64>().ok()) {
-        for seq in 1..=n {
-            if let Some(entry) = kv.get(&format!("trace/{seq:04}")) {
-                if let Some((phase, ms)) = entry.split_once('=') {
-                    recovery_trace.push((phase.to_string(), ms.parse().unwrap_or(0.0)));
-                }
-            }
-        }
-    }
-    ScenarioResult {
-        states: states
-            .into_iter()
-            .map(|s| s.expect("missing final state"))
-            .collect(),
-        losses,
-        recovered: had_crash,
-        recovery_trace,
-        fault_stats: injector.map(|i| i.stats()),
-        trace: tracer.map(|t| t.snapshot()),
-    }
+    phases.close();
 }
 
 /// The replica-group ranks for parallel recovery: the replacement plus
@@ -1030,7 +728,7 @@ fn assist_replay(
     failed_rank: Rank,
     assistants: &[Rank],
     consensus: u64,
-    epoch: Epoch,
+    phases: &mut PhaseTracker,
     d: usize,
 ) {
     let failed_stage = job.stage_of(failed_rank);
@@ -1049,18 +747,10 @@ fn assist_replay(
         None => (opt_kind.build(), 0),
     };
     let survivors_sorted = replay_participants(failed_rank, assistants, d);
-    let me = ctx.rank();
-    swift_obs::emit(|| Event::PhaseBegin {
-        rank: me,
-        epoch,
-        phase: Phase::Fence,
-    });
-    recovery_fence(ctx, epoch.fence_channel(1), &survivors_sorted).unwrap();
-    swift_obs::emit(|| Event::PhaseEnd {
-        rank: me,
-        epoch,
-        phase: Phase::Fence,
-    });
+    phases.enter(Phase::Fence);
+    recovery_fence(ctx, phases.epoch().fence_channel(1), &survivors_sorted)
+        .expect("replay-group fence");
+    phases.close();
     let my_replica = 1 + assistants.iter().position(|&r| r == ctx.rank()).unwrap();
     let reader = WalReader::new(global.blob().clone());
     let role = RecoveryRole {
@@ -1074,10 +764,12 @@ fn assist_replay(
     // The assistant replays interior stages only in this scenario (data
     // source unused unless the failed stage is first/last; pass the real
     // one if so — handled by the caller configuration).
+    phases.enter(Phase::Replay);
     pipeline_replay(
         ctx, job, &role, &mut model, &mut *opt, &reader, data, from, consensus,
     )
     .unwrap();
+    phases.close();
     // Own state was never touched; nothing to restore.
 }
 

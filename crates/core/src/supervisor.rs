@@ -1,5 +1,5 @@
-//! The recovery supervisor: drives undo → fence → synchronize → rejoin as
-//! an idempotent, re-entrant state machine.
+//! The recovery supervisor: drives undo → fence → (broadcast | replay) →
+//! resume as an idempotent, re-entrant state machine.
 //!
 //! The paper's Appendix B observes that failures cascade: a second
 //! machine can die while the survivors are mid-recovery from the first.
@@ -29,58 +29,16 @@
 use swift_net::{failure_epoch, failure_state, CommError, Rank, RetryPolicy, WorkerCtx};
 use swift_obs::{Counter, Epoch, Event, Phase};
 
-/// The phases of one recovery attempt, in order. Used for reporting and
-/// assertions; the phase *logic* lives in the per-strategy closures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RecoveryPhase {
-    /// Local crash-consistency repair: undo any partially applied update
-    /// (§4). Must be a no-op when re-entered after a completed undo.
-    RepairConsistency,
-    /// The epoch-namespaced recovery fence: sequence realignment, purge,
-    /// generation sync.
-    Fence,
-    /// State synchronization: replication broadcast (§3), log replay
-    /// (§5), or shard reconstruction.
-    Synchronize,
-    /// Final bookkeeping before resuming training.
-    Rejoin,
-}
-
-impl std::fmt::Display for RecoveryPhase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            RecoveryPhase::RepairConsistency => "repair-consistency",
-            RecoveryPhase::Fence => "fence",
-            RecoveryPhase::Synchronize => "synchronize",
-            RecoveryPhase::Rejoin => "rejoin",
-        };
-        f.write_str(s)
-    }
-}
-
-impl RecoveryPhase {
-    /// The observability phase this FSM state maps to. `Synchronize` is
-    /// ambiguous (broadcast for replication, replay for logging), so the
-    /// tracker carries the strategy's choice.
-    fn obs_phase(self, sync: Phase) -> Phase {
-        match self {
-            RecoveryPhase::RepairConsistency => Phase::Undo,
-            RecoveryPhase::Fence => Phase::Fence,
-            RecoveryPhase::Synchronize => sync,
-            RecoveryPhase::Rejoin => Phase::Resume,
-        }
-    }
-}
-
-/// Records which phase each attempt reached; handed to the attempt
-/// closure so phase entry is declared in one place and visible to tests
-/// and traces.
+/// Enters the recovery phases of one rank's recovery, emitting each as a
+/// [`swift_obs::Phase`] span: the one place recovery spans come from.
+/// [`supervise`] hands one to every attempt closure; recovery paths that
+/// never restart (pipeline logging recovery) build their own.
 ///
 /// Every entry is validated against the declarative transition table
 /// ([`crate::fsm::recovery_fsm`]): within an attempt, phases must follow
 /// the table's `Advance` edges, and an attempt may only begin at a phase
-/// on the advance chain. A violation is a protocol bug in the recovery
-/// closure and fails loudly.
+/// the start phase advances to. A violation is a protocol bug in the
+/// recovery code and fails loudly.
 #[derive(Debug)]
 pub struct PhaseTracker {
     attempt: u32,
@@ -88,92 +46,79 @@ pub struct PhaseTracker {
     rank: Rank,
     /// The failure epoch of the current attempt, stamped onto spans.
     epoch: Epoch,
-    /// What `Synchronize` means for this strategy (broadcast for
-    /// replication, replay for logging); see [`PhaseTracker::sync_as`].
-    sync: Phase,
     /// Last phase entered in the current attempt (reset per attempt).
-    current: Option<RecoveryPhase>,
+    current: Option<Phase>,
+    /// The phase whose span is still open, if any.
+    open: Option<Phase>,
     table: crate::fsm::TransitionTable,
-    log: Vec<(u32, RecoveryPhase)>,
+    log: Vec<(u32, Phase)>,
 }
 
-impl Default for PhaseTracker {
-    fn default() -> Self {
+impl PhaseTracker {
+    /// A tracker for `rank`'s recovery from the failure declared at
+    /// `epoch`.
+    pub(crate) fn new(rank: Rank, epoch: Epoch) -> Self {
         PhaseTracker {
             attempt: 0,
-            rank: 0,
-            epoch: Epoch::new(0),
-            sync: Phase::Broadcast,
+            rank,
+            epoch,
             current: None,
+            open: None,
             table: crate::fsm::recovery_fsm(),
             log: Vec::new(),
         }
     }
-}
 
-impl PhaseTracker {
     fn begin_attempt(&mut self, attempt: u32, epoch: Epoch) {
         self.attempt = attempt;
         self.epoch = epoch;
         self.current = None;
-    }
-
-    /// Declares what the `Synchronize` phase does in the running
-    /// strategy, so its span carries the right paper phase. Replication
-    /// recovery broadcasts (the default); logging recovery replays.
-    pub fn sync_as(&mut self, sync: Phase) {
-        self.sync = sync;
+        self.open = None;
     }
 
     /// Declares entry into `phase` for the current attempt, rejecting
     /// transitions the static table does not license. Emits the
-    /// observability span boundary: the previous phase (if any) ends
-    /// where the next begins.
-    pub fn enter(&mut self, phase: RecoveryPhase) {
+    /// observability span boundary: the open span (if any) ends where
+    /// the next begins.
+    pub fn enter(&mut self, phase: Phase) {
         match self.current {
             None => assert!(
                 self.table.entry_allowed(phase),
                 "recovery FSM: attempt may not begin at phase {phase}"
             ),
-            Some(prev) => {
-                assert!(
-                    self.table.advance_allowed(prev, phase),
-                    "recovery FSM: illegal transition {prev} -> {phase}"
-                );
-                let (rank, epoch, sync) = (self.rank, self.epoch, self.sync);
-                swift_obs::emit(|| Event::PhaseEnd {
-                    rank,
-                    epoch,
-                    phase: prev.obs_phase(sync),
-                });
-            }
+            Some(prev) => assert!(
+                self.table.advance_allowed(prev, phase),
+                "recovery FSM: illegal transition {prev} -> {phase}"
+            ),
         }
-        let (rank, epoch, sync) = (self.rank, self.epoch, self.sync);
-        swift_obs::emit(|| Event::PhaseBegin {
-            rank,
-            epoch,
-            phase: phase.obs_phase(sync),
-        });
+        self.close();
+        let (rank, epoch) = (self.rank, self.epoch);
+        swift_obs::emit(|| Event::PhaseBegin { rank, epoch, phase });
         self.current = Some(phase);
+        self.open = Some(phase);
         self.log.push((self.attempt, phase));
     }
 
-    /// Closes the open span, if any — called by the supervisor when an
-    /// attempt completes or is abandoned (cascade restart, terminal
-    /// error), so the event stream never carries an unbalanced span.
-    fn close(&mut self) {
-        if let Some(prev) = self.current.take() {
-            let (rank, epoch, sync) = (self.rank, self.epoch, self.sync);
-            swift_obs::emit(|| Event::PhaseEnd {
-                rank,
-                epoch,
-                phase: prev.obs_phase(sync),
-            });
+    /// Ends the open span, if any, so work between phases stays outside
+    /// both. The phase stays current: the next [`enter`](Self::enter) is
+    /// still checked as an advance from it. The supervisor also closes
+    /// when an attempt completes or is abandoned (cascade restart,
+    /// terminal error), so the event stream never carries an unbalanced
+    /// span.
+    pub(crate) fn close(&mut self) {
+        if let Some(phase) = self.open.take() {
+            let (rank, epoch) = (self.rank, self.epoch);
+            swift_obs::emit(|| Event::PhaseEnd { rank, epoch, phase });
         }
     }
 
+    /// The failure epoch this recovery runs under.
+    pub(crate) fn epoch(&self) -> Epoch {
+        self.epoch
+    }
+
     /// The `(attempt, phase)` entries recorded so far.
-    pub fn log(&self) -> &[(u32, RecoveryPhase)] {
+    pub fn log(&self) -> &[(u32, Phase)] {
         &self.log
     }
 }
@@ -186,7 +131,7 @@ pub struct RecoveryReport {
     /// How many restarts were needed (0 = first attempt succeeded).
     pub restarts: u32,
     /// Phase entries per attempt.
-    pub phases: Vec<(u32, RecoveryPhase)>,
+    pub phases: Vec<(u32, Phase)>,
 }
 
 /// Waits for a KV rendezvous `key` published by one of `participants`,
@@ -241,10 +186,7 @@ pub fn supervise<T>(
     policy: &RetryPolicy,
     mut attempt: impl FnMut(&mut WorkerCtx, Epoch, &mut PhaseTracker) -> Result<T, CommError>,
 ) -> Result<(T, RecoveryReport), CommError> {
-    let mut tracker = PhaseTracker {
-        rank: ctx.rank(),
-        ..PhaseTracker::default()
-    };
+    let mut tracker = PhaseTracker::new(ctx.rank(), Epoch::new(0));
     let mut restarts = 0u32;
     loop {
         let epoch = failure_epoch(&ctx.kv);
@@ -290,20 +232,32 @@ mod tests {
         let cluster = Cluster::new(Topology::uniform(1, 1));
         let mut ctx = cluster.take_ctx(0);
         let (v, report) = supervise(&mut ctx, &RetryPolicy::recovery(), |_, epoch, t| {
-            t.enter(RecoveryPhase::RepairConsistency);
-            t.enter(RecoveryPhase::Fence);
+            t.enter(Phase::Undo);
+            t.enter(Phase::Fence);
             Ok(epoch)
         })
         .unwrap();
         assert_eq!(v, Epoch::new(0));
         assert_eq!(report.restarts, 0);
+        assert_eq!(report.phases, vec![(0, Phase::Undo), (0, Phase::Fence)]);
+    }
+
+    #[test]
+    fn standalone_tracker_checks_transitions_across_closed_spans() {
+        // Pipeline recovery's shape: spans closed between phases so the
+        // work in between stays outside them, each entry still checked.
+        let mut t = PhaseTracker::new(2, Epoch::new(1));
+        for p in [Phase::Undo, Phase::Fence, Phase::Replay, Phase::Resume] {
+            t.enter(p);
+            t.close();
+        }
+        let phases: Vec<Phase> = t.log().iter().map(|&(_, p)| p).collect();
         assert_eq!(
-            report.phases,
-            vec![
-                (0, RecoveryPhase::RepairConsistency),
-                (0, RecoveryPhase::Fence)
-            ]
+            phases,
+            [Phase::Undo, Phase::Fence, Phase::Replay, Phase::Resume]
         );
+        let out_of_order = std::panic::catch_unwind(move || t.enter(Phase::Fence));
+        assert!(out_of_order.is_err(), "resume -> fence must be rejected");
     }
 
     #[test]
@@ -312,7 +266,7 @@ mod tests {
         let mut ctx = cluster.take_ctx(0);
         let mut seen_epochs: Vec<Epoch> = Vec::new();
         let (_, report) = supervise(&mut ctx, &RetryPolicy::recovery(), |ctx, epoch, t| {
-            t.enter(RecoveryPhase::RepairConsistency);
+            t.enter(Phase::Undo);
             seen_epochs.push(epoch);
             if seen_epochs.len() == 1 {
                 // A cascading failure strikes mid-attempt: rank 1 is
@@ -332,13 +286,7 @@ mod tests {
         );
         assert_eq!(report.epoch, Epoch::new(1));
         // Both attempts logged their phase entries.
-        assert_eq!(
-            report.phases,
-            vec![
-                (0, RecoveryPhase::RepairConsistency),
-                (1, RecoveryPhase::RepairConsistency)
-            ]
-        );
+        assert_eq!(report.phases, vec![(0, Phase::Undo), (1, Phase::Undo)]);
     }
 
     #[test]

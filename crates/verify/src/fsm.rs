@@ -160,7 +160,8 @@ fn check_cycles_through_backoff_only(table: &TransitionTable, out: &mut Vec<Viol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swift_core::{recovery_fsm, RecoveryPhase, Transition};
+    use swift_core::{recovery_fsm, Transition};
+    use swift_obs::Phase;
 
     #[test]
     fn real_recovery_fsm_is_clean() {
@@ -168,33 +169,34 @@ mod tests {
         assert!(vs.is_empty(), "{vs:?}");
     }
 
-    /// Seeded violation: strip Synchronize's failure edge, creating a
+    /// Seeded violation: strip Broadcast's failure edge, creating a
     /// dead-end phase where a cascading failure has nowhere to go.
     #[test]
     fn flags_dead_end_phase() {
         let mut t = recovery_fsm();
         t.transitions.retain(|tr| {
-            !(tr.from == FsmState::Phase(RecoveryPhase::Synchronize)
+            !(tr.from == FsmState::Phase(Phase::Broadcast)
                 && matches!(tr.kind, EdgeKind::Failure { .. }))
         });
         let vs = analyze(&t);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert!(vs[0].detail.contains("no failure edge"), "{}", vs[0]);
-        assert!(vs[0].detail.contains("synchronize"), "{}", vs[0]);
+        assert!(vs[0].detail.contains("broadcast"), "{}", vs[0]);
     }
 
-    /// Seeded violation: an unreachable extra state.
+    /// Seeded violation: an unreachable state.
     #[test]
     fn flags_unreachable_state() {
         let mut t = recovery_fsm();
-        // Disconnect Rejoin: drop every edge into it. Rejoin becomes
-        // unreachable (and Done with it, via the lost Complete edge... no:
-        // Done is only reachable through Rejoin, so both are flagged).
+        // Disconnect Resume: drop every edge into it. Resume becomes
+        // unreachable, and Done with it (Done is only reachable through
+        // Resume's completion edge), so both are flagged.
         t.transitions
-            .retain(|tr| tr.to != FsmState::Phase(RecoveryPhase::Rejoin));
+            .retain(|tr| tr.to != FsmState::Phase(Phase::Resume));
         let vs = analyze(&t);
         assert!(
-            vs.iter().any(|v| v.detail.contains("unreachable")),
+            vs.iter()
+                .any(|v| v.detail.contains("resume is unreachable")),
             "{vs:?}"
         );
     }
@@ -205,7 +207,7 @@ mod tests {
         let mut t = recovery_fsm();
         t.transitions.push(Transition {
             from: FsmState::Done,
-            to: FsmState::Phase(RecoveryPhase::RepairConsistency),
+            to: FsmState::Phase(Phase::Undo),
             kind: EdgeKind::Advance,
         });
         let vs = analyze(&t);
@@ -220,8 +222,8 @@ mod tests {
     fn flags_unbounded_cycle() {
         let mut t = recovery_fsm();
         t.transitions.push(Transition {
-            from: FsmState::Phase(RecoveryPhase::Fence),
-            to: FsmState::Phase(RecoveryPhase::RepairConsistency),
+            from: FsmState::Phase(Phase::Fence),
+            to: FsmState::Phase(Phase::Undo),
             kind: EdgeKind::Failure { backoff: false },
         });
         let vs = analyze(&t);

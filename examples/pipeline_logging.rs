@@ -11,34 +11,36 @@
 
 use std::sync::Arc;
 
-use swift::core::{ModelFn, PipelineScenario};
+use swift::core::{JobCrash, ModelFn, Parallelism, ScenarioResult, SwiftJob};
+use swift::obs::{reconstruct, MemoryRecorder};
 use swift_data::BlobsDataset;
 use swift_dnn::models::mlp;
 use swift_optim::OptimizerKind;
-use swift_wal::LogMode;
 
-fn scenario(crash: Option<(usize, u64)>, d: usize) -> swift::core::ScenarioResult {
+fn scenario(crash: Option<(usize, u64)>, d: usize) -> ScenarioResult {
     let model_fn: ModelFn = Arc::new(|| mlp("pipe", &[8, 24, 24, 3], 43));
-    let mut b = PipelineScenario::builder(model_fn, Arc::new(BlobsDataset::new(9, 8, 3, 0.3)))
-        .stages(3)
-        .opt(OptimizerKind::SgdMomentum {
-            lr: 0.05,
-            weight_decay: 0.0,
-            momentum: 0.9,
-            dampening: 0.0,
+    let opt = OptimizerKind::SgdMomentum {
+        lr: 0.05,
+        weight_decay: 0.0,
+        momentum: 0.9,
+        dampening: 0.0,
+    };
+    let crash = crash.map(|(machine, iteration)| JobCrash {
+        machine,
+        iteration,
+        after_groups: 0,
+    });
+    SwiftJob::builder(model_fn, opt, Arc::new(BlobsDataset::new(9, 8, 3, 0.3)))
+        .parallelism(Parallelism::Pipeline {
+            stages: 3,
+            microbatches: 4,
         })
         .batch_size(8)
-        .microbatches(4)
         .ckpt_interval(10)
-        .iters(40)
-        .schedule(swift::pipeline::ScheduleKind::OneFOneB)
-        .log_mode(LogMode::BubbleAsync)
-        .log_precision(swift::wal::LogPrecision::F32)
-        .parallel_recovery(d);
-    if let Some((m, it)) = crash {
-        b = b.crash(m, it);
-    }
-    b.run()
+        .parallel_recovery(d)
+        .build()
+        .expect("valid plan")
+        .run(40, crash)
 }
 
 fn main() {
@@ -46,7 +48,10 @@ fn main() {
     let clean = scenario(None, 1);
 
     println!("running with machine 1 killed at iteration 20, sequential replay…");
+    let recorder = Arc::new(MemoryRecorder::new());
+    swift::obs::install(recorder.clone());
     let failed = scenario(Some((1, 20)), 1);
+    swift::obs::uninstall();
 
     for stage in 0..3 {
         let bit = clean.states[stage].bit_eq(&failed.states[stage]);
@@ -58,9 +63,10 @@ fn main() {
         clean.losses.last().unwrap(),
         failed.losses.last().unwrap()
     );
-    println!("  recovery phases (replacement wall clock):");
-    for (phase, ms) in &failed.recovery_trace {
-        println!("    {phase:<28} {ms:>8.2} ms");
+    println!("  recovery breakdown (every rank's phase spans, §6):");
+    let timeline = reconstruct(&recorder.events()).expect("valid recovery timeline");
+    for line in timeline.render_text().lines() {
+        println!("    {line}");
     }
 
     println!("running with machine 1 killed at iteration 20, parallel recovery (d = 2)…");

@@ -10,7 +10,9 @@
 
 use std::sync::Arc;
 
-use swift::core::{evaluate_state, select_strategy, DpScenario, JobShape, Strategy};
+use swift::core::{
+    evaluate_state, select_strategy, JobCrash, JobShape, Parallelism, Strategy, SwiftJob,
+};
 use swift_data::BlobsDataset;
 use swift_dnn::models::mlp;
 use swift_optim::OptimizerKind;
@@ -38,13 +40,17 @@ fn main() {
 
     // 3. Train 80 iterations on 2 machines; machine 1 dies at iteration 40
     //    after updating only 2 of its parameter groups.
-    let result = DpScenario::builder(model_fn.clone(), dataset.clone())
-        .machines(2)
-        .opt(opt)
+    let job = SwiftJob::builder(model_fn.clone(), opt, dataset.clone())
+        .parallelism(Parallelism::Data { machines: 2 })
         .batch_size(16)
-        .iters(80)
-        .crash(1, 40, 2)
-        .run();
+        .build()
+        .expect("valid plan");
+    let crash = JobCrash {
+        machine: 1,
+        iteration: 40,
+        after_groups: 2,
+    };
+    let result = job.run(80, Some(crash));
 
     println!(
         "trained {} iterations; failure injected and recovered: {}",

@@ -24,12 +24,11 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use swift::core::{DpScenario, PipelineScenario, ScenarioResult};
+use swift::core::{JobCrash, Parallelism, ScenarioResult, SwiftJob, SwiftJobBuilder};
 use swift::data::BlobsDataset;
 use swift::dnn::models::mlp;
 use swift::obs::{reconstruct, Counter, MemoryRecorder, Phase, Timeline};
-use swift::pipeline::ScheduleKind;
-use swift::wal::{LogMode, LogPrecision};
+use swift::optim::OptimizerKind;
 
 /// One chaos scenario: a name, the run itself, and which state-sync
 /// phase (broadcast vs replay) its recovery strategy must exhibit.
@@ -39,41 +38,57 @@ struct Scenario {
     run: fn() -> ScenarioResult,
 }
 
+/// A traced job on the scenarios' shared toy model, data and optimizer.
+fn job(name: &'static str) -> SwiftJobBuilder {
+    SwiftJob::builder(
+        Arc::new(move || mlp(name, &[6, 16, 16, 3], 11)),
+        OptimizerKind::SgdMomentum {
+            lr: 0.05,
+            weight_decay: 0.0,
+            momentum: 0.9,
+            dampening: 0.0,
+        },
+        Arc::new(BlobsDataset::new(3, 6, 3, 0.3)),
+    )
+    .trace()
+}
+
 /// A DP job (3 replicas) killed mid-update at iteration 4: replication
 /// recovery — undo partial updates, fence, broadcast survivor state.
 fn dp_crash() -> ScenarioResult {
-    DpScenario::builder(
-        Arc::new(|| mlp("timeline-dp", &[6, 16, 16, 3], 11)),
-        Arc::new(BlobsDataset::new(3, 6, 3, 0.3)),
-    )
-    .machines(3)
-    .batch_size(12)
-    .iters(8)
-    .crash(1, 4, 2)
-    .trace()
-    .run()
+    let crash = JobCrash {
+        machine: 1,
+        iteration: 4,
+        after_groups: 2,
+    };
+    job("timeline-dp")
+        .parallelism(Parallelism::Data { machines: 3 })
+        .batch_size(12)
+        .build()
+        .expect("valid plan")
+        .run(8, Some(crash))
 }
 
 /// A 3-stage pipeline killed at iteration 6 with parallel recovery
 /// (d = 2): logging recovery — undo, fence the replay group, replay
 /// logged microbatches, resume.
 fn pipeline_replay() -> ScenarioResult {
-    PipelineScenario::builder(
-        Arc::new(|| mlp("timeline-pipe", &[6, 16, 16, 3], 11)),
-        Arc::new(BlobsDataset::new(3, 6, 3, 0.3)),
-    )
-    .stages(3)
-    .batch_size(8)
-    .microbatches(4)
-    .ckpt_interval(4)
-    .iters(10)
-    .schedule(ScheduleKind::OneFOneB)
-    .log_mode(LogMode::BubbleAsync)
-    .log_precision(LogPrecision::F32)
-    .crash(1, 6)
-    .parallel_recovery(2)
-    .trace()
-    .run()
+    let crash = JobCrash {
+        machine: 1,
+        iteration: 6,
+        after_groups: 0,
+    };
+    job("timeline-pipe")
+        .parallelism(Parallelism::Pipeline {
+            stages: 3,
+            microbatches: 4,
+        })
+        .batch_size(8)
+        .ckpt_interval(4)
+        .parallel_recovery(2)
+        .build()
+        .expect("valid plan")
+        .run(10, Some(crash))
 }
 
 const SCENARIOS: [Scenario; 2] = [

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use swift::core::{
-    dp_train_step, replication_join_supervised, replication_recover_supervised, DpScenario,
-    DpWorker, ModelFn, PipelineScenario,
+    dp_train_step, replication_join_supervised, replication_recover_supervised, DpWorker, JobCrash,
+    ModelFn, Parallelism, SwiftJob,
 };
 use swift::data::{shard_batch, BlobsDataset, Dataset};
 use swift::dnn::models::mlp;
@@ -20,7 +20,6 @@ use swift::net::{
 };
 use swift::optim::OptimizerKind;
 use swift::tensor::CounterRng;
-use swift::wal::{LogMode, LogPrecision};
 
 const SGDM: OptimizerKind = OptimizerKind::SgdMomentum {
     lr: 0.05,
@@ -29,20 +28,31 @@ const SGDM: OptimizerKind = OptimizerKind::SgdMomentum {
     dampening: 0.0,
 };
 
+/// A pipeline crash: `machine` dies once it reports `iteration`.
+fn pp_crash((machine, iteration): (usize, u64)) -> JobCrash {
+    JobCrash {
+        machine,
+        iteration,
+        after_groups: 0,
+    }
+}
+
 #[test]
 fn dp_random_crash_points_all_recover() {
     let iters = 14u64;
     let model_fn = || -> ModelFn { Arc::new(|| mlp("chaos-dp", &[6, 16, 12, 3], 97)) };
+    let job = SwiftJob::builder(model_fn(), SGDM, Arc::new(BlobsDataset::new(41, 6, 3, 0.4)))
+        .parallelism(Parallelism::Data { machines: 3 })
+        .batch_size(12)
+        .build()
+        .unwrap();
     let run = |crash: Option<(usize, u64, usize)>| {
-        let mut b = DpScenario::builder(model_fn(), Arc::new(BlobsDataset::new(41, 6, 3, 0.4)))
-            .machines(3)
-            .opt(SGDM)
-            .batch_size(12)
-            .iters(iters);
-        if let Some((m, it, g)) = crash {
-            b = b.crash(m, it, g);
-        }
-        b.run()
+        let crash = crash.map(|(machine, iteration, after_groups)| JobCrash {
+            machine,
+            iteration,
+            after_groups,
+        });
+        job.run(iters, crash)
     };
     let clean = run(None);
     let mut rng = CounterRng::new(0xC405, 0);
@@ -69,22 +79,17 @@ fn pipeline_random_crash_points_all_recover_bitwise() {
     let iters = 16u64;
     let model_fn = || -> ModelFn { Arc::new(|| mlp("chaos-pp", &[8, 20, 20, 20, 3], 98)) };
     let run = |crash: Option<(usize, u64)>, d| {
-        let mut b =
-            PipelineScenario::builder(model_fn(), Arc::new(BlobsDataset::new(43, 8, 3, 0.4)))
-                .stages(4)
-                .opt(SGDM)
-                .batch_size(8)
-                .microbatches(4)
-                .ckpt_interval(5)
-                .iters(iters)
-                .schedule(swift::pipeline::ScheduleKind::OneFOneB)
-                .log_mode(LogMode::BubbleAsync)
-                .log_precision(LogPrecision::F32)
-                .parallel_recovery(d);
-        if let Some((m, it)) = crash {
-            b = b.crash(m, it);
-        }
-        b.run()
+        SwiftJob::builder(model_fn(), SGDM, Arc::new(BlobsDataset::new(43, 8, 3, 0.4)))
+            .parallelism(Parallelism::Pipeline {
+                stages: 4,
+                microbatches: 4,
+            })
+            .batch_size(8)
+            .ckpt_interval(5)
+            .parallel_recovery(d)
+            .build()
+            .unwrap()
+            .run(iters, crash.map(pp_crash))
     };
     let clean = run(None, 1);
     let mut rng = CounterRng::new(0xC406, 0);
@@ -110,15 +115,13 @@ fn dp_message_chaos_converges_bit_identically() {
     let iters = 10u64;
     let model_fn = || -> ModelFn { Arc::new(|| mlp("chaos-msg-dp", &[6, 14, 3], 96)) };
     let run = |faults: Option<FaultPlan>| {
-        let mut b = DpScenario::builder(model_fn(), Arc::new(BlobsDataset::new(40, 6, 3, 0.4)))
-            .machines(3)
-            .opt(SGDM)
-            .batch_size(12)
-            .iters(iters);
+        let mut b = SwiftJob::builder(model_fn(), SGDM, Arc::new(BlobsDataset::new(40, 6, 3, 0.4)))
+            .parallelism(Parallelism::Data { machines: 3 })
+            .batch_size(12);
         if let Some(plan) = faults {
             b = b.faults(plan);
         }
-        b.run()
+        b.build().unwrap().run(iters, None)
     };
     let clean = run(None);
     let chaotic = run(Some(FaultPlan::chaos(0xD15C0)));
@@ -148,21 +151,17 @@ fn pipeline_message_chaos_converges_bit_identically() {
     let iters = 8u64;
     let model_fn = || -> ModelFn { Arc::new(|| mlp("chaos-msg-pp", &[8, 18, 18, 3], 95)) };
     let run = |faults: Option<FaultPlan>| {
-        let mut b =
-            PipelineScenario::builder(model_fn(), Arc::new(BlobsDataset::new(46, 8, 3, 0.4)))
-                .stages(3)
-                .opt(SGDM)
-                .batch_size(8)
-                .microbatches(4)
-                .ckpt_interval(3)
-                .iters(iters)
-                .schedule(swift::pipeline::ScheduleKind::OneFOneB)
-                .log_mode(LogMode::BubbleAsync)
-                .log_precision(LogPrecision::F32);
+        let mut b = SwiftJob::builder(model_fn(), SGDM, Arc::new(BlobsDataset::new(46, 8, 3, 0.4)))
+            .parallelism(Parallelism::Pipeline {
+                stages: 3,
+                microbatches: 4,
+            })
+            .batch_size(8)
+            .ckpt_interval(3);
         if let Some(plan) = faults {
             b = b.faults(plan);
         }
-        b.run()
+        b.build().unwrap().run(iters, None)
     };
     let clean = run(None);
     let chaotic = run(Some(FaultPlan::chaos(0xD15C1)));
@@ -315,22 +314,17 @@ fn pipeline_random_parallel_recovery_tracks_sequential() {
     let iters = 12u64;
     let model_fn = || -> ModelFn { Arc::new(|| mlp("chaos-pr", &[8, 20, 20, 3], 99)) };
     let run = |crash: Option<(usize, u64)>, d| {
-        let mut b =
-            PipelineScenario::builder(model_fn(), Arc::new(BlobsDataset::new(45, 8, 3, 0.4)))
-                .stages(3)
-                .opt(SGDM)
-                .batch_size(8)
-                .microbatches(4)
-                .ckpt_interval(4)
-                .iters(iters)
-                .schedule(swift::pipeline::ScheduleKind::OneFOneB)
-                .log_mode(LogMode::BubbleAsync)
-                .log_precision(LogPrecision::F32)
-                .parallel_recovery(d);
-        if let Some((m, it)) = crash {
-            b = b.crash(m, it);
-        }
-        b.run()
+        SwiftJob::builder(model_fn(), SGDM, Arc::new(BlobsDataset::new(45, 8, 3, 0.4)))
+            .parallelism(Parallelism::Pipeline {
+                stages: 3,
+                microbatches: 4,
+            })
+            .batch_size(8)
+            .ckpt_interval(4)
+            .parallel_recovery(d)
+            .build()
+            .unwrap()
+            .run(iters, crash.map(pp_crash))
     };
     let clean = run(None, 1);
     let mut rng = CounterRng::new(0xC407, 0);

@@ -23,12 +23,10 @@ use std::time::Duration;
 
 use swift::core::{
     dp_reference_dataset, dp_reference_model, pipeline_reference_dataset, pipeline_reference_model,
-    run_process_scenario, DpScenario, PipelineScenario, ProcessKind, ProcessOutcome,
-    ProcessScenario, REFERENCE_OPT,
+    run_process_scenario, Parallelism, ProcessKind, ProcessOutcome, ProcessScenario, SwiftJob,
+    SwiftJobBuilder, REFERENCE_OPT,
 };
 use swift::net::FaultPlan;
-use swift::pipeline::ScheduleKind;
-use swift::wal::{LogMode, LogPrecision};
 
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_swift-worker");
 
@@ -36,6 +34,15 @@ const WORKER_BIN: &str = env!("CARGO_BIN_EXE_swift-worker");
 /// a detection past this is a broken detector, not an unlucky scheduler.
 fn detection_bound(cfg: &ProcessScenario) -> Duration {
     cfg.heartbeat.timeout * 2 + Duration::from_secs(1)
+}
+
+/// The in-process twin of a DP process scenario.
+fn dp_job(cfg: &ProcessScenario) -> SwiftJobBuilder {
+    SwiftJob::builder(dp_reference_model(), REFERENCE_OPT, dp_reference_dataset())
+        .parallelism(Parallelism::Data {
+            machines: cfg.world,
+        })
+        .batch_size(cfg.batch)
 }
 
 fn assert_killed_and_detected(cfg: &ProcessScenario, out: &ProcessOutcome, victim: usize) {
@@ -78,24 +85,17 @@ fn dp_sigkill_is_detected_and_converges_bitwise() {
     // in-process recovery tests hold themselves to. (Bitwise equality
     // holds across replicas, not across recovered-vs-clean runs: the
     // undo inverts the partial update in floating point.)
-    let clean = DpScenario::builder(dp_reference_model(), dp_reference_dataset())
-        .machines(cfg.world)
-        .opt(REFERENCE_OPT)
-        .batch_size(cfg.batch)
-        .iters(cfg.iters)
-        .run();
+    let clean = dp_job(&cfg).build().unwrap().run(cfg.iters, None);
     let drift = clean.states[0].max_abs_diff(&out.states[0]);
     assert!(drift < 1e-3, "drift {drift} vs the in-process clean run");
 
     // The thread-backend crashed run recovers from the same plan; both
     // backends must land within the same envelope of the clean run.
-    let crashed = DpScenario::builder(dp_reference_model(), dp_reference_dataset())
-        .machines(cfg.world)
-        .opt(REFERENCE_OPT)
-        .batch_size(cfg.batch)
-        .iters(cfg.iters)
+    let crashed = dp_job(&cfg)
         .faults(FaultPlan::new(0).kill_process(VICTIM, KILL_AT))
-        .run();
+        .build()
+        .unwrap()
+        .run(cfg.iters, None);
     assert!(crashed.recovered);
     let drift = crashed.states[0].max_abs_diff(&out.states[0]);
     assert!(drift < 1e-3, "drift {drift} vs the in-process crashed run");
@@ -135,12 +135,7 @@ fn dp_sigkill_mttr_smoke_recovers_via_sharded_join() {
     }
     assert!(out.losses.len() as u64 >= cfg.iters);
 
-    let clean = DpScenario::builder(dp_reference_model(), dp_reference_dataset())
-        .machines(cfg.world)
-        .opt(REFERENCE_OPT)
-        .batch_size(cfg.batch)
-        .iters(cfg.iters)
-        .run();
+    let clean = dp_job(&cfg).build().unwrap().run(cfg.iters, None);
     let drift = clean.states[0].max_abs_diff(&out.states[0]);
     assert!(drift < 1e-3, "drift {drift} vs the in-process clean run");
 }
@@ -166,16 +161,17 @@ fn pipeline_sigkill_mid_wal_flush_recovers_and_reports_torn_tail() {
     assert!(out.losses.len() as u64 >= cfg.iters);
 
     let reference = || {
-        PipelineScenario::builder(pipeline_reference_model(), pipeline_reference_dataset())
-            .stages(cfg.world)
-            .opt(REFERENCE_OPT)
-            .batch_size(cfg.batch)
-            .microbatches(cfg.microbatches)
-            .ckpt_interval(cfg.ckpt_interval)
-            .iters(cfg.iters)
-            .schedule(ScheduleKind::OneFOneB)
-            .log_mode(LogMode::BubbleAsync)
-            .log_precision(LogPrecision::F32)
+        SwiftJob::builder(
+            pipeline_reference_model(),
+            REFERENCE_OPT,
+            pipeline_reference_dataset(),
+        )
+        .parallelism(Parallelism::Pipeline {
+            stages: cfg.world,
+            microbatches: cfg.microbatches,
+        })
+        .batch_size(cfg.batch)
+        .ckpt_interval(cfg.ckpt_interval)
     };
 
     // Every stage within the floating-point undo envelope of the
@@ -186,7 +182,7 @@ fn pipeline_sigkill_mid_wal_flush_recovers_and_reports_torn_tail() {
     // timing. The thread backend aborts at deterministic points and so
     // can promise bitwise recovery; the process backend promises the
     // same 1e-3 envelope the replication tests hold the undo path to.
-    let clean = reference().run();
+    let clean = reference().build().unwrap().run(cfg.iters, None);
     assert_eq!(out.states.len(), clean.states.len());
     for (stage, (got, want)) in out.states.iter().zip(&clean.states).enumerate() {
         let drift = got.max_abs_diff(want);
@@ -199,7 +195,9 @@ fn pipeline_sigkill_mid_wal_flush_recovers_and_reports_torn_tail() {
     // ...and of the thread-backend crashed run with the same plan.
     let crashed = reference()
         .faults(FaultPlan::new(0).kill_process(VICTIM, KILL_AT))
-        .run();
+        .build()
+        .unwrap()
+        .run(cfg.iters, None);
     assert!(crashed.recovered);
     for (stage, (got, want)) in out.states.iter().zip(&crashed.states).enumerate() {
         let drift = got.max_abs_diff(want);

@@ -4,10 +4,34 @@
 
 use std::sync::Arc;
 
-use swift::core::{evaluate_state, DpScenario, ModelFn};
+use swift::core::{evaluate_state, JobCrash, ModelFn, Parallelism, SwiftJob};
 use swift::data::BlobsDataset;
 use swift::dnn::models::mlp;
 use swift::optim::OptimizerKind;
+
+/// A 2-machine DP job on `model_fn` and `dataset` at `batch_size`,
+/// run for `iters` iterations with an optional mid-update crash
+/// `(machine, iteration, after_groups)`.
+fn run_dp(
+    model_fn: ModelFn,
+    dataset: BlobsDataset,
+    opt: OptimizerKind,
+    batch_size: usize,
+    crash: Option<(usize, u64, usize)>,
+    iters: u64,
+) -> swift::core::ScenarioResult {
+    let crash = crash.map(|(machine, iteration, after_groups)| JobCrash {
+        machine,
+        iteration,
+        after_groups,
+    });
+    SwiftJob::builder(model_fn, opt, Arc::new(dataset))
+        .parallelism(Parallelism::Data { machines: 2 })
+        .batch_size(batch_size)
+        .build()
+        .unwrap()
+        .run(iters, crash)
+}
 
 fn scenario(
     opt: OptimizerKind,
@@ -15,15 +39,14 @@ fn scenario(
     iters: u64,
 ) -> swift::core::ScenarioResult {
     let model_fn: ModelFn = Arc::new(|| mlp("it", &[6, 24, 3], 77));
-    let mut b = DpScenario::builder(model_fn, Arc::new(BlobsDataset::new(5, 6, 3, 0.3)))
-        .machines(2)
-        .opt(opt)
-        .batch_size(16)
-        .iters(iters);
-    if let Some((m, it, g)) = crash {
-        b = b.crash(m, it, g);
-    }
-    b.run()
+    run_dp(
+        model_fn,
+        BlobsDataset::new(5, 6, 3, 0.3),
+        opt,
+        16,
+        crash,
+        iters,
+    )
 }
 
 const SGDM: OptimizerKind = OptimizerKind::SgdMomentum {
@@ -101,17 +124,9 @@ fn cnn_model_recovery_through_conv_layers() {
     // full crash-consistency + replication path.
     use swift::dnn::models::wide_resnet_tiny;
     let model_fn: ModelFn = Arc::new(|| wide_resnet_tiny("wrn", 6, 8, 3, 13));
-    let ds = Arc::new(BlobsDataset::new(19, 3 * 6 * 6, 3, 0.5));
     let run = |crash: Option<(usize, u64, usize)>| {
-        let mut b = DpScenario::builder(model_fn.clone(), ds.clone())
-            .machines(2)
-            .opt(SGDM)
-            .batch_size(8)
-            .iters(10);
-        if let Some((m, it, g)) = crash {
-            b = b.crash(m, it, g);
-        }
-        b.run()
+        let ds = BlobsDataset::new(19, 3 * 6 * 6, 3, 0.5);
+        run_dp(model_fn.clone(), ds, SGDM, 8, crash, 10)
     };
     let clean = run(None);
     let failed = run(Some((1, 5, 3)));

@@ -22,11 +22,7 @@ fn paper_models_route_to_the_paper_strategies() {
                 assert_eq!(strategy, Strategy::Replication, "{}", model.name)
             }
             RecoveryFamily::Logging => {
-                assert!(
-                    matches!(strategy, Strategy::Logging { .. }),
-                    "{}",
-                    model.name
-                )
+                assert_eq!(strategy, Strategy::Logging, "{}", model.name)
             }
         }
     }

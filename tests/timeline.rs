@@ -8,35 +8,52 @@
 
 use std::sync::{Arc, Mutex};
 
-use swift::core::{DpScenario, PipelineScenario};
+use swift::core::{JobCrash, Parallelism, SwiftJob, SwiftJobBuilder};
 use swift::data::BlobsDataset;
 use swift::dnn::models::mlp;
 use swift::obs::{reconstruct, Epoch, MemoryRecorder, Phase, Rank, Timeline};
+use swift::optim::OptimizerKind;
 
 /// The span recorder is process-global; scenario runs from concurrent
 /// tests would interleave their events. Every test serializes on this.
 static RECORDER_SLOT: Mutex<()> = Mutex::new(());
 
+/// A job on the scenarios' shared toy data and optimizer.
+fn job(name: &'static str) -> SwiftJobBuilder {
+    SwiftJob::builder(
+        Arc::new(move || mlp(name, &[6, 16, 16, 3], 11)),
+        OptimizerKind::SgdMomentum {
+            lr: 0.05,
+            weight_decay: 0.0,
+            momentum: 0.9,
+            dampening: 0.0,
+        },
+        Arc::new(BlobsDataset::new(3, 6, 3, 0.3)),
+    )
+}
+
 fn record_dp_crash() -> (Timeline, u64) {
     let _slot = RECORDER_SLOT.lock().unwrap();
     let rec = Arc::new(MemoryRecorder::new());
     swift::obs::install(rec.clone());
-    let result = DpScenario::builder(
-        Arc::new(|| mlp("tl-dp", &[6, 16, 16, 3], 11)),
-        Arc::new(BlobsDataset::new(3, 6, 3, 0.3)),
-    )
-    .machines(3)
-    .batch_size(12)
-    .iters(8)
     // A tiny bucket cap splits the 6 groups into buckets {4,5} {3} {2}
     // {1} {0}; the victim dies after staging 5 groups (everything but
     // {0}), so four buckets fold and apply on both survivors while the
     // last strands them mid-update. Crashing at the final group keeps
     // the run deterministic: the survivor's own sends are all complete
     // before the failure can be declared, so no send races the epoch.
-    .bucket_cap_bytes(256)
-    .crash(1, 4, 5)
-    .run();
+    let crash = JobCrash {
+        machine: 1,
+        iteration: 4,
+        after_groups: 5,
+    };
+    let result = job("tl-dp")
+        .parallelism(Parallelism::Data { machines: 3 })
+        .batch_size(12)
+        .bucket_cap_bytes(256)
+        .build()
+        .unwrap()
+        .run(8, Some(crash));
     swift::obs::uninstall();
     assert!(result.recovered);
     let undone = rec.counter(swift::obs::Counter::UndoneUpdates);
@@ -47,18 +64,22 @@ fn record_pipeline_crash(parallel_recovery: usize) -> Timeline {
     let _slot = RECORDER_SLOT.lock().unwrap();
     let rec = Arc::new(MemoryRecorder::new());
     swift::obs::install(rec.clone());
-    let result = PipelineScenario::builder(
-        Arc::new(|| mlp("tl-pipe", &[6, 16, 16, 3], 11)),
-        Arc::new(BlobsDataset::new(3, 6, 3, 0.3)),
-    )
-    .stages(3)
-    .batch_size(8)
-    .microbatches(4)
-    .ckpt_interval(4)
-    .iters(10)
-    .crash(1, 6)
-    .parallel_recovery(parallel_recovery)
-    .run();
+    let crash = JobCrash {
+        machine: 1,
+        iteration: 6,
+        after_groups: 0,
+    };
+    let result = job("tl-pipe")
+        .parallelism(Parallelism::Pipeline {
+            stages: 3,
+            microbatches: 4,
+        })
+        .batch_size(8)
+        .ckpt_interval(4)
+        .parallel_recovery(parallel_recovery)
+        .build()
+        .unwrap()
+        .run(10, Some(crash));
     swift::obs::uninstall();
     assert!(result.recovered);
     reconstruct(&rec.events()).expect("valid timeline")
