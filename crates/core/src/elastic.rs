@@ -4,24 +4,27 @@
 //! Most elastic systems fall back to checkpoint/restart to avoid the
 //! crash-consistency problem; SWIFT instead (a) keeps updates undoable, so
 //! membership changes at any boundary are safe, and (b) admits a joiner by
-//! broadcasting a surviving replica's state — the same primitive as
+//! transferring a surviving replica's state — the same primitive as
 //! replication-based recovery, minus the failure.
 //!
 //! Protocol (all coordinated through the KV store):
 //! - **scale-out**: incumbents and joiners fence on the new epoch; the
-//!   lowest incumbent broadcasts `(iteration, model, optimizer)`; everyone
-//!   re-shards the batch over the new world.
+//!   lowest incumbent transfers `(iteration, model, optimizer)` with
+//!   [`crate::transfer`] — joiners receive in place, the other incumbents
+//!   stage and install it whole; everyone re-shards the batch over the
+//!   new world.
 //! - **scale-in** (graceful): the leaver departs at an iteration boundary;
 //!   remaining members fence on the new epoch and re-shard. No state
 //!   moves — every member already has a replica.
 //! - **preemption** (abrupt): identical to a failure; the replication
 //!   recovery path handles it.
 
-use swift_net::{CommError, Rank, WorkerCtx};
+use swift_net::{default_chunk_bytes, CommError, Rank, WorkerCtx};
 use swift_obs::Generation;
 
 use crate::fence::recovery_fence;
 use crate::replication::DpWorker;
+use crate::transfer::{transfer_state, Landing};
 
 /// A membership epoch: which ranks participate from this epoch on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,9 +84,20 @@ fn elastic_fence_gen(epoch: u64) -> Generation {
     Generation::new(epoch.wrapping_mul(1000) + 3)
 }
 
+/// The incumbent whose state a scale-out hands to the joiners: the lowest
+/// rank in both memberships.
+fn transfer_root(old: &Membership, new: &Membership) -> Rank {
+    *old.members
+        .iter()
+        .filter(|r| new.members.contains(r))
+        .min()
+        .expect("no incumbent remains")
+}
+
 /// Incumbent side of a membership change: fence on the new epoch; if the
-/// change added members, the lowest incumbent broadcasts its state so
-/// joiners start bit-identical. Call at an iteration boundary.
+/// change added members, the lowest incumbent transfers its state so
+/// joiners (and the other incumbents) start bit-identical. Call at an
+/// iteration boundary.
 pub fn elastic_transition_incumbent(
     ctx: &mut WorkerCtx,
     w: &mut DpWorker,
@@ -91,29 +105,22 @@ pub fn elastic_transition_incumbent(
     new: &Membership,
 ) -> Result<(), CommError> {
     recovery_fence(ctx, elastic_fence_gen(new.epoch), &new.members)?;
-    let joiners: Vec<Rank> = new
-        .members
-        .iter()
-        .copied()
-        .filter(|r| !old.members.contains(r))
-        .collect();
-    if !joiners.is_empty() {
-        let root = *old
-            .members
-            .iter()
-            .filter(|r| new.members.contains(r))
-            .min()
-            .expect("no incumbent remains");
-        let payload = (ctx.rank() == root).then(|| crate::replication::encode_dp_state(w));
-        let state = ctx
-            .comm
-            .broadcast_bytes_among(&new.members, root, payload)?;
-        crate::replication::decode_dp_state_into(w, state);
+    if new.members.iter().any(|r| !old.members.contains(r)) {
+        let root = transfer_root(old, new);
+        transfer_state(
+            ctx,
+            w,
+            &[root],
+            &new.members,
+            default_chunk_bytes(),
+            Landing::Staged,
+        )?;
     }
     Ok(())
 }
 
-/// Joiner side: fence on the new epoch and receive the broadcast state.
+/// Joiner side: fence on the new epoch and receive the lowest
+/// incumbent's state straight into a fresh worker.
 pub fn elastic_join(
     ctx: &mut WorkerCtx,
     model_template: swift_dnn::Sequential,
@@ -123,14 +130,15 @@ pub fn elastic_join(
 ) -> Result<DpWorker, CommError> {
     let mut w = DpWorker::new(model_template, opt_template);
     recovery_fence(ctx, elastic_fence_gen(new.epoch), &new.members)?;
-    let root = *old
-        .members
-        .iter()
-        .filter(|r| new.members.contains(r))
-        .min()
-        .expect("no incumbent remains");
-    let state = ctx.comm.broadcast_bytes_among(&new.members, root, None)?;
-    crate::replication::decode_dp_state_into(&mut w, state);
+    let root = transfer_root(old, new);
+    transfer_state(
+        ctx,
+        &mut w,
+        &[root],
+        &new.members,
+        default_chunk_bytes(),
+        Landing::InPlace,
+    )?;
     Ok(w)
 }
 

@@ -17,6 +17,7 @@ pub mod replication;
 pub mod scenario;
 pub mod supervisor;
 pub mod tensor_parallel;
+mod transfer;
 
 pub use api::{JobCrash, Parallelism, PlanError, SwiftJob, SwiftJobBuilder};
 pub use bucket::{BucketedAllreduce, GradBucketer, DEFAULT_BUCKET_CAP_BYTES};

@@ -3,25 +3,26 @@
 //!
 //! Failure-free overhead is **zero**: no snapshots, no extra state copies.
 //! On a crash, survivors (1) undo their partially-applied update to repair
-//! crash consistency, then (2) one survivor broadcasts its model +
-//! optimizer state to the replacement (and to the other survivors, making
-//! every replica bit-identical again), and training resumes from the
-//! consistent iteration.
+//! crash consistency, then (2) hand their model + optimizer state to the
+//! replacement with one in-place transfer ([`crate::transfer`]) — from
+//! every survivor at once when they are provably bit-identical, else from
+//! one root survivor that also re-aligns the other survivors — and
+//! training resumes from the consistent iteration.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use swift_dnn::{softmax_cross_entropy_scaled, Mode, ModelState, Sequential, StepCtx};
+use swift_dnn::{softmax_cross_entropy_scaled, Mode, Sequential, StepCtx};
 use swift_net::{
     default_chunk_bytes, default_shard_bytes, failure_epoch, failure_state, CommError, Rank,
     RetryPolicy, WorkerCtx,
 };
 use swift_obs::Phase;
-use swift_optim::{OptimState, Optimizer};
+use swift_optim::Optimizer;
 use swift_tensor::Tensor;
 
 use crate::bucket::BucketedAllreduce;
 use crate::consistency::UpdateTracker;
 use crate::fence::recovery_fence;
 use crate::supervisor::{supervise, RecoveryReport};
+use crate::transfer::{transfer_state, Landing};
 
 /// One data-parallel replica worker's training state.
 pub struct DpWorker {
@@ -45,9 +46,9 @@ pub struct DpWorker {
     reducer: Option<BucketedAllreduce>,
     /// Set when crash-consistency repair undid a partial update: the undo
     /// leaves a floating-point residue relative to replicas that applied a
-    /// different bucket subset, so this replica's encoded bytes can no
-    /// longer be assumed bit-identical to its peers until the next full
-    /// state synchronization re-aligns everyone.
+    /// different bucket subset, so this replica's state can no longer be
+    /// assumed bit-identical to its peers until the next full state
+    /// synchronization re-aligns everyone.
     pub needs_resync: bool,
 }
 
@@ -185,35 +186,6 @@ pub fn dp_train_step(
     Ok(loss)
 }
 
-pub(crate) fn encode_dp_state(w: &DpWorker) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u64_le(w.iteration);
-    let m = w.model.state().encode();
-    buf.put_u64_le(m.len() as u64);
-    buf.put_slice(&m);
-    let o = w.opt.state().encode();
-    buf.put_u64_le(o.len() as u64);
-    buf.put_slice(&o);
-    buf.freeze()
-}
-
-pub(crate) fn decode_dp_state_into(w: &mut DpWorker, mut payload: Bytes) {
-    let iteration = payload.get_u64_le();
-    let mlen = payload.get_u64_le() as usize;
-    let mut mbytes = payload.split_to(mlen);
-    let model = ModelState::decode(&mut mbytes).expect("bad model state");
-    let olen = payload.get_u64_le() as usize;
-    let mut obytes = payload.split_to(olen);
-    let optim = OptimState::decode(&mut obytes).expect("bad optim state");
-    w.model.load_state(&model);
-    w.opt.load_state(&optim);
-    w.iteration = iteration;
-    w.tracker.reset();
-    w.model.zero_grads();
-    w.model.clear_caches();
-    w.needs_resync = false;
-}
-
 /// Post-fence state synchronization — the recovery critical path.
 ///
 /// All `participants` (survivors ∪ replacements) call this collectively.
@@ -223,13 +195,11 @@ pub(crate) fn decode_dp_state_into(w: &mut DpWorker, mut payload: Bytes) {
 /// `u64::MAX` (identified positionally by rank, never inspected). When
 /// every survivor is residue-free and at the same iteration, the lockstep
 /// invariant (replicas that executed the same deterministic collectives
-/// hold bit-identical state) lets survivors skip re-receiving anything:
-/// they stream disjoint rank-scheduled shards of their (identical)
-/// encoded state straight to the replacements via
-/// [`swift_net::Comm::scatter_state_sharded_with`], and each replacement
-/// decodes the model section while optimizer shards are still arriving.
-/// Otherwise the single-root chunked broadcast runs and everyone —
-/// survivors included — re-adopts the root state. Every participant
+/// hold bit-identical state) lets every survivor stream a disjoint share
+/// of the chunks straight into the replacements' tensors, and survivors
+/// receive nothing. Otherwise the lowest survivor is the only source: it
+/// keeps its state, the other survivors stage its stream and install it
+/// whole, and the replacements receive in place. Every participant
 /// derives the branch from the same gathered values, so collective tag
 /// sequences stay aligned either way.
 fn synchronize_state(
@@ -257,118 +227,32 @@ fn synchronize_state(
         .filter(|(r, _)| survivors.binary_search(r).is_ok())
         .map(|(_, &v)| v)
         .collect();
-    let replacements: Vec<Rank> = ordered
-        .iter()
-        .copied()
-        .filter(|r| survivors.binary_search(r).is_err())
-        .collect();
     let identical = survivor_status.iter().all(|&v| v >> 63 == 0)
         && survivor_status.windows(2).all(|p| p[0] == p[1]);
-    if identical {
-        if replacements.is_empty() {
-            // Survivors are already bit-identical and nobody is joining.
-            return Ok(());
-        }
-        sync_state_sharded(ctx, w, &survivors, &replacements, is_survivor)?;
-        if is_survivor {
-            // Match the post-decode invariants of the broadcast path
-            // without touching the (already-consistent) state itself.
-            w.tracker.reset();
-            w.model.zero_grads();
-            w.model.clear_caches();
-        }
+    let landing = if is_survivor {
+        Landing::Staged
     } else {
+        Landing::InPlace
+    };
+    if !identical {
         let root = *survivors.first().expect("no survivors");
-        let payload = (me == root).then(|| encode_dp_state(w));
-        let state = ctx.comm.broadcast_bytes_chunked_among(
-            &ordered,
-            root,
-            payload,
-            default_chunk_bytes(),
-        )?;
-        decode_dp_state_into(w, state);
+        return transfer_state(ctx, w, &[root], &ordered, default_chunk_bytes(), landing);
     }
-    Ok(())
-}
-
-/// The sharded multi-source leg of [`synchronize_state`]. Every survivor
-/// encodes the same bytes and streams its rank-scheduled shard subset;
-/// the replacement reassembles at flat offsets and decodes sections as
-/// their bytes complete — the model installs while optimizer shards are
-/// still in flight, overlapping decode with transfer.
-fn sync_state_sharded(
-    ctx: &mut WorkerCtx,
-    w: &mut DpWorker,
-    survivors: &[Rank],
-    replacements: &[Rank],
-    is_survivor: bool,
-) -> Result<(), CommError> {
-    let shard_bytes = default_shard_bytes();
-    if is_survivor {
-        let payload = encode_dp_state(w);
-        ctx.comm.scatter_state_sharded_with(
-            survivors,
-            replacements,
-            Some(payload),
-            shard_bytes,
-            |_, _, _| {},
-        )?;
+    if ordered.len() == survivors.len() {
+        // Survivors are already bit-identical and nobody is joining.
         return Ok(());
     }
-    // Replacement: shards land in strictly ascending flat offsets, so the
-    // buffer only ever grows at the tail and each section can be decoded
-    // the moment its last byte arrives.
-    let mut buf: Vec<u8> = Vec::new();
-    let mut iteration = 0u64;
-    let mut mlen = usize::MAX;
-    let mut model_done = false;
-    let model = &mut w.model;
-    ctx.comm.scatter_state_sharded_with(
-        survivors,
-        replacements,
-        None,
-        shard_bytes,
-        |total, offset, piece| {
-            if offset == 0 {
-                buf.reserve_exact(total);
-            }
-            buf.extend_from_slice(piece);
-            if mlen == usize::MAX && buf.len() >= 16 {
-                iteration = u64::from_le_bytes(buf[0..8].try_into().expect("8-byte field"));
-                mlen = u64::from_le_bytes(buf[8..16].try_into().expect("8-byte field")) as usize;
-            }
-            if !model_done && mlen != usize::MAX && buf.len() >= 16 + mlen {
-                let mut mslice: &[u8] = &buf[16..16 + mlen];
-                let m = ModelState::decode(&mut mslice).expect("bad model state");
-                model.load_state(&m);
-                model_done = true;
-            }
-        },
-    )?;
-    assert!(
-        model_done,
-        "truncated state payload: model section incomplete"
-    );
-    let mut rest: &[u8] = &buf[16 + mlen..];
-    let olen = rest.get_u64_le() as usize;
-    let mut obytes: &[u8] = &rest[..olen];
-    let optim = OptimState::decode(&mut obytes).expect("bad optim state");
-    w.opt.load_state(&optim);
-    w.iteration = iteration;
-    w.tracker.reset();
-    w.model.zero_grads();
-    w.model.clear_caches();
-    w.needs_resync = false;
-    Ok(())
+    transfer_state(ctx, w, &survivors, &ordered, default_shard_bytes(), landing)
 }
 
 /// Survivor-side recovery (§3, Fig. 5):
 /// 1. repair crash consistency by undoing the partial update with the
 ///    cached gradients;
-/// 2. synchronize state so all replicas resume bit-identical: a sharded
-///    multi-source transfer straight to the replacement when the
+/// 2. synchronize state so all replicas resume bit-identical: a
+///    multi-source transfer straight into the replacement when the
 ///    survivors are provably identical already, else a single-root
-///    broadcast that re-aligns everyone (see [`synchronize_state`]).
+///    transfer that also re-aligns the other survivors (see
+///    [`synchronize_state`]).
 ///
 /// `participants` = all surviving replicas plus the replacement, and every
 /// one of them must call this (or [`replication_join`]) collectively.
@@ -390,16 +274,16 @@ pub fn replication_recover_survivor(
 /// restart an abandoned recovery attempt from the top.
 pub(crate) fn repair_dp_consistency(w: &mut DpWorker) {
     w.model.clear_caches();
-    let groups = w.tracker.updated().to_vec();
-    if !groups.is_empty() {
+    let undone = w.tracker.updated().len();
+    if undone > 0 {
         // A partial step never reached `finish_step`, so undoing the
         // applied groups restores the pre-step state exactly; the step
-        // counter needs no rollback.
-        let grads = w.last_grads.clone();
+        // counter needs no rollback. Disjoint field borrows read the
+        // cached gradients in place.
         w.model
-            .undo_update_with(&mut *w.opt, &grads, &groups)
+            .undo_update_with(&mut *w.opt, &w.last_grads, w.tracker.updated())
             .expect("replication recovery requires an invertible optimizer");
-        swift_obs::add(swift_obs::Counter::UndoneUpdates, groups.len() as u64);
+        swift_obs::add(swift_obs::Counter::UndoneUpdates, undone as u64);
         w.tracker.reset();
         // The undo restores the pre-step state only up to floating-point
         // residue; until the next full synchronization this replica must
@@ -410,8 +294,8 @@ pub(crate) fn repair_dp_consistency(w: &mut DpWorker) {
 
 /// Replacement-side recovery: build a fresh worker (same model structure
 /// and optimizer kind — the job configuration is static) and receive the
-/// survivors' state — shard-streamed from every survivor at once on the
-/// fast path, with decode overlapped with shard arrival.
+/// survivors' state straight into its tensors — streamed from every
+/// survivor at once when they are provably bit-identical.
 pub fn replication_join(
     ctx: &mut WorkerCtx,
     model_template: Sequential,
@@ -442,7 +326,7 @@ fn live_survivors(ctx: &WorkerCtx, group: &[Rank]) -> Vec<Rank> {
 }
 
 /// Survivor-side recovery run under the [`supervise`] state machine: the
-/// survivor set and broadcast root are re-derived from the KV failure
+/// survivor set and transfer root are re-derived from the KV failure
 /// state on every attempt, so a cascading failure mid-recovery restarts
 /// cleanly under the new epoch instead of deadlocking.
 pub fn replication_recover_supervised(
@@ -493,6 +377,7 @@ mod tests {
     use super::*;
     use swift_data::{shard_batch, BlobsDataset, Dataset};
     use swift_dnn::models::mlp;
+    use swift_dnn::ModelState;
     use swift_net::{Cluster, Topology};
     use swift_optim::OptimizerKind;
 
@@ -574,8 +459,8 @@ mod tests {
         // Rank 1's machine dies at iteration 3 right after staging the
         // first gradient bucket {1,2,3} (3 groups) — so rank 0 folds and
         // applies that bucket, then strands waiting for bucket {0}: a
-        // guaranteed partial update. Rank 0 undoes it, broadcasts to the
-        // respawned rank 1, training continues to iteration 8. Final
+        // guaranteed partial update. Rank 0 undoes it, transfers its state
+        // to the respawned rank 1, training continues to iteration 8. Final
         // state must match the failure-free run within floating-point
         // undo error.
         let iters_total = 8u64;
@@ -784,10 +669,11 @@ mod tests {
     fn clean_survivors_shard_stream_to_replacement() {
         // No crash-consistency damage: both survivors finish iteration 3
         // cleanly, so the consensus gather proves them bit-identical and
-        // the join takes the sharded multi-source fast path (survivors
-        // keep their state, the replacement stream-decodes). The
-        // replacement must come out bit-identical to the survivors — the
-        // same bytes the single-root broadcast would have delivered.
+        // the join takes the multi-source path (survivors keep their
+        // state and each streams a share of the chunks straight into the
+        // replacement's tensors). The replacement must come out
+        // bit-identical to the survivors — the same values a single-root
+        // transfer would have delivered.
         let results = Cluster::run_all(Topology::uniform(3, 1), |mut ctx| {
             let ds = BlobsDataset::new(9, 6, 3, 0.3);
             if ctx.rank() < 2 {

@@ -502,7 +502,7 @@ pub fn dp_worker_loop(
 }
 
 /// A DP replacement's join sequence: announce itself (releasing blocked
-/// survivors), then adopt a replica's state by supervised broadcast.
+/// survivors), then adopt a replica's state by supervised state transfer.
 /// Shared by the in-process driver and the `swift-worker` binary.
 pub fn dp_replacement_join(
     rctx: &mut WorkerCtx,

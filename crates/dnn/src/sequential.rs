@@ -89,20 +89,37 @@ impl Sequential {
     /// Element counts of every parameter group, globally ordered (the
     /// geometry gradient bucketing is planned from — no tensor clones).
     pub fn group_numels(&self) -> Vec<usize> {
-        self.layers
-            .iter()
-            .flat_map(|l| l.params().iter().map(|p| p.numel()))
-            .collect()
+        self.params().map(Tensor::numel).collect()
     }
 
     /// True when `numels` matches this model's per-group element counts —
     /// the allocation-free validity check for state planned from the group
     /// geometry (e.g. a cached gradient-bucketing reducer).
     pub fn group_numels_match(&self, numels: &[usize]) -> bool {
-        self.layers
-            .iter()
-            .flat_map(|l| l.params().iter().map(|p| p.numel()))
-            .eq(numels.iter().copied())
+        self.params().map(Tensor::numel).eq(numels.iter().copied())
+    }
+
+    /// Every parameter, borrowed, in global group order.
+    pub fn params(&self) -> impl Iterator<Item = &Tensor> + '_ {
+        self.layers.iter().flat_map(|l| l.params())
+    }
+
+    /// Every parameter, mutably, in global group order.
+    pub fn params_mut(&mut self) -> impl Iterator<Item = &mut Tensor> + '_ {
+        self.layers.iter_mut().flat_map(|l| l.params_mut())
+    }
+
+    /// Every parameter with its [`state`](Self::state) entry name,
+    /// borrowed, in global group order.
+    pub fn named_params(&self) -> impl Iterator<Item = (String, &Tensor)> + '_ {
+        self.layers.iter().enumerate().flat_map(|(li, layer)| {
+            let lname = layer.name();
+            layer
+                .params()
+                .iter()
+                .enumerate()
+                .map(move |(pi, p)| (format!("{li}:{lname}.{pi}"), p))
+        })
     }
 
     /// Forward through all layers.
@@ -186,10 +203,7 @@ impl Sequential {
 
     /// Clones the current parameters, globally ordered.
     pub fn params_snapshot(&self) -> Vec<Tensor> {
-        self.layers
-            .iter()
-            .flat_map(|l| l.params().iter().cloned())
-            .collect()
+        self.params().cloned().collect()
     }
 
     /// Applies the optimizer update to parameter groups
@@ -324,13 +338,12 @@ impl Sequential {
 
     /// Snapshot of all parameters as named tensors.
     pub fn state(&self) -> ModelState {
-        let mut entries = Vec::new();
-        for (li, layer) in self.layers.iter().enumerate() {
-            for (pi, p) in layer.params().iter().enumerate() {
-                entries.push((format!("{li}:{}.{pi}", layer.name()), p.clone()));
-            }
+        ModelState {
+            entries: self
+                .named_params()
+                .map(|(name, p)| (name, p.clone()))
+                .collect(),
         }
-        ModelState { entries }
     }
 
     /// Restores all parameters from a snapshot.

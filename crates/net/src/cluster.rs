@@ -245,17 +245,6 @@ impl Cluster {
         ClusterBuilder::new(topology)
     }
 
-    /// Builds a cluster with a fault plan installed on the fabric.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Cluster::builder(topology).faults(plan).build() and Cluster::injector()"
-    )]
-    pub fn with_faults(topology: Topology, plan: FaultPlan) -> (Self, Arc<FaultInjector>) {
-        let cluster = Cluster::new(topology);
-        let inj = cluster.install_faults(plan);
-        (cluster, inj)
-    }
-
     /// The fault injector installed on the fabric, if any.
     pub fn injector(&self) -> Option<Arc<FaultInjector>> {
         self.fabric.injector()

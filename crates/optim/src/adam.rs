@@ -242,28 +242,23 @@ impl Optimizer for Adam {
         self.t = self.t.saturating_sub(1);
     }
 
-    fn state(&self) -> OptimState {
-        OptimState {
-            name: self.name().into(),
-            t: self.t,
-            last_lr: self.last_lr,
-            scalars: adam_scalars(&self.params),
-            slots: vec![("m".into(), self.m.clone()), ("v".into(), self.v.clone())],
-        }
+    fn scalar_state(&self) -> OptimState {
+        adam_scalar_state(self.name(), self.t, self.last_lr, &self.params)
     }
 
-    fn load_state(&mut self, state: &OptimState) {
+    fn load_scalar_state(&mut self, state: &OptimState) {
         assert_eq!(state.name, self.name(), "optimizer kind mismatch");
         self.t = state.t;
         self.last_lr = state.last_lr;
         load_adam_scalars(&mut self.params, state);
-        for (name, tensors) in &state.slots {
-            match name.as_str() {
-                "m" => self.m = tensors.clone(),
-                "v" => self.v = tensors.clone(),
-                _ => {}
-            }
-        }
+    }
+
+    fn slots(&self) -> Vec<(&'static str, &[Option<Tensor>])> {
+        vec![("m", &self.m), ("v", &self.v)]
+    }
+
+    fn slots_mut(&mut self) -> Vec<(&'static str, &mut Vec<Option<Tensor>>)> {
+        vec![("m", &mut self.m), ("v", &mut self.v)]
     }
 }
 
@@ -372,28 +367,23 @@ impl Optimizer for AdamW {
         self.t = self.t.saturating_sub(1);
     }
 
-    fn state(&self) -> OptimState {
-        OptimState {
-            name: self.name().into(),
-            t: self.t,
-            last_lr: self.last_lr,
-            scalars: adam_scalars(&self.params),
-            slots: vec![("m".into(), self.m.clone()), ("v".into(), self.v.clone())],
-        }
+    fn scalar_state(&self) -> OptimState {
+        adam_scalar_state(self.name(), self.t, self.last_lr, &self.params)
     }
 
-    fn load_state(&mut self, state: &OptimState) {
+    fn load_scalar_state(&mut self, state: &OptimState) {
         assert_eq!(state.name, self.name(), "optimizer kind mismatch");
         self.t = state.t;
         self.last_lr = state.last_lr;
         load_adam_scalars(&mut self.params, state);
-        for (name, tensors) in &state.slots {
-            match name.as_str() {
-                "m" => self.m = tensors.clone(),
-                "v" => self.v = tensors.clone(),
-                _ => {}
-            }
-        }
+    }
+
+    fn slots(&self) -> Vec<(&'static str, &[Option<Tensor>])> {
+        vec![("m", &self.m), ("v", &self.v)]
+    }
+
+    fn slots_mut(&mut self) -> Vec<(&'static str, &mut Vec<Option<Tensor>>)> {
+        vec![("m", &mut self.m), ("v", &mut self.v)]
     }
 }
 
@@ -492,44 +482,44 @@ impl Optimizer for AmsGrad {
         self.t = self.t.saturating_sub(1);
     }
 
-    fn state(&self) -> OptimState {
-        OptimState {
-            name: self.name().into(),
-            t: self.t,
-            last_lr: self.last_lr,
-            scalars: adam_scalars(&self.params),
-            slots: vec![
-                ("m".into(), self.m.clone()),
-                ("v".into(), self.v.clone()),
-                ("v_max".into(), self.v_max.clone()),
-            ],
-        }
+    fn scalar_state(&self) -> OptimState {
+        adam_scalar_state(self.name(), self.t, self.last_lr, &self.params)
     }
 
-    fn load_state(&mut self, state: &OptimState) {
+    fn load_scalar_state(&mut self, state: &OptimState) {
         assert_eq!(state.name, self.name(), "optimizer kind mismatch");
         self.t = state.t;
         self.last_lr = state.last_lr;
         load_adam_scalars(&mut self.params, state);
-        for (name, tensors) in &state.slots {
-            match name.as_str() {
-                "m" => self.m = tensors.clone(),
-                "v" => self.v = tensors.clone(),
-                "v_max" => self.v_max = tensors.clone(),
-                _ => {}
-            }
-        }
+    }
+
+    fn slots(&self) -> Vec<(&'static str, &[Option<Tensor>])> {
+        vec![("m", &self.m), ("v", &self.v), ("v_max", &self.v_max)]
+    }
+
+    fn slots_mut(&mut self) -> Vec<(&'static str, &mut Vec<Option<Tensor>>)> {
+        vec![
+            ("m", &mut self.m),
+            ("v", &mut self.v),
+            ("v_max", &mut self.v_max),
+        ]
     }
 }
 
-fn adam_scalars(p: &AdamParams) -> Vec<(String, Vec<f32>)> {
-    vec![
-        ("lr".into(), vec![p.lr]),
-        ("wd".into(), vec![p.weight_decay]),
-        ("beta1".into(), vec![p.beta1]),
-        ("beta2".into(), vec![p.beta2]),
-        ("eps".into(), vec![p.eps]),
-    ]
+fn adam_scalar_state(name: &str, t: u64, last_lr: f32, p: &AdamParams) -> OptimState {
+    OptimState {
+        name: name.into(),
+        t,
+        last_lr,
+        scalars: vec![
+            ("lr".into(), vec![p.lr]),
+            ("wd".into(), vec![p.weight_decay]),
+            ("beta1".into(), vec![p.beta1]),
+            ("beta2".into(), vec![p.beta2]),
+            ("eps".into(), vec![p.eps]),
+        ],
+        slots: Vec::new(),
+    }
 }
 
 fn load_adam_scalars(p: &mut AdamParams, state: &OptimState) {

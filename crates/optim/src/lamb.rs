@@ -177,7 +177,7 @@ impl Optimizer for Lamb {
         self.t = self.t.saturating_sub(1);
     }
 
-    fn state(&self) -> OptimState {
+    fn scalar_state(&self) -> OptimState {
         OptimState {
             name: self.name().into(),
             t: self.t,
@@ -190,11 +190,11 @@ impl Optimizer for Lamb {
                 ("eps".into(), vec![self.params.eps]),
                 ("saved_ratio".into(), self.saved_ratio.clone()),
             ],
-            slots: vec![("m".into(), self.m.clone()), ("v".into(), self.v.clone())],
+            slots: Vec::new(),
         }
     }
 
-    fn load_state(&mut self, state: &OptimState) {
+    fn load_scalar_state(&mut self, state: &OptimState) {
         assert_eq!(state.name, self.name(), "optimizer kind mismatch");
         self.t = state.t;
         self.last_lr = state.last_lr;
@@ -209,13 +209,14 @@ impl Optimizer for Lamb {
                 _ => {}
             }
         }
-        for (name, tensors) in &state.slots {
-            match name.as_str() {
-                "m" => self.m = tensors.clone(),
-                "v" => self.v = tensors.clone(),
-                _ => {}
-            }
-        }
+    }
+
+    fn slots(&self) -> Vec<(&'static str, &[Option<Tensor>])> {
+        vec![("m", &self.m), ("v", &self.v)]
+    }
+
+    fn slots_mut(&mut self) -> Vec<(&'static str, &mut Vec<Option<Tensor>>)> {
+        vec![("m", &mut self.m), ("v", &mut self.v)]
     }
 }
 

@@ -88,11 +88,43 @@ pub trait Optimizer: Send {
     /// after undoing every group of a completed step.
     fn rollback_step(&mut self);
 
-    /// Serializable snapshot of all optimizer state (slots + counters).
-    fn state(&self) -> OptimState;
+    /// The scalar part of [`state`](Optimizer::state): name, step counter,
+    /// last learning rate and named scalars, with `slots` left empty.
+    fn scalar_state(&self) -> OptimState;
 
-    /// Restores optimizer state from a snapshot.
-    fn load_state(&mut self, state: &OptimState);
+    /// Restores what [`scalar_state`](Optimizer::scalar_state) captures,
+    /// leaving the slot tensors untouched.
+    fn load_scalar_state(&mut self, state: &OptimState);
+
+    /// The slot vectors, borrowed: `(name, one entry per parameter
+    /// group)` in the order [`state`](Optimizer::state) lists them. A
+    /// present slot is shaped like its parameter group.
+    fn slots(&self) -> Vec<(&'static str, &[Option<Tensor>])>;
+
+    /// The same slot vectors, mutably and in the same order.
+    fn slots_mut(&mut self) -> Vec<(&'static str, &mut Vec<Option<Tensor>>)>;
+
+    /// Serializable snapshot of all optimizer state (slots + counters).
+    fn state(&self) -> OptimState {
+        let mut state = self.scalar_state();
+        state.slots = self
+            .slots()
+            .into_iter()
+            .map(|(name, slots)| (name.to_string(), slots.to_vec()))
+            .collect();
+        state
+    }
+
+    /// Restores optimizer state from a snapshot. Slot vectors the
+    /// snapshot does not name keep their contents.
+    fn load_state(&mut self, state: &OptimState) {
+        self.load_scalar_state(state);
+        for (name, dst) in self.slots_mut() {
+            if let Some((_, src)) = state.slots.iter().find(|(n, _)| n == name) {
+                *dst = src.clone();
+            }
+        }
+    }
 
     /// Updates all groups and finishes the step.
     fn step(&mut self, params: &mut [Tensor], grads: &[Tensor]) {

@@ -89,7 +89,7 @@ impl Optimizer for Sgd {
         self.t = self.t.saturating_sub(1);
     }
 
-    fn state(&self) -> OptimState {
+    fn scalar_state(&self) -> OptimState {
         OptimState {
             name: self.name().into(),
             t: self.t,
@@ -102,7 +102,7 @@ impl Optimizer for Sgd {
         }
     }
 
-    fn load_state(&mut self, state: &OptimState) {
+    fn load_scalar_state(&mut self, state: &OptimState) {
         assert_eq!(state.name, self.name(), "optimizer kind mismatch");
         self.t = state.t;
         self.last_lr = state.last_lr;
@@ -113,6 +113,14 @@ impl Optimizer for Sgd {
                 _ => {}
             }
         }
+    }
+
+    fn slots(&self) -> Vec<(&'static str, &[Option<Tensor>])> {
+        Vec::new()
+    }
+
+    fn slots_mut(&mut self) -> Vec<(&'static str, &mut Vec<Option<Tensor>>)> {
+        Vec::new()
     }
 }
 
@@ -235,7 +243,7 @@ impl Optimizer for SgdMomentum {
         self.t = self.t.saturating_sub(1);
     }
 
-    fn state(&self) -> OptimState {
+    fn scalar_state(&self) -> OptimState {
         OptimState {
             name: self.name().into(),
             t: self.t,
@@ -246,11 +254,11 @@ impl Optimizer for SgdMomentum {
                 ("momentum".into(), vec![self.momentum]),
                 ("dampening".into(), vec![self.dampening]),
             ],
-            slots: vec![("m".into(), self.m.clone())],
+            slots: Vec::new(),
         }
     }
 
-    fn load_state(&mut self, state: &OptimState) {
+    fn load_scalar_state(&mut self, state: &OptimState) {
         assert_eq!(state.name, self.name(), "optimizer kind mismatch");
         self.t = state.t;
         self.last_lr = state.last_lr;
@@ -263,11 +271,14 @@ impl Optimizer for SgdMomentum {
                 _ => {}
             }
         }
-        for (name, tensors) in &state.slots {
-            if name == "m" {
-                self.m = tensors.clone();
-            }
-        }
+    }
+
+    fn slots(&self) -> Vec<(&'static str, &[Option<Tensor>])> {
+        vec![("m", &self.m)]
+    }
+
+    fn slots_mut(&mut self) -> Vec<(&'static str, &mut Vec<Option<Tensor>>)> {
+        vec![("m", &mut self.m)]
     }
 }
 

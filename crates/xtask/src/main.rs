@@ -612,6 +612,7 @@ const RECOVERY_WAIT_PATHS: &[&str] = &[
     "crates/core/src/supervisor.rs",
     "crates/core/src/fence.rs",
     "crates/core/src/replication.rs",
+    "crates/core/src/transfer.rs",
     "crates/core/src/pipeline_ft.rs",
     "crates/core/src/scenario.rs",
     "crates/core/src/fsdp.rs",
