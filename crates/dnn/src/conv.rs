@@ -1,10 +1,59 @@
-//! 2-D convolution via im2col, with hand-written backward.
+//! 2-D convolution as per-example GEMMs over one pooled, channel-major
+//! im2col buffer, with hand-written backward.
 //!
 //! Present for the CNN stand-in (Wide-ResNet-tiny): the paper's §5.4 point
 //! that CNN activations are too large for logging is a *structural*
-//! property this layer lets us exhibit with real numbers.
+//! property this layer lets us exhibit with real numbers. It is also the
+//! compute that pipeline logging replays after a stage-0 failure, so its
+//! speed is most of that recovery's MTTR.
+//!
+//! # Layout
+//!
+//! Activations are channel-major per example: example `e`, channel `c`,
+//! pixel `(h, w)` lives at `x[e, c·H·W + h·W + w]`. The im2col buffer of a
+//! micro-batch of `B` examples is `[B, c_in·k·k, H·W]`: example `e`'s
+//! block `col_e` holds, in row `(c·k + dh)·k + dw`, input channel `c`
+//! shifted by `(dh − k/2, dw − k/2)`, zero outside the image. Every image
+//! row of a `col_e` row is one contiguous slice of an input row between
+//! zero runs, so the buffer is built, and its gradient scattered back,
+//! with row-slice copies. It is rebuilt in full, padding included, on
+//! every call, and comes from and returns to [`swift_tensor::pool`] like
+//! every other buffer here.
+//!
+//! # GEMMs
+//!
+//! Every product runs through [`matmul_into`] (the `ab` kernel: one
+//! accumulator per output element, ascending `k`), on slices of the
+//! buffers above. Shapes for pp-logging's second conv (`c_in = c_out = 16`,
+//! `k = 3`, 32×32):
+//!
+//! | Pass | Product, per example `e`        | `m × k × n`              |
+//! |------|---------------------------------|--------------------------|
+//! | y    | `y_e = W · col_e` (+ bias)      | `c_out × c_in·k² × H·W` (16 × 144 × 1024) |
+//! | dX   | `dcol_e = Wᵀ · dy_e`, col2im    | `c_in·k² × c_out × H·W` (144 × 16 × 1024) |
+//! | dW   | `dWᵀ_e = col_e · dy_eᵀ`         | `c_in·k² × H·W × c_out` (144 × 1024 × 16) |
+//!
+//! The forward runs per example, fused with that example's im2col: the
+//! block (576 KiB at the shape above) is still in L2 when its GEMM reads
+//! it, and its rows sit `H·W` floats apart. One batched `W · col` over
+//! `n = B·H·W` columns would need the whole buffer as
+//! `[c_in·k·k, B·H·W]`, read back from memory with rows 32 KiB apart,
+//! where the kernel's per-`k` loads collide in the same cache sets. On a
+//! 2-vCPU AVX2 VM (`RAYON_NUM_THREADS=1`) that batched product ran at
+//! ~4 GFLOP/s; the per-example forward, im2col included, runs at
+//! ~20 GFLOP/s. The weight gradient transposes the small `dy_e`, not the
+//! large `col_e`, so it runs on the `ab` kernel (28–38 GFLOP/s) instead
+//! of the dot-based `matmul_a_bt` (12–15 GFLOP/s for `dy_e · col_eᵀ`).
+//!
+//! # One gradient per micro-batch
+//!
+//! `backward` folds the per-example `dWᵀ_e` and bias sums in example order
+//! into one micro-batch gradient, transposes it once, and adds it to
+//! `grads` once. Accumulating micro-batches A then B therefore leaves
+//! exactly `(0 + g_A) + g_B`, the property a bitwise fold of
+//! per-micro-batch gradients (parallel replay, §5.2) relies on.
 
-use swift_tensor::{matmul, matmul_at_b, CounterRng, Tensor};
+use swift_tensor::{matmul_into, pool, simd, CounterRng, Tensor};
 
 use crate::layer::{ActivationCache, Layer, Mode, StepCtx};
 
@@ -26,12 +75,30 @@ pub struct Conv2d {
     params: [Tensor; 2],
     /// `[grad_weight, grad_bias]`, aligned with `params`.
     grads: [Tensor; 2],
-    /// Caches the stacked im2col matrix `[B·H·W, c_in·k·k]`.
+    /// Caches the micro-batch's im2col buffer `[B, c_in·k·k, H·W]`.
     cache_col: ActivationCache,
 }
 
 const W: usize = 0;
 const B: usize = 1;
+
+/// The output positions `lo..hi` along an axis of length `len` whose tap
+/// `d` reads inside the input: position `o` reads `o + d − pad`.
+fn tap_span(len: usize, d: usize, pad: usize) -> (usize, usize) {
+    let lo = pad.saturating_sub(d).min(len);
+    let hi = (len + pad).saturating_sub(d).min(len).max(lo);
+    (lo, hi)
+}
+
+/// Writes the `[rows, cols]` matrix `src` transposed into `dst`, one
+/// contiguous `dst` row at a time.
+fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    for (c, out) in dst.chunks_exact_mut(rows).enumerate() {
+        for (o, &v) in out.iter_mut().zip(src[c..].iter().step_by(cols)) {
+            *o = v;
+        }
+    }
+}
 
 impl Conv2d {
     /// Creates a convolution layer for `height × width` feature maps.
@@ -93,65 +160,59 @@ impl Conv2d {
         self.c_out * self.height * self.width
     }
 
-    /// Builds the im2col matrix `[H·W, c_in·k·k]` for one example.
-    fn im2col(&self, x: &[f32]) -> Tensor {
-        let (h, w, k, ci) = (self.height, self.width, self.ksize, self.c_in);
-        let pad = k / 2;
-        let cols = ci * k * k;
-        let mut out = vec![0.0f32; h * w * cols];
-        for oh in 0..h {
-            for ow in 0..w {
-                let row = oh * w + ow;
-                for c in 0..ci {
-                    for dh in 0..k {
-                        let ih = oh as isize + dh as isize - pad as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        for dw in 0..k {
-                            let iw = ow as isize + dw as isize - pad as isize;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            out[row * cols + c * k * k + dh * k + dw] =
-                                x[c * h * w + ih as usize * w + iw as usize];
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec([h * w, cols], out)
+    /// Rows of one example's im2col block: `c_in·k·k`.
+    fn col_rows(&self) -> usize {
+        self.c_in * self.ksize * self.ksize
     }
 
-    /// Scatters a `[H·W, c_in·k·k]` gradient back to input layout.
-    fn col2im(&self, dcol: &Tensor) -> Vec<f32> {
-        let (h, w, k, ci) = (self.height, self.width, self.ksize, self.c_in);
+    /// Appends one example's `[c_in·k·k, H·W]` im2col block to `col`,
+    /// writing every element, zero padding included.
+    fn im2col_append(&self, x: &[f32], col: &mut Vec<f32>) {
+        let (h, w, k) = (self.height, self.width, self.ksize);
         let pad = k / 2;
-        let cols = ci * k * k;
-        let mut dx = vec![0.0f32; ci * h * w];
-        let d = dcol.data();
-        for oh in 0..h {
-            for ow in 0..w {
-                let row = oh * w + ow;
-                for c in 0..ci {
-                    for dh in 0..k {
-                        let ih = oh as isize + dh as isize - pad as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
+        for plane in x.chunks_exact(h * w) {
+            for dh in 0..k {
+                let (oh_lo, oh_hi) = tap_span(h, dh, pad);
+                for dw in 0..k {
+                    let (lo, hi) = tap_span(w, dw, pad);
+                    col.resize(col.len() + oh_lo * w, 0.0);
+                    for oh in oh_lo..oh_hi {
+                        let src = &plane[(oh + dh - pad) * w..][..w];
+                        col.resize(col.len() + lo, 0.0);
+                        if hi > lo {
+                            col.extend_from_slice(&src[lo + dw - pad..hi + dw - pad]);
                         }
-                        for dw in 0..k {
-                            let iw = ow as isize + dw as isize - pad as isize;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            dx[c * h * w + ih as usize * w + iw as usize] +=
-                                d[row * cols + c * k * k + dh * k + dw];
+                        col.resize(col.len() + w - hi, 0.0);
+                    }
+                    col.resize(col.len() + (h - oh_hi) * w, 0.0);
+                }
+            }
+        }
+    }
+
+    /// Adds one example's `[c_in·k·k, H·W]` column gradient back into its
+    /// input layout: each `dx` element sums its taps in row order.
+    fn col2im_add(&self, dcol: &[f32], dx: &mut [f32]) {
+        let (h, w, k) = (self.height, self.width, self.ksize);
+        let pad = k / 2;
+        for (c, plane) in dx.chunks_exact_mut(h * w).enumerate() {
+            for dh in 0..k {
+                let (oh_lo, oh_hi) = tap_span(h, dh, pad);
+                for dw in 0..k {
+                    let (lo, hi) = tap_span(w, dw, pad);
+                    if hi == lo {
+                        continue;
+                    }
+                    let row = &dcol[((c * k + dh) * k + dw) * h * w..][..h * w];
+                    for oh in oh_lo..oh_hi {
+                        let dst = &mut plane[(oh + dh - pad) * w..][lo + dw - pad..hi + dw - pad];
+                        for (d, &g) in dst.iter_mut().zip(&row[oh * w + lo..oh * w + hi]) {
+                            *d += g;
                         }
                     }
                 }
             }
         }
-        dx
     }
 }
 
@@ -168,55 +229,73 @@ impl Layer for Conv2d {
             input.numel(),
             "input is not a multiple of C·H·W"
         );
-        let hw = self.height * self.width;
-        let cols = self.c_in * self.ksize * self.ksize;
-        let mut y = Vec::with_capacity(b * self.out_elems());
-        let mut col_stack = Vec::with_capacity(b * hw * cols);
-        for e in 0..b {
-            let col = self.im2col(&input.data()[e * per_in..(e + 1) * per_in]);
-            // [H·W, c_out] = col · Wᵀ
-            let y_col =
-                swift_tensor::matmul_a_bt(&col, &self.params[W]).add_row_vector(&self.params[B]);
-            // Transpose to channel-major [c_out, H·W].
-            let y_cm = y_col.transpose();
-            y.extend_from_slice(y_cm.data());
-            if mode == Mode::Train {
-                col_stack.extend_from_slice(col.data());
+        let (hw, rows, co) = (self.height * self.width, self.col_rows(), self.c_out);
+        let block = rows * hw;
+        // Training keeps the whole micro-batch's buffer for backward;
+        // evaluation reuses one example's block.
+        let train = mode == Mode::Train;
+        let mut col = pool::take_f32_raw(if train { b * block } else { block });
+        let mut y = Tensor::zeros([b, self.out_elems()]);
+        for (x_e, y_e) in input
+            .data()
+            .chunks_exact(per_in)
+            .zip(y.data_mut().chunks_exact_mut(co * hw))
+        {
+            if !train {
+                col.clear();
+            }
+            let start = col.len();
+            self.im2col_append(x_e, &mut col);
+            matmul_into(self.params[W].data(), &col[start..], co, rows, hw, y_e);
+            for (y_row, &bias) in y_e.chunks_exact_mut(hw).zip(self.params[B].data()) {
+                for v in y_row {
+                    *v += bias;
+                }
             }
         }
-        if mode == Mode::Train {
+        if train {
             self.cache_col
-                .put(ctx, Tensor::from_vec([b * hw, cols], col_stack));
+                .put(ctx, Tensor::from_vec([b * rows, hw], col));
+        } else {
+            pool::put_f32(col);
         }
-        Tensor::from_vec([b, self.out_elems()], y)
+        y
     }
 
     fn backward(&mut self, ctx: StepCtx, grad_out: &Tensor) -> Tensor {
-        let per_out = self.out_elems();
+        let (per_in, per_out) = (self.in_elems(), self.out_elems());
         let b = grad_out.numel() / per_out;
-        let hw = self.height * self.width;
-        let cols = self.c_in * self.ksize * self.ksize;
-        let col_stack = self.cache_col.take(ctx);
-        let mut dx = Vec::with_capacity(b * self.in_elems());
-        for e in 0..b {
-            // dY channel-major [c_out, H·W] → row-major [H·W, c_out].
-            let dy_cm = Tensor::from_vec(
-                [self.c_out, hw],
-                grad_out.data()[e * per_out..(e + 1) * per_out].to_vec(),
-            );
-            let dy_col = dy_cm.transpose();
-            let col = Tensor::from_vec(
-                [hw, cols],
-                col_stack.data()[e * hw * cols..(e + 1) * hw * cols].to_vec(),
-            );
-            // dW += dy_colᵀ · col
-            self.grads[W].add_inplace(&matmul_at_b(&dy_col, &col));
-            self.grads[B].add_inplace(&dy_col.sum_rows());
-            // dCol = dy_col · W
-            let dcol = matmul(&dy_col, &self.params[W]);
-            dx.extend_from_slice(&self.col2im(&dcol));
+        let (hw, rows, co) = (self.height * self.width, self.col_rows(), self.c_out);
+        let col = self.cache_col.take(ctx);
+        let w_t = self.params[W].transpose();
+        let ones = Tensor::ones([hw]);
+        let mut dx = Tensor::zeros([b, per_in]);
+        let mut dcol = Tensor::zeros([rows, hw]);
+        let mut dy_t = Tensor::zeros([hw, co]);
+        let mut dw_e = Tensor::zeros([rows, co]);
+        let mut dw_t = Tensor::zeros([rows, co]);
+        let mut db = Tensor::zeros([co]);
+        for ((dy_e, col_e), dx_e) in grad_out
+            .data()
+            .chunks_exact(per_out)
+            .zip(col.data().chunks_exact(rows * hw))
+            .zip(dx.data_mut().chunks_exact_mut(per_in))
+        {
+            // dX: dcol_e = Wᵀ · dy_e, scattered back by col2im.
+            matmul_into(w_t.data(), dy_e, rows, co, hw, dcol.data_mut());
+            self.col2im_add(dcol.data(), dx_e);
+            // dWᵀ_e = col_e · dy_eᵀ and the bias sums, folded in example
+            // order into this micro-batch's gradient.
+            transpose_into(dy_e, co, hw, dy_t.data_mut());
+            matmul_into(col_e, dy_t.data(), rows, hw, co, dw_e.data_mut());
+            dw_t.add_inplace(&dw_e);
+            for (acc, dy_row) in db.data_mut().iter_mut().zip(dy_e.chunks_exact(hw)) {
+                *acc += simd::dot(dy_row, ones.data());
+            }
         }
-        Tensor::from_vec([b, self.in_elems()], dx)
+        self.grads[W].add_inplace(&dw_t.transpose());
+        self.grads[B].add_inplace(&db);
+        dx
     }
 
     fn params(&self) -> &[Tensor] {

@@ -89,6 +89,35 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec([m, n], out)
 }
 
+/// `out = A · B` on row-major slices: `a` is `[m, k]`, `b` is `[k, n]` and
+/// `out` is `[m, n]`, fully overwritten. The slice-level form of
+/// [`matmul`] for operands that live inside a larger buffer (a conv
+/// layer's per-example im2col blocks): same kernel, same blocking, same
+/// bits.
+///
+/// # Panics
+/// Panics if a slice length disagrees with its shape.
+pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    assert!(
+        a.len() == m * k && b.len() == k * n && out.len() == m * n,
+        "matmul_into: slice lengths do not match [{m},{k}]x[{k},{n}]"
+    );
+    if n == 0 {
+        return;
+    }
+    // The column-edge path accumulates, so it needs the zeros that
+    // `matmul`'s pooled buffer starts from.
+    for row in out.chunks_mut(n) {
+        row[n - n % NR..].fill(0.0);
+    }
+    par::for_each_block_mut(
+        out,
+        MR * n,
+        par::parallel_rows(m, k * n),
+        |blk, out_block| ab_block(a, b, k, n, blk * MR, out_block),
+    );
+}
+
 /// One `MR`-row (or shorter, at the bottom edge) block of `C = A · B`.
 /// Accumulation order per element: ascending `kk`, one accumulator.
 fn ab_block(ad: &[f32], bd: &[f32], k: usize, n: usize, r0: usize, out_block: &mut [f32]) {
@@ -333,6 +362,30 @@ mod tests {
                     tier.name()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn into_slices_bit_eq_matmul_over_a_dirty_buffer() {
+        // The slice entry point must reproduce `matmul` bit for bit,
+        // column edges included, whatever the output buffer held. (Tier
+        // equality comes with the shared kernel; the conv tier test pins
+        // it through this entry point.)
+        let mut rng = CounterRng::new(9, 0);
+        for &(m, k, n) in &[
+            (16usize, 144usize, 1024usize),
+            (67, 31, 29),
+            (3, 5, 7),
+            (1, 1, 1),
+        ] {
+            let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
+            let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
+            let mut out = Tensor::full([m, n], f32::NAN);
+            matmul_into(a.data(), b.data(), m, k, n, out.data_mut());
+            assert!(
+                out.bit_eq(&matmul(&a, &b)),
+                "matmul_into differs from matmul on [{m},{k}]x[{k},{n}]"
+            );
         }
     }
 

@@ -180,6 +180,11 @@ pub fn with_tier<R>(tier: SimdTier, f: impl FnOnce() -> R) -> R {
     let _guard = WITH_TIER_LOCK
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
+    pin_tier(tier, f)
+}
+
+/// [`with_tier`] for a caller that already holds `WITH_TIER_LOCK`.
+fn pin_tier<R>(tier: SimdTier, f: impl FnOnce() -> R) -> R {
     let _restore = RestoreOverride(TIER_OVERRIDE.load(Ordering::Relaxed));
     set_tier_override(Some(tier));
     f()
@@ -539,8 +544,13 @@ mod tests {
 
     #[test]
     fn with_tier_pins_and_restores() {
+        // Other tests pin tiers concurrently through `with_tier`; holding
+        // its lock keeps their scopes out between the two reads below.
+        let _guard = WITH_TIER_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let before = active_tier();
-        with_tier(SimdTier::Scalar, || {
+        pin_tier(SimdTier::Scalar, || {
             assert_eq!(active_tier(), SimdTier::Scalar);
         });
         assert_eq!(active_tier(), before);

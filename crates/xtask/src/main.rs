@@ -17,13 +17,13 @@
 //!      virtually. The allowlist (`clock.rs` itself, plus the genuinely
 //!      wall-clock socket/retry/remote-KV transport files) is explicit
 //!      in [`NET_WALL_CLOCK_ALLOWLIST`];
-//!    - no `Vec::new` / `vec![` / `.to_vec(` in the hot-loop modules
-//!      ([`HOT_LOOP_PATHS`]: the SIMD kernels, matmul, the fused
-//!      optimizer kernels, and the WAL record encode path) — the
-//!      steady-state contract is zero allocations per train step, and a
-//!      stray `vec![]` in a kernel silently re-introduces per-step
-//!      malloc traffic. Cold code opts out with a `lint:alloc-ok`
-//!      comment on the line;
+//!    - no `Vec::new` / `vec![` / `.to_vec(` / `Vec::with_capacity(` in
+//!      the hot-loop modules ([`HOT_LOOP_PATHS`]: the SIMD kernels,
+//!      matmul, the conv layer, the fused optimizer kernels, and the WAL
+//!      record encode path) — the steady-state contract is zero
+//!      allocations per train step, and a stray `vec![]` in a kernel
+//!      silently re-introduces per-step malloc traffic. Cold code opts
+//!      out with a `lint:alloc-ok` comment on the line;
 //!    - no `thread::sleep(` / `RetryPolicy::poll()` in the `crates/core`
 //!      recovery modules ([`RECOVERY_WAIT_PATHS`]) — a rendezvous wait
 //!      parks on the KV revision and wakes on the write it waits for,
@@ -551,15 +551,24 @@ fn lint_no_wall_clock_in_net(root: &Path) -> usize {
 }
 
 /// The modules whose steady-state contract is zero allocations per
-/// train step: the matmul driver, the SIMD microkernels, the fused
-/// optimizer kernels, and the WAL record encode path. A directory entry
-/// covers every `.rs` file directly inside it.
+/// train step: the matmul entry points, the SIMD microkernels, the conv layer
+/// (its im2col buffers are the largest per-step tensors of a CNN stage),
+/// the fused optimizer kernels, and the WAL record encode path. A
+/// directory entry covers every `.rs` file directly inside it.
 const HOT_LOOP_PATHS: &[&str] = &[
     "crates/tensor/src/matmul.rs",
     "crates/tensor/src/simd",
+    "crates/dnn/src/conv.rs",
     "crates/optim/src/ops.rs",
     "crates/wal/src/record.rs",
 ];
+
+/// Allocations that bypass `swift_tensor::pool`. `Vec::with_capacity`
+/// is the sneaky one: a buffer of exact, non-power-of-two capacity that
+/// ends up in a `Tensor` is filed one pool class below every later
+/// request of its size, so it is never reused and the pool fills with
+/// dead buffers.
+const ALLOC_NEEDLES: &[&str] = &["Vec::new", "vec![", ".to_vec(", "Vec::with_capacity("];
 
 /// Hot-loop modules must not allocate: buffers come from
 /// `swift_tensor::pool` or from caller-provided slices. A stray `vec![]`
@@ -590,18 +599,12 @@ fn lint_no_alloc_in_hot_loops(root: &Path) -> usize {
     }
     let mut violations = 0;
     for rel in files {
-        violations += lint_file(
-            root,
-            &rel,
-            &["Vec::new", "vec![", ".to_vec("],
-            Some("lint:alloc-ok"),
-            |line| {
-                format!(
-                    "`{line}` allocates in a hot-loop module — take a pooled or \
-                     caller-provided buffer (cold code: mark the line `lint:alloc-ok`)"
-                )
-            },
-        );
+        violations += lint_file(root, &rel, ALLOC_NEEDLES, Some("lint:alloc-ok"), |line| {
+            format!(
+                "`{line}` allocates in a hot-loop module — take a pooled or \
+                 caller-provided buffer (cold code: mark the line `lint:alloc-ok`)"
+            )
+        });
     }
     violations
 }
@@ -752,15 +755,16 @@ mod tests {
     }
 
     /// Self-test of the alloc-lint rule against synthetic sources: the
-    /// three needles fire, comments and `lint:alloc-ok` lines don't, and
-    /// the test module terminates the linted region.
+    /// needles fire, comments and `lint:alloc-ok` lines don't, and the
+    /// test module terminates the linted region.
     #[test]
     fn alloc_lint_scan_rules() {
-        let needles: &[&str] = &["Vec::new", "vec![", ".to_vec("];
         let marker = Some("lint:alloc-ok");
-        let count = |text: &str| lint_text("synthetic.rs", text, needles, marker, |l| l.into());
+        let count =
+            |text: &str| lint_text("synthetic.rs", text, ALLOC_NEEDLES, marker, |l| l.into());
         assert_eq!(count("let v = Vec::new();\nlet w = vec![0u8; 4];\n"), 2);
         assert_eq!(count("let v = xs.to_vec();\n"), 1);
+        assert_eq!(count("let mut y = Vec::with_capacity(n);\n"), 1);
         assert_eq!(count("// a comment about Vec::new\n"), 0);
         assert_eq!(count("let v = Vec::new(); // lint:alloc-ok (cold)\n"), 0);
         // Marker on its own line blesses the next line (rustfmt hoists
