@@ -295,9 +295,9 @@ impl BucketedAllreduce {
                 // The root already applied this bucket, so every
                 // *surviving* peer must still receive the result (the
                 // update-before-result-send contract). A peer whose
-                // link is already dark died mid-step: its result is
-                // doomed, and declaring the failure from the fan-out
-                // (which a send to a dark link does) would fence the
+                // link is dark — already, or by the time its send is
+                // written — died mid-step: its result is doomed, and
+                // declaring the failure from the fan-out would fence the
                 // sends the survivors behind it still need. Skip it —
                 // the data dependency at the next fold (or the lease
                 // monitor) declares the death instead. The wire payload
@@ -311,7 +311,7 @@ impl BucketedAllreduce {
                     let payload = result
                         .get_or_insert_with(|| Bytes::copy_from_slice(bytemuck_f32(&self.flats[b])))
                         .clone();
-                    comm.send_bytes(peer, tag ^ (1 << 32), payload)?;
+                    comm.send_unless_dark(peer, tag ^ (1 << 32), payload)?;
                 }
             } else {
                 // Scatter the bucket result straight from the wire.

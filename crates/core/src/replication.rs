@@ -102,6 +102,10 @@ pub fn dp_train_step(
     crash: Option<CrashPoint>,
 ) -> Result<f32, CommError> {
     let step_ctx = StepCtx::new(w.iteration, 0);
+    // Gradients are zeroed where the step starts, not where the last one
+    // ended: an aborted backward, an undo or a state transfer can leave
+    // anything in them, and none of it may leak into this step.
+    w.model.zero_grads();
     let out = w.model.forward(step_ctx, x, Mode::Train);
     let (loss, grad) = softmax_cross_entropy_scaled(&out, y, example_weight);
 
@@ -182,7 +186,6 @@ pub fn dp_train_step(
     w.tracker.finish();
     w.tracker.reset();
     w.iteration += 1;
-    w.model.zero_grads();
     Ok(loss)
 }
 
@@ -352,6 +355,12 @@ pub fn replication_recover_supervised(
 /// Replacement-side recovery under the [`supervise`] state machine. The
 /// worker is rebuilt from the factories on every attempt, making the
 /// whole join idempotent under restarts.
+///
+/// The model is built without initialization draws (all-zero parameters
+/// of the right shapes): the in-place transfer checks the layout before
+/// it writes, then overwrites every parameter and optimizer slot, so no
+/// drawn value would survive — and drawing a large model is most of the
+/// replacement's build time.
 pub fn replication_join_supervised(
     ctx: &mut WorkerCtx,
     model_fn: &dyn Fn() -> Sequential,
@@ -361,7 +370,8 @@ pub fn replication_join_supervised(
 ) -> Result<(DpWorker, RecoveryReport), CommError> {
     supervise(ctx, policy, |ctx, epoch, phases| {
         phases.enter(Phase::Undo);
-        let mut w = DpWorker::new(model_fn(), opt_fn());
+        let model = swift_tensor::tensor::without_init_draws(model_fn);
+        let mut w = DpWorker::new(model, opt_fn());
         let survivors = live_survivors(ctx, group);
         phases.enter(Phase::Fence);
         recovery_fence(ctx, epoch.generation(), group)?;
@@ -452,6 +462,55 @@ mod tests {
             results[0].bit_eq(&results[1]),
             "synchronous DP must keep replicas in lockstep"
         );
+    }
+
+    /// Fills every gradient of `w`'s model with `v` — what an aborted
+    /// backward or a recovery may leave behind.
+    fn fill_grads(w: &mut DpWorker, v: f32) {
+        let model = std::mem::replace(&mut w.model, Sequential::new("", Vec::new()));
+        let (name, mut layers) = model.into_parts();
+        for layer in &mut layers {
+            for g in layer.grads_mut() {
+                g.data_mut().fill(v);
+            }
+        }
+        w.model = Sequential::new(name, layers);
+    }
+
+    #[test]
+    fn step_zeroes_gradients_where_it_starts() {
+        // Rank 1 starts iteration 2 with every gradient NaN. The step
+        // must come out as if both replicas had started clean: loss,
+        // parameters and the cached all-reduced gradients, on both ranks.
+        let run = |poison: bool| {
+            Cluster::run_all(Topology::uniform(2, 1), move |mut ctx| {
+                let ds = BlobsDataset::new(9, 6, 3, 0.3);
+                let mut w = make_two_bucket_worker();
+                let mut loss = 0.0f32;
+                for it in 0..3 {
+                    if poison && it == 2 && ctx.rank() == 1 {
+                        fill_grads(&mut w, f32::NAN);
+                    }
+                    let batch = ds.batch(it, 16);
+                    let shard = shard_batch(&batch, ctx.rank(), 2);
+                    let (x, y) = (&shard.x, &shard.y);
+                    loss =
+                        dp_train_step(&mut ctx, &mut w, &[0, 1], x, y, 1.0 / 16.0, None).unwrap();
+                }
+                (loss, w.model.state(), w.last_grads)
+            })
+        };
+        let clean = run(false);
+        let poisoned = run(true);
+        for (rank, (c, p)) in clean.iter().zip(&poisoned).enumerate() {
+            assert_eq!(c.0.to_bits(), p.0.to_bits(), "rank {rank}: loss");
+            assert!(c.1.bit_eq(&p.1), "rank {rank}: parameters");
+            assert_eq!(c.2.len(), p.2.len());
+            assert!(
+                c.2.iter().zip(&p.2).all(|(a, b)| a.bit_eq(b)),
+                "rank {rank}: last_grads"
+            );
+        }
     }
 
     #[test]

@@ -48,7 +48,8 @@ pub(crate) enum Landing {
 /// must all call this collectively. Every source must hold bit-identical
 /// state (a single source trivially does). On success every participant
 /// holds the sources' state at the sources' iteration, with the tracker
-/// reset, gradients zeroed, caches cleared and `needs_resync` cleared.
+/// reset, caches cleared and `needs_resync` cleared. Gradients are left
+/// as they are: the next `dp_train_step` zeroes them where it starts.
 ///
 /// A receiver whose model layout or optimizer kind differs from the
 /// sources' fails with [`CommError::Protocol`] naming the first
@@ -79,7 +80,6 @@ pub(crate) fn transfer_state(
         None => receive_state(ctx, w, tag, &sources, chunk, landing)?,
     }
     w.tracker.reset();
-    w.model.zero_grads();
     w.model.clear_caches();
     w.needs_resync = false;
     Ok(())
@@ -438,6 +438,7 @@ mod tests {
     use swift_dnn::{softmax_cross_entropy_scaled, Mode, ModelState, StepCtx};
     use swift_net::{Cluster, CrashTrigger, FaultPlan, RetryPolicy, Topology};
     use swift_optim::OptimizerKind;
+    use swift_tensor::tensor::without_init_draws;
 
     const SGDM: OptimizerKind = OptimizerKind::SgdMomentum {
         lr: 0.05,
@@ -492,6 +493,15 @@ mod tests {
         w
     }
 
+    /// A fresh `[5, width, 3]` replica built without initialization
+    /// draws — what a replacement joins with.
+    fn shape_only(kind: OptimizerKind, width: usize) -> DpWorker {
+        DpWorker::new(
+            without_init_draws(|| mlp("t", &[5, width, 3], 41)),
+            kind.build(),
+        )
+    }
+
     /// What every receiver must hold: a fresh replica that loaded the
     /// source's snapshots.
     fn reference(kind: OptimizerKind, steps: u64) -> (u64, ModelState, OptimState) {
@@ -504,9 +514,9 @@ mod tests {
 
     type Outcome = (u64, bool, ModelState, OptimState);
 
-    /// One 3-rank transfer from `sources`: rank 1 starts `rank1_steps`
-    /// in (staged when it receives), rank 2 fresh (in place), rank 0
-    /// `steps` in.
+    /// One 4-rank transfer from `sources`: rank 1 starts `rank1_steps`
+    /// in (staged when it receives), rank 2 fresh and rank 3 built
+    /// without draws (both in place), rank 0 `steps` in.
     fn run(
         kind: OptimizerKind,
         steps: u64,
@@ -514,33 +524,47 @@ mod tests {
         sources: &'static [Rank],
         chunk_bytes: usize,
     ) -> Vec<Outcome> {
-        Cluster::run_all(Topology::uniform(3, 1), move |mut ctx| {
+        Cluster::run_all(Topology::uniform(4, 1), move |mut ctx| {
             let (mut w, landing) = match ctx.rank() {
                 0 => (trained(kind, 7, steps), Landing::Staged),
                 1 => (trained(kind, 7, rank1_steps), Landing::Staged),
-                _ => (trained(kind, 7, 0), Landing::InPlace),
+                2 => (trained(kind, 7, 0), Landing::InPlace),
+                _ => (shape_only(kind, 7), Landing::InPlace),
             };
             w.needs_resync = ctx.rank() == 1 && rank1_steps != steps;
-            transfer_state(&mut ctx, &mut w, sources, &[0, 1, 2], chunk_bytes, landing).unwrap();
+            transfer_state(
+                &mut ctx,
+                &mut w,
+                sources,
+                &[0, 1, 2, 3],
+                chunk_bytes,
+                landing,
+            )
+            .unwrap();
             (w.iteration, w.needs_resync, w.model.state(), w.opt.state())
         })
     }
 
-    /// The same three ranks through the consensus guard: survivors 0 and
-    /// 1 recover (rank 1 flagged for resync when it diverged), rank 2
-    /// joins. Chunk and shard sizes come from the environment, which the
-    /// CI determinism matrices sweep.
+    /// The same four ranks through the consensus guard: survivors 0 and
+    /// 1 recover (rank 1 flagged for resync when it diverged), ranks 2
+    /// (seeded) and 3 (built without draws) join. Chunk and shard sizes
+    /// come from the environment, which the CI determinism matrices sweep.
     fn run_guarded(kind: OptimizerKind, steps: u64, rank1_steps: u64) -> Vec<Outcome> {
-        Cluster::run_all(Topology::uniform(3, 1), move |mut ctx| {
+        Cluster::run_all(Topology::uniform(4, 1), move |mut ctx| {
+            let all = &[0, 1, 2, 3];
             let w = if ctx.rank() < 2 {
                 let mine = if ctx.rank() == 0 { steps } else { rank1_steps };
                 let mut w = trained(kind, 7, mine);
                 w.needs_resync = mine != steps;
-                replication_recover_survivor(&mut ctx, &mut w, &[0, 1], &[0, 1, 2]).unwrap();
+                replication_recover_survivor(&mut ctx, &mut w, &[0, 1], all).unwrap();
                 w
             } else {
-                let fresh = trained(kind, 7, 0);
-                replication_join(&mut ctx, fresh.model, fresh.opt, &[0, 1], &[0, 1, 2]).unwrap()
+                let fresh = if ctx.rank() == 2 {
+                    trained(kind, 7, 0)
+                } else {
+                    shape_only(kind, 7)
+                };
+                replication_join(&mut ctx, fresh.model, fresh.opt, &[0, 1], all).unwrap()
             };
             (w.iteration, w.needs_resync, w.model.state(), w.opt.state())
         })
@@ -632,32 +656,42 @@ mod tests {
         assert_eq!(o1, o2);
     }
 
-    /// Streams a 1-step SGD-momentum `[5, 7, 3]` replica into `receiver`
-    /// and returns the receiver's rejection, after checking that the
-    /// receiver's state survived it. (The source may see the rejecting
-    /// receiver exit mid-stream; its outcome is not checked.)
-    fn mismatched(receiver: fn() -> DpWorker) -> String {
-        let out = Cluster::run_all(Topology::uniform(2, 1), move |mut ctx| {
-            let (mut w, landing) = if ctx.rank() == 0 {
-                (trained(SGDM, 7, 1), Landing::Staged)
-            } else {
-                (receiver(), Landing::InPlace)
+    /// Streams a 1-step SGD-momentum `[5, 7, 3]` replica into two
+    /// `[5, width, 3]` receivers with optimizer `kind` — rank 1 trained 2
+    /// steps, rank 2 built without draws — and returns their (equal)
+    /// rejection, after checking that both receivers' states survived it.
+    /// (The source may see a rejecting receiver exit mid-stream; its
+    /// outcome is not checked.)
+    fn mismatched(kind: OptimizerKind, width: usize) -> String {
+        let out = Cluster::run_all(Topology::uniform(3, 1), move |mut ctx| {
+            let (mut w, landing) = match ctx.rank() {
+                0 => (trained(SGDM, 7, 1), Landing::Staged),
+                1 => (trained(kind, width, 2), Landing::InPlace),
+                _ => (shape_only(kind, width), Landing::InPlace),
             };
             let before = (w.model.state(), w.opt.state());
-            let result = transfer_state(&mut ctx, &mut w, &[0], &[0, 1], 20, landing);
+            let result = transfer_state(&mut ctx, &mut w, &[0], &[0, 1, 2], 20, landing);
             let untouched = w.model.state().bit_eq(&before.0) && w.opt.state() == before.1;
             (result, untouched)
         });
-        assert!(out[1].1, "a rejected receiver must keep its state");
-        match &out[1].0 {
-            Err(CommError::Protocol { detail }) => detail.clone(),
-            other => panic!("expected a protocol error, got {other:?}"),
-        }
+        let detail = |rank: usize| {
+            assert!(out[rank].1, "rejected receiver {rank} must keep its state");
+            match &out[rank].0 {
+                Err(CommError::Protocol { detail }) => detail.clone(),
+                other => panic!("receiver {rank}: expected a protocol error, got {other:?}"),
+            }
+        };
+        assert_eq!(
+            detail(1),
+            detail(2),
+            "both receivers name the same mismatch"
+        );
+        detail(1)
     }
 
     #[test]
     fn layout_mismatch_names_the_first_differing_parameter() {
-        let detail = mismatched(|| trained(SGDM, 6, 2));
+        let detail = mismatched(SGDM, 6);
         assert!(
             detail.contains("`0:fc0.0`") && detail.contains("[7, 5]") && detail.contains("[6, 5]"),
             "{detail}"
@@ -666,16 +700,13 @@ mod tests {
 
     #[test]
     fn optimizer_mismatch_is_rejected_before_any_write() {
-        let detail = mismatched(|| {
-            trained(
-                OptimizerKind::Adam {
-                    lr: 1e-2,
-                    weight_decay: 0.0,
-                },
-                7,
-                2,
-            )
-        });
+        let detail = mismatched(
+            OptimizerKind::Adam {
+                lr: 1e-2,
+                weight_decay: 0.0,
+            },
+            7,
+        );
         assert!(
             detail.contains("`SGD-momentum`") && detail.contains("`Adam`"),
             "{detail}"

@@ -81,10 +81,11 @@ pub trait Layer: Send {
     /// [`Sequential::apply_update`]: crate::sequential::Sequential::apply_update
     fn params_and_grads_mut(&mut self) -> (&mut [Tensor], &[Tensor]);
 
-    /// Clears accumulated gradients to zero.
+    /// Clears accumulated gradients to +0.0 — overwritten, not scaled, so
+    /// a NaN or ±∞ left by an aborted backward is cleared too.
     fn zero_grads(&mut self) {
         for g in self.grads_mut() {
-            g.scale_inplace(0.0);
+            g.data_mut().fill(0.0);
         }
     }
 

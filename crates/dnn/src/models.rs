@@ -322,6 +322,7 @@ mod tests {
     use crate::loss::{accuracy, softmax_cross_entropy};
     use swift_data::{BlobsDataset, Dataset};
     use swift_optim::OptimizerKind;
+    use swift_tensor::tensor::without_init_draws;
 
     #[test]
     fn mlp_learns_blobs() {
@@ -502,5 +503,99 @@ mod tests {
     #[should_panic(expected = "fewer layers")]
     fn too_many_stages_panics() {
         split_stages(mlp("m", &[4, 2], 7), 5);
+    }
+
+    /// One model from every constructor in this file.
+    fn every_model(seed: u64) -> Vec<Sequential> {
+        vec![
+            mlp("m", &[6, 12, 3], seed),
+            vit_tiny("vit", 4, 6, 8, 2, 5, 0.1, seed),
+            bert_tiny("bert", 3, 12, 8, 2, 0.1, seed),
+            wide_resnet_tiny("wrn", 8, 4, 10, seed),
+        ]
+    }
+
+    fn states(models: &[Sequential]) -> Vec<crate::ModelState> {
+        models.iter().map(Sequential::state).collect()
+    }
+
+    fn assert_states_bit_eq(got: &[crate::ModelState], want: &[crate::ModelState], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.bit_eq(w),
+                "{what}: model {i} differs from the seeded build"
+            );
+        }
+    }
+
+    #[test]
+    fn builds_without_draws_keep_the_layout_and_zero_every_draw() {
+        let seeded = every_model(7);
+        let reseeded = every_model(8);
+        let shaped = without_init_draws(|| every_model(7));
+        for ((s, r), z) in seeded.iter().zip(&reseeded).zip(&shaped) {
+            let layout = |m: &Sequential| -> Vec<(String, Vec<usize>)> {
+                m.named_params()
+                    .map(|(name, p)| (name, p.shape().dims().to_vec()))
+                    .collect()
+            };
+            assert_eq!(layout(z), layout(s), "{}", s.name());
+            let mut drawn = 0;
+            for ((name, sp), ((_, rp), (_, zp))) in
+                s.named_params().zip(r.named_params().zip(z.named_params()))
+            {
+                if sp.bit_eq(rp) {
+                    // Not drawn (a layer norm's γ = 1 and β = 0): the
+                    // scope leaves constant initializers alone.
+                    assert!(zp.bit_eq(sp), "{name}: constant init changed");
+                } else {
+                    drawn += 1;
+                    assert!(
+                        zp.data().iter().all(|v| v.to_bits() == 0),
+                        "{name}: a draw inside the scope is not +0.0"
+                    );
+                }
+            }
+            assert!(drawn > 0, "{} draws nothing", s.name());
+        }
+    }
+
+    #[test]
+    fn builds_after_the_scope_draw_again_even_after_a_panic() {
+        let never = states(&every_model(7));
+        drop(without_init_draws(|| every_model(7)));
+        assert_states_bit_eq(&states(&every_model(7)), &never, "after the scope");
+        let unwound = std::panic::catch_unwind(|| {
+            without_init_draws(|| {
+                let _half_built = every_model(7);
+                panic!("build aborted inside the scope");
+            })
+        });
+        assert!(unwound.is_err());
+        assert_states_bit_eq(&states(&every_model(7)), &never, "after a panic");
+    }
+
+    #[test]
+    fn other_threads_draw_while_one_is_inside_the_scope() {
+        let seeded = states(&every_model(7));
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (built_tx, built_rx) = std::sync::mpsc::channel();
+        let holder = std::thread::spawn(move || {
+            without_init_draws(|| {
+                entered_tx.send(()).unwrap();
+                built_rx.recv().unwrap();
+                states(&every_model(7))
+            })
+        });
+        entered_rx.recv().unwrap();
+        let elsewhere = states(&every_model(7));
+        built_tx.send(()).unwrap();
+        let inside = holder.join().unwrap();
+        assert_states_bit_eq(&elsewhere, &seeded, "built on another thread");
+        assert!(
+            !inside[0].bit_eq(&seeded[0]),
+            "the holder's own build inside the scope must not draw"
+        );
     }
 }

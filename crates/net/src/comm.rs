@@ -406,10 +406,11 @@ impl Comm {
     }
 
     /// Whether `rank`'s link is currently believed up — the cheap,
-    /// non-blocking liveness signal (no probing, no declaration).
-    /// Callers fanning a result out to several peers use it to serve
-    /// live links before touching a dark one (whose send *declares* the
-    /// failure, fencing all later sends behind the declared epoch).
+    /// non-blocking liveness signal (no probing, no declaration). A
+    /// result fan-out uses it to skip an already-dark peer before it
+    /// builds the payload; the send itself goes through
+    /// [`send_unless_dark`](Self::send_unless_dark), since the link can
+    /// go dark between the two.
     pub fn peer_link_up(&self, rank: Rank) -> bool {
         self.transport.link_up(rank)
     }
@@ -488,14 +489,33 @@ impl Comm {
     /// Sends raw bytes to `dst` with a user tag (must not set
     /// [`COLLECTIVE_BIT`]).
     pub fn send_bytes(&self, dst: Rank, tag: u64, payload: Bytes) -> Result<(), CommError> {
+        if self.send_unless_dark(dst, tag, payload)? {
+            return Ok(());
+        }
+        // Connection error: the peer's NIC is dark, or the write itself
+        // failed (EPIPE on a socket, a dropped channel in-process) and the
+        // transport marked it dark. Publish what we observed so the rest
+        // of the job learns without touching it — before unwinding:
+        // recovery code derives its namespaces from the declared epoch,
+        // and a PeerFailed that precedes the declaration would ack under a
+        // stale one.
+        Err(self.declare_downed_links(dst))
+    }
+
+    /// [`send_bytes`](Self::send_bytes) for one destination of a result
+    /// fan-out: a peer whose link is dark — before the send or by the
+    /// time the frame is written — is skipped (`Ok(false)`), never
+    /// declared. A declaration from the fan-out would fence the sends the
+    /// surviving peers after it still need, and whether a dying peer's
+    /// link is still up when the fan-out reaches it is a race; the data
+    /// dependency on the dead peer (or the lease monitor) declares it.
+    pub fn send_unless_dark(&self, dst: Rank, tag: u64, payload: Bytes) -> Result<bool, CommError> {
         self.check_self()?;
         self.serve_stall();
         // The stall may have outlived us (or our false suspicion).
         self.check_self()?;
         if !self.transport.link_up(dst) {
-            // Connection error: the peer's NIC is dark. Publish what we
-            // observed so the rest of the job learns without touching it.
-            return Err(self.declare_downed_links(dst));
+            return Ok(false);
         }
         self.check_failure_state(dst)?;
         self.bytes_sent
@@ -504,14 +524,9 @@ impl Comm {
         // peer's side (or on our next call), matching async NCCL errors.
         let gen = self.generation.load(Ordering::SeqCst);
         match self.transport.transmit(dst, gen, tag, payload) {
-            TransmitOutcome::Sent => Ok(()),
+            TransmitOutcome::Sent => Ok(true),
             TransmitOutcome::SenderCrashed => Err(CommError::SelfKilled),
-            // The write itself failed (EPIPE on a socket, a dropped
-            // channel in-process): the transport already marked the link
-            // dark, so declare before unwinding — recovery code derives
-            // its namespaces from the declared epoch, and a PeerFailed
-            // that precedes the declaration would ack under a stale one.
-            TransmitOutcome::PeerGone => Err(self.declare_downed_links(dst)),
+            TransmitOutcome::PeerGone => Ok(false),
         }
     }
 
@@ -606,15 +621,34 @@ impl Comm {
                     // is the sender's link dark (connection error)? The
                     // probe may do real work — a socket backend attempts
                     // a reconnect, so a peer that recovered since its
-                    // last failure is not re-declared dead.
-                    if !self.transport.probe_link(src) {
+                    // last failure is not re-declared dead. Second: has
+                    // anyone declared a failure we have not fenced? Our
+                    // sender may be alive but itself blocked on the dead
+                    // machine, so this receive would hang — abort,
+                    // exactly like workers tearing down their NCCL
+                    // communicators when the KV-store flag is set.
+                    let dark = !self.transport.probe_link(src);
+                    if !dark && self.check_failure_state(src).is_ok() {
+                        continue;
+                    }
+                    // The failure was seen after the wait timed out, so a
+                    // frame that landed in between was sent before it (a
+                    // declarer's last results, a dying peer's last write).
+                    // If the awaited one is among them, consume it first: a
+                    // receiver never runs its failure checks past traffic
+                    // it could have consumed.
+                    let queued = self.transport.drain();
+                    let awaited = queued
+                        .iter()
+                        .any(|m| m.src == src && m.tag == tag && m.generation == gen);
+                    self.stash
+                        .extend(queued.into_iter().filter(|m| m.generation >= gen));
+                    if awaited {
+                        continue;
+                    }
+                    if dark {
                         return Err(self.declare_downed_links(src));
                     }
-                    // Second: has anyone declared a failure we have not
-                    // fenced? Our sender may be alive but itself blocked
-                    // on the dead machine, so this receive would hang —
-                    // abort, exactly like workers tearing down their NCCL
-                    // communicators when the KV-store flag is set.
                     self.check_failure_state(src)?;
                 }
                 RecvEvent::Disconnected => {

@@ -1,5 +1,7 @@
 //! The dense tensor type and its deterministic kernels.
 
+use std::cell::Cell;
+
 use crate::par;
 use crate::pool;
 use crate::rng::CounterRng;
@@ -49,6 +51,37 @@ impl std::fmt::Debug for Tensor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Tensor(shape={}, numel={})", self.shape, self.numel())
     }
+}
+
+thread_local! {
+    /// Set on a thread inside [`without_init_draws`].
+    static SKIP_DRAWS: Cell<bool> = const { Cell::new(false) };
+}
+
+fn draws_skipped() -> bool {
+    SKIP_DRAWS.with(Cell::get)
+}
+
+/// Runs `f` with random initialization switched off on the calling
+/// thread: [`Tensor::uniform`] and [`Tensor::randn`] return pooled zeros of
+/// the requested shape and leave their stream untouched. The previous mode
+/// comes back when `f` returns or unwinds; other threads keep drawing
+/// throughout.
+///
+/// This is for building a model whose every parameter is overwritten
+/// before it is read — a replication replacement about to receive a
+/// survivor's state, where the draws would only cost time. A model built
+/// in here and then trained or evaluated silently starts from zeros, so
+/// `cargo xtask verify` allows one call site outside tests.
+pub fn without_init_draws<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SKIP_DRAWS.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(SKIP_DRAWS.with(|s| s.replace(true)));
+    f()
 }
 
 impl Tensor {
@@ -101,7 +134,11 @@ impl Tensor {
     }
 
     /// Uniform random tensor in `[lo, hi)` from a deterministic stream.
+    /// Inside [`without_init_draws`] it is all zeros and draws nothing.
     pub fn uniform(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut CounterRng) -> Self {
+        if draws_skipped() {
+            return Self::zeros(shape);
+        }
         let shape = shape.into();
         let n = shape.numel();
         let mut data = pool::take_f32_raw(n);
@@ -110,7 +147,11 @@ impl Tensor {
     }
 
     /// Normal random tensor with the given mean and standard deviation.
+    /// Inside [`without_init_draws`] it is all zeros and draws nothing.
     pub fn randn(shape: impl Into<Shape>, mean: f32, std: f32, rng: &mut CounterRng) -> Self {
+        if draws_skipped() {
+            return Self::zeros(shape);
+        }
         let shape = shape.into();
         let n = shape.numel();
         let mut data = pool::take_f32_raw(n);
@@ -670,5 +711,22 @@ mod tests {
         let a = Tensor::randn([100], 0.0, 1.0, &mut CounterRng::new(5, 0));
         let b = Tensor::randn([100], 0.0, 1.0, &mut CounterRng::new(5, 0));
         assert!(a.bit_eq(&b));
+    }
+
+    #[test]
+    fn without_init_draws_hands_out_zeros_and_keeps_the_stream() {
+        let mut rng = CounterRng::new(5, 0);
+        let (u, n) = without_init_draws(|| {
+            (
+                Tensor::uniform([3, 4], -1.0, 1.0, &mut rng),
+                Tensor::randn([7], 0.0, 1.0, &mut rng),
+            )
+        });
+        assert_eq!(u.shape().dims(), &[3, 4]);
+        assert_eq!(n.shape().dims(), &[7]);
+        assert!(u.data().iter().chain(n.data()).all(|v| v.to_bits() == 0));
+        // Nothing was drawn, and drawing resumes after the scope.
+        let after = Tensor::randn([100], 0.0, 1.0, &mut rng);
+        assert!(after.bit_eq(&Tensor::randn([100], 0.0, 1.0, &mut CounterRng::new(5, 0))));
     }
 }

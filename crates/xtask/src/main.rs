@@ -29,7 +29,12 @@
 //!      parks on the KV revision and wakes on the write it waits for,
 //!      so a sleep there puts a poll tick on the recovery critical
 //!      path. Timers that are not rendezvous (restart backoff, the
-//!      process reaper) opt out with a `lint:sleep-ok` comment.
+//!      process reaper) opt out with a `lint:sleep-ok` comment;
+//!    - no `without_init_draws` (swift-tensor's no-draws scope) outside
+//!      `crates/core/src/replication.rs` in `crates/*/src`, `src/` and
+//!      `examples/` — a model built inside it has all-zero parameters,
+//!      which only a replacement about to receive a survivor's state may
+//!      have; trained or evaluated, it would silently start from zeros.
 //!
 //!    All lints skip the `#[cfg(test)]` region (test modules sit at the
 //!    bottom of each file by repo convention) and comment lines.
@@ -268,6 +273,7 @@ fn verify() -> ExitCode {
     failures += lint_no_wall_clock_in_net(&root);
     failures += lint_no_alloc_in_hot_loops(&root);
     failures += lint_no_sleep_polling_in_recovery(&root);
+    failures += lint_no_draws_scope_call_sites(&root);
 
     if failures > 0 {
         eprintln!("xtask verify: {failures} lint violation(s); skipping analyzers");
@@ -652,6 +658,70 @@ fn lint_no_sleep_polling_in_recovery(root: &Path) -> usize {
         .sum()
 }
 
+/// swift-tensor's no-draws scope: inside it, random initialization
+/// hands out zeros.
+const NO_DRAWS_NEEDLE: &str = "without_init_draws";
+
+/// The files that may name the no-draws scope outside tests: its one
+/// caller (the replication replacement, whose every parameter and
+/// optimizer slot the state transfer overwrites before anything reads
+/// them), its definition, and this lint.
+const NO_DRAWS_ALLOWED: &[&str] = &[
+    "crates/core/src/replication.rs",
+    "crates/tensor/src/tensor.rs",
+    "crates/xtask/src/main.rs",
+];
+
+/// A model built without initialization draws and then trained or
+/// evaluated silently starts from all-zero parameters. Only a build
+/// whose state is overwritten before it is read may skip the draws, so
+/// the scope is confined to [`NO_DRAWS_ALLOWED`] across every source file
+/// under `crates/*/src`, `src/` and `examples/`.
+fn lint_no_draws_scope_call_sites(root: &Path) -> usize {
+    let mut files = Vec::new();
+    rust_files_under(root, &root.join("src"), &mut files);
+    rust_files_under(root, &root.join("examples"), &mut files);
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        let krate = entry.expect("readable dir entry").path();
+        rust_files_under(root, &krate.join("src"), &mut files);
+    }
+    files.sort();
+    files
+        .iter()
+        .filter(|rel| !NO_DRAWS_ALLOWED.contains(&rel.as_str()))
+        .map(|rel| {
+            lint_file(root, rel, &[NO_DRAWS_NEEDLE], None, |line| {
+                format!(
+                    "`{line}` builds without initialization draws — only the \
+                     replication replacement in crates/core/src/replication.rs may: \
+                     a model built so and then trained or evaluated starts from zeros"
+                )
+            })
+        })
+        .sum()
+}
+
+/// Appends every `.rs` file under `dir` (recursively, if it exists) to
+/// `out` as a path relative to `root`.
+fn rust_files_under(root: &Path, dir: &Path, out: &mut Vec<String>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("readable dir entry").path();
+        if path.is_dir() {
+            rust_files_under(root, &path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(
+                path.strip_prefix(root)
+                    .expect("under root")
+                    .to_string_lossy()
+                    .into_owned(),
+            );
+        }
+    }
+}
+
 /// Scans the non-test, non-comment lines of `rel` for any of `needles`.
 /// Returns the number of violations (each printed with file:line).
 fn lint_file(
@@ -729,6 +799,36 @@ mod tests {
     #[test]
     fn recovery_paths_do_not_sleep_poll() {
         assert_eq!(lint_no_sleep_polling_in_recovery(&workspace_root()), 0);
+    }
+
+    #[test]
+    fn no_draws_scope_stays_with_the_replacement_build() {
+        assert_eq!(lint_no_draws_scope_call_sites(&workspace_root()), 0);
+    }
+
+    /// Self-test of the no-draws rule: a call or an import fires, while a
+    /// comment and the test module do not.
+    #[test]
+    fn no_draws_lint_scan_rules() {
+        let count =
+            |text: &str| lint_text("synthetic.rs", text, &[NO_DRAWS_NEEDLE], None, |l| l.into());
+        assert_eq!(
+            count("let m = swift_tensor::tensor::without_init_draws(|| mlp(\"m\", &d, 1));\n"),
+            1
+        );
+        assert_eq!(count("use swift_tensor::tensor::without_init_draws;\n"), 1);
+        assert_eq!(count("// built under without_init_draws upstream\n"), 0);
+        assert_eq!(
+            count("#[cfg(test)]\nmod tests { fn f() { without_init_draws(|| 1); } }\n"),
+            0
+        );
+        let root = workspace_root();
+        let mut files = Vec::new();
+        rust_files_under(&root, &root.join("crates/tensor/src"), &mut files);
+        assert!(
+            files.iter().any(|f| f.ends_with("simd/kernels.rs")),
+            "the scan descends into subdirectories: {files:?}"
+        );
     }
 
     /// Self-test of the sleep-poll rule: a poll loop fires, and a timer

@@ -39,11 +39,16 @@ fn record_dp_crash() -> (Timeline, u64) {
     // A tiny bucket cap splits the 6 groups into buckets {4,5} {3} {2}
     // {1} {0}; the victim dies after staging 5 groups (everything but
     // {0}), so four buckets fold and apply on both survivors while the
-    // last strands them mid-update. Crashing at the final group keeps
-    // the run deterministic: the survivor's own sends are all complete
-    // before the failure can be declared, so no send races the epoch.
+    // last strands them mid-update. The run is deterministic because the
+    // victim is the highest rank: the root folds peers in ascending rank
+    // order, so it blocks on the victim — and declares the death — only
+    // after the other survivor's last group arrived, and after fanning
+    // out the four results, which that survivor consumes before it acts
+    // on the declaration. (With victim 1, the root could declare while
+    // survivor 2 was still staging group 0, and survivor 2 would abort
+    // in that send having applied nothing.)
     let crash = JobCrash {
-        machine: 1,
+        machine: 2,
         iteration: 4,
         after_groups: 5,
     };
@@ -148,7 +153,7 @@ fn dp_crash_breakdown_is_complete_and_contiguous() {
     assert_complete_and_contiguous(&t, Phase::Broadcast);
     let inc = &t.incidents[0];
     assert_eq!(inc.epoch, Epoch::new(1));
-    assert_eq!(inc.failed, vec![1usize]);
+    assert_eq!(inc.failed, vec![2usize]);
     // The victim dies after staging buckets {4,5} {3} {2} {1}: both
     // survivors apply those 5 groups, strand on bucket {0}, and undo
     // the partial update (2 ranks × 5 groups).
