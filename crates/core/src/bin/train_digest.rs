@@ -1,12 +1,14 @@
-//! Prints one hex digest of the model parameters after a fixed
-//! two-replica data-parallel training run (forward, backward, bucketed
-//! all-reduce, fused Adam update).
+//! Prints hex digests of the model parameters after a fixed two-replica
+//! data-parallel training run (forward, backward, bucketed all-reduce,
+//! fused Adam update), one line per batch size: 16 rows per replica,
+//! then 4. At 4 rows the batch is a single matmul row block (≤ `MR`), so
+//! the second line covers the small-batch kernel paths.
 //!
 //! CI's dispatch-determinism matrix runs this binary under every
 //! `SWIFT_SIMD` tier × `RAYON_NUM_THREADS` combination and asserts every
-//! cell prints the same line — the cross-process half of the determinism
-//! contract (DESIGN.md). The in-process half, which pins tiers inside
-//! one process, lives in `tests/tier_digest.rs`.
+//! cell prints the same lines — the cross-process half of the
+//! determinism contract (DESIGN.md). The in-process half, which pins
+//! tiers inside one process, lives in `tests/tier_digest.rs`.
 
 use swift_core::{dp_train_step, DpWorker};
 use swift_dnn::models::mlp;
@@ -14,8 +16,10 @@ use swift_net::{Cluster, Topology};
 use swift_optim::OptimizerKind;
 use swift_tensor::{simd, CounterRng, Tensor};
 
-fn main() {
-    let states = Cluster::run_all(Topology::uniform(2, 1), |mut ctx| {
+/// FNV-1a over rank 0's parameter names and exact bit patterns after
+/// 8 steps of `rows` rows per replica.
+fn digest(rows: usize) -> u64 {
+    let states = Cluster::run_all(Topology::uniform(2, 1), move |mut ctx| {
         let mut w = DpWorker::new(
             mlp("digest", &[32, 64, 64, 10], 11),
             OptimizerKind::Adam {
@@ -28,9 +32,10 @@ fn main() {
         // converge to identical parameters regardless.
         let mut rng = CounterRng::new(0xD16E57, ctx.rank() as u64);
         for it in 0..8u64 {
-            let x = Tensor::randn([16, 32], 0.0, 1.0, &mut rng);
-            let y: Vec<usize> = (0..16usize).map(|i| (it as usize * 7 + i) % 10).collect();
-            dp_train_step(&mut ctx, &mut w, &[0, 1], &x, &y, 1.0 / 16.0, None).unwrap();
+            let x = Tensor::randn([rows, 32], 0.0, 1.0, &mut rng);
+            let y: Vec<usize> = (0..rows).map(|i| (it as usize * 7 + i) % 10).collect();
+            let weight = 1.0 / rows as f32;
+            dp_train_step(&mut ctx, &mut w, &[0, 1], &x, &y, weight, None).unwrap();
         }
         w.model.state()
     });
@@ -39,7 +44,6 @@ fn main() {
         "replicas diverged within one run"
     );
 
-    // FNV-1a over parameter names and exact bit patterns.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |byte: u8| {
         h ^= u64::from(byte);
@@ -55,6 +59,12 @@ fn main() {
             }
         }
     }
+    h
+}
+
+fn main() {
     eprintln!("train_digest: tier={}", simd::active_tier().name());
-    println!("{h:016x}");
+    for rows in [16, 4] {
+        println!("{:016x}", digest(rows));
+    }
 }

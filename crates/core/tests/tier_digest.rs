@@ -5,6 +5,10 @@
 //! fused-kernel family (SGD-momentum's mul/add chain, Adam's sqrt/div
 //! direction, LAMB's dot-product trust ratio).
 //!
+//! Each run happens at two batch sizes: 8 rows per replica, two matmul
+//! row blocks, and 4, a single partial row block (≤ `MR`), the
+//! small-batch shape of every kernel.
+//!
 //! CI's `simd-determinism` job re-runs this test *and* diffs the
 //! `train_digest` binary's output across the full `SWIFT_SIMD` ×
 //! `RAYON_NUM_THREADS` matrix, extending the same assertion across
@@ -18,17 +22,21 @@ use swift_optim::OptimizerKind;
 use swift_tensor::simd::{self, SimdTier};
 use swift_tensor::{CounterRng, Tensor};
 
-/// Runs 2-replica DP training for 6 iterations under `tier` and returns
-/// rank 0's final parameters.
-fn train(tier: SimdTier, opt: OptimizerKind) -> ModelState {
+/// Rows per replica per step.
+const ROWS_PER_REPLICA: [usize; 2] = [8, 4];
+
+/// Runs 2-replica DP training for 6 iterations of `rows` rows per replica
+/// under `tier` and returns rank 0's final parameters.
+fn train(tier: SimdTier, opt: OptimizerKind, rows: usize) -> ModelState {
     simd::with_tier(tier, || {
         let states = Cluster::run_all(Topology::uniform(2, 1), move |mut ctx| {
             let mut w = DpWorker::new(mlp("tiers", &[24, 48, 48, 8], 13), opt.build());
             let mut rng = CounterRng::new(0x7137, ctx.rank() as u64);
             for it in 0..6u64 {
-                let x = Tensor::randn([8, 24], 0.0, 1.0, &mut rng);
-                let y: Vec<usize> = (0..8usize).map(|i| (it as usize * 5 + i) % 8).collect();
-                dp_train_step(&mut ctx, &mut w, &[0, 1], &x, &y, 1.0 / 8.0, None).unwrap();
+                let x = Tensor::randn([rows, 24], 0.0, 1.0, &mut rng);
+                let y: Vec<usize> = (0..rows).map(|i| (it as usize * 5 + i) % 8).collect();
+                let weight = 1.0 / rows as f32;
+                dp_train_step(&mut ctx, &mut w, &[0, 1], &x, &y, weight, None).unwrap();
             }
             w.model.state()
         });
@@ -38,13 +46,15 @@ fn train(tier: SimdTier, opt: OptimizerKind) -> ModelState {
 }
 
 fn assert_tier_independent(opt: OptimizerKind) {
-    let reference = train(SimdTier::Scalar, opt);
-    for &tier in simd::available_tiers() {
-        assert!(
-            train(tier, opt).bit_eq(&reference),
-            "tier {} diverged from scalar under {opt:?}",
-            tier.name()
-        );
+    for rows in ROWS_PER_REPLICA {
+        let reference = train(SimdTier::Scalar, opt, rows);
+        for &tier in simd::available_tiers() {
+            assert!(
+                train(tier, opt, rows).bit_eq(&reference),
+                "tier {} diverged from scalar under {opt:?} at {rows} rows per replica",
+                tier.name()
+            );
+        }
     }
 }
 

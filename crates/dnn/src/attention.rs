@@ -3,7 +3,7 @@
 //! The transformer stand-ins (ViT/BERT tiny) treat each example as a
 //! `[seq, hidden]` matrix flattened into one row of the batch tensor.
 
-use swift_tensor::{matmul, matmul_a_bt, matmul_at_b, CounterRng, Tensor};
+use swift_tensor::{matmul, matmul_a_bt, matmul_at_b_acc, CounterRng, Tensor};
 
 use crate::layer::{ActivationCache, Layer, Mode, StepCtx};
 
@@ -230,7 +230,7 @@ impl Layer for SelfAttention {
             );
             let dy = self.example(grad_out, e);
             // Y = Z Wo
-            self.grads[WO].add_inplace(&matmul_at_b(&z, &dy));
+            matmul_at_b_acc(&z, &dy, &mut self.grads[WO]);
             let dz = matmul_a_bt(&dy, &self.params[WO]); // dy · Woᵀ
                                                          // Per-head backward through Z_h = A_h V_h and the softmax.
             let mut dq = Tensor::zeros([s, h]);
@@ -243,8 +243,9 @@ impl Layer for SelfAttention {
                 let vh = col_slice(&v, head * hh, hh);
                 let dzh = col_slice(&dz, head * hh, hh);
                 let da = matmul_a_bt(&dzh, &vh); // dz_h · V_hᵀ
-                let dvh = matmul_at_b(&a, &dzh); // A_hᵀ dz_h
-                                                 // softmax backward, row-wise
+                let mut dvh = Tensor::zeros([s, hh]);
+                matmul_at_b_acc(&a, &dzh, &mut dvh); // A_hᵀ dz_h
+                                                     // softmax backward, row-wise
                 let mut dsm = Tensor::zeros([s, s]);
                 for r in 0..s {
                     let a_row = &a.data()[r * s..(r + 1) * s];
@@ -258,15 +259,16 @@ impl Layer for SelfAttention {
                 let dscores = dsm.scale(scale);
                 // scores = Q_h K_hᵀ
                 let dqh = matmul(&dscores, &kh);
-                let dkh = matmul_at_b(&dscores, &qh);
+                let mut dkh = Tensor::zeros([s, hh]);
+                matmul_at_b_acc(&dscores, &qh, &mut dkh);
                 write_col_slice(&mut dq, head * hh, &dqh);
                 write_col_slice(&mut dk, head * hh, &dkh);
                 write_col_slice(&mut dv, head * hh, &dvh);
             }
             // Q = X Wq etc.
-            self.grads[WQ].add_inplace(&matmul_at_b(&x, &dq));
-            self.grads[WK].add_inplace(&matmul_at_b(&x, &dk));
-            self.grads[WV].add_inplace(&matmul_at_b(&x, &dv));
+            matmul_at_b_acc(&x, &dq, &mut self.grads[WQ]);
+            matmul_at_b_acc(&x, &dk, &mut self.grads[WK]);
+            matmul_at_b_acc(&x, &dv, &mut self.grads[WV]);
             let mut dx = matmul_a_bt(&dq, &self.params[WQ]);
             dx.add_inplace(&matmul_a_bt(&dk, &self.params[WK]));
             dx.add_inplace(&matmul_a_bt(&dv, &self.params[WV]));

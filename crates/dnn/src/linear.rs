@@ -1,6 +1,6 @@
 //! Fully-connected layer with hand-written backward.
 
-use swift_tensor::{matmul, matmul_a_bt, matmul_at_b, CounterRng, Tensor};
+use swift_tensor::{matmul, matmul_a_bt, matmul_at_b_acc, CounterRng, Tensor};
 
 use crate::layer::{ActivationCache, Layer, Mode, StepCtx};
 
@@ -90,9 +90,8 @@ impl Layer for Linear {
 
     fn backward(&mut self, ctx: StepCtx, grad_out: &Tensor) -> Tensor {
         let x = self.cache.take(ctx);
-        // dW += dyᵀ x : [out, in]
-        let dw = matmul_at_b(grad_out, &x);
-        self.grads[W].add_inplace(&dw);
+        // dW += dyᵀ x : [out, in], the micro-batch's whole product added once
+        matmul_at_b_acc(grad_out, &x, &mut self.grads[W]);
         self.grads[B].add_inplace(&grad_out.sum_rows());
         // dx = dy W : [batch, in]
         matmul(grad_out, &self.params[W])

@@ -94,10 +94,13 @@ pub struct BlobStore {
 }
 
 impl BlobStore {
-    /// Opens (creating if needed) a store rooted at `root`.
+    /// Opens (creating if needed) a store rooted at `root`, removing the
+    /// temp files of puts whose process has exited: a writer killed
+    /// between write and rename leaves one behind ([`BlobStore::put`]).
     pub fn open(root: impl Into<PathBuf>) -> StoreResult<Self> {
         let root = root.into();
         fs::create_dir_all(&root)?;
+        remove_orphaned_temps(&root)?;
         Ok(BlobStore {
             root,
             bytes_written: Arc::new(AtomicU64::new(0)),
@@ -136,14 +139,31 @@ impl BlobStore {
     }
 
     /// Writes `data` under `key` (atomic replace).
+    ///
+    /// Every put writes its own temp file beside the key — the key's full
+    /// file name, the process id and a process-wide counter, then `.tmp`
+    /// (`iter3.bin.4711.9.tmp`) — and renames it over the key. So
+    /// `iter3.bin` and `iter3.delta` never share a temp file, and
+    /// concurrent puts of one key each rename a complete payload: the last
+    /// rename wins. [`BlobStore::list`] hides `*.tmp`, and
+    /// [`BlobStore::open`] removes those whose writer has exited.
     pub fn put(&self, key: &str, data: &[u8]) -> StoreResult<()> {
+        static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
         let path = self.path_of(key)?;
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
-        let tmp = path.with_extension("tmp");
-        fs::write(&tmp, data)?;
-        fs::rename(&tmp, &path)?;
+        let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
+        tmp_name.push(format!(
+            ".{}.{}.tmp",
+            std::process::id(),
+            NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+        ));
+        let tmp = path.with_file_name(tmp_name);
+        if let Err(e) = fs::write(&tmp, data).and_then(|()| fs::rename(&tmp, &path)) {
+            let _ = fs::remove_file(&tmp);
+            return Err(e.into());
+        }
         self.bytes_written
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         Ok(())
@@ -251,6 +271,43 @@ impl BlobStore {
     }
 }
 
+/// Removes every put temp file under `dir` whose writer is not running.
+/// A running writer's temp file, this process's included, may belong to a
+/// put in flight, so it stays.
+fn remove_orphaned_temps(dir: &Path) -> StoreResult<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            remove_orphaned_temps(&path)?;
+        } else if temp_writer(&path).is_some_and(|pid| !process_running(pid)) {
+            match fs::remove_file(&path) {
+                // Another process opening the same root got there first.
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+                _ => {}
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The writer's pid in a put's temp file name
+/// (`<file name>.<pid>.<counter>.tmp`), or `None` for any other file.
+fn temp_writer(path: &Path) -> Option<u32> {
+    let name = path.file_name()?.to_str()?.strip_suffix(".tmp")?;
+    let mut parts = name.rsplitn(3, '.');
+    parts.next()?.parse::<u64>().ok()?;
+    let pid = parts.next()?.parse().ok()?;
+    parts.next().map(|_| pid)
+}
+
+/// Whether process `pid` is running on this host. Only a Linux `/proc`
+/// can tell; without one every writer counts as running, so nothing is
+/// removed.
+fn process_running(pid: u32) -> bool {
+    let proc = Path::new("/proc");
+    !cfg!(target_os = "linux") || !proc.join("self").exists() || proc.join(pid.to_string()).exists()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,6 +392,34 @@ mod tests {
         assert_eq!(io.kind(), std::io::ErrorKind::InvalidInput);
         s.destroy().unwrap();
     }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn open_removes_temp_files_of_exited_writers() {
+        // A writer killed between write and rename leaves its temp file;
+        // the next open of the root removes it. A running writer's temp
+        // file (this process's) and the blobs themselves stay.
+        let s = BlobStore::new_temp("orphans").unwrap();
+        s.put("wal/k.bin", b"kept").unwrap();
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        let exited = child.id();
+        child.wait().unwrap();
+        let orphan = s.root().join(format!("wal/k.bin.{exited}.0.tmp"));
+        let in_flight = s
+            .root()
+            .join(format!("wal/k.delta.{}.0.tmp", std::process::id()));
+        fs::write(&orphan, b"torn").unwrap();
+        fs::write(&in_flight, b"half").unwrap();
+        let reopened = BlobStore::open(s.root()).unwrap();
+        assert!(!orphan.exists(), "an exited writer's temp file survived");
+        assert!(
+            in_flight.exists(),
+            "a running writer's temp file was removed"
+        );
+        assert_eq!(reopened.list("").unwrap(), vec!["wal/k.bin"]);
+        assert_eq!(reopened.get("wal/k.bin").unwrap().as_ref(), b"kept");
+        s.destroy().unwrap();
+    }
 }
 
 #[cfg(test)]
@@ -395,6 +480,65 @@ mod concurrency_tests {
         };
         writer.join().unwrap();
         reader.join().unwrap();
+        s.destroy().unwrap();
+    }
+
+    #[test]
+    fn sibling_and_same_key_puts_use_their_own_temp_files() {
+        // `k.bin` and `k.delta` differ only in extension, and both threads
+        // also put one shared key. Each put writes its own temp file, so
+        // every put succeeds and every read is one complete payload that
+        // was written under that key: a writer's tag byte, then one round
+        // number throughout.
+        const ROUNDS: u8 = 200;
+        const LEN: usize = 4096;
+        let s = BlobStore::new_temp("tmpnames").unwrap();
+        let payload = |tag: u8, round: u8| {
+            let mut p = vec![round; LEN];
+            p[0] = tag;
+            p
+        };
+        let check = |key: &str, v: &[u8], tags: &[u8]| {
+            assert_eq!(v.len(), LEN, "{key}: torn payload");
+            assert!(tags.contains(&v[0]), "{key}: payload of another key");
+            assert!(v[1..].iter().all(|&b| b == v[1]), "{key}: mixed payload");
+        };
+        let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let handles: Vec<_> = [(b'b', "k.bin"), (b'd', "k.delta")]
+            .into_iter()
+            .map(|(tag, own)| {
+                let s = s.clone();
+                let start = start.clone();
+                thread::spawn(move || {
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        s.put(own, &payload(tag, round)).unwrap();
+                        s.put("shared", &payload(tag, round)).unwrap();
+                        check(own, &s.get(own).unwrap(), &[tag]);
+                        check("shared", &s.get("shared").unwrap(), b"bd");
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(
+            s.get("k.bin").unwrap().as_ref(),
+            &payload(b'b', ROUNDS - 1)[..]
+        );
+        assert_eq!(
+            s.get("k.delta").unwrap().as_ref(),
+            &payload(b'd', ROUNDS - 1)[..]
+        );
+        let shared = s.get("shared").unwrap();
+        check("shared", &shared, b"bd");
+        assert_eq!(
+            shared[1],
+            ROUNDS - 1,
+            "the shared key holds a last-round payload"
+        );
+        assert_eq!(s.list("").unwrap(), vec!["k.bin", "k.delta", "shared"]);
         s.destroy().unwrap();
     }
 }

@@ -30,7 +30,7 @@ pub mod tensor;
 pub use half::{
     f16_bits_to_f32, f16_slice_to_f32, f32_slice_to_f16, f32_to_f16_bits, quantize_f16,
 };
-pub use matmul::{matmul, matmul_a_bt, matmul_at_b, matmul_into};
+pub use matmul::{matmul, matmul_a_bt, matmul_at_b_acc, matmul_into};
 pub use rng::{stream_id, CounterRng};
 #[cfg(target_endian = "little")]
 pub use serialize::f32_le_bytes;

@@ -12,21 +12,31 @@
 //! - **Matmul tile kernels** accumulate each output element in ascending-`k`
 //!   order with one accumulator per element (a lane holds exactly one
 //!   output column), matching the scalar tile loop step for step.
+//!   `tile_ab` carries that accumulator through the output between `k`
+//!   ranges (a store and a reload are exact); `tile_atb` adds its finished
+//!   sum to the output once.
 //! - **`dot`** always uses 8 logical accumulator lanes (8 × `f32`,
 //!   2 × `SseV`, or 1 × `AvxV`) reduced in fixed ascending lane order, so
 //!   lane `l` sees exactly the terms `x[8i+l]·y[8i+l]` in ascending `i` on
-//!   every tier.
+//!   every tier. `dot_rows` runs up to `MR` such dots against one shared
+//!   operand, each with its own 8 lanes and the same fold.
+
+use std::ops::Range;
 
 use super::vec::Vf32;
 use super::{DOT_LANES, MR, NR};
 
-/// One `rows × NR` register tile of `C = A·B` at column `c0`: overwrites
-/// `out_block[i·n + c0 .. +NR]` with `Σ_k a_rows[i][k]·bd[k·n + c0 + j]`,
-/// ascending `k`, one accumulator per element.
+/// One `rows × NR` register tile of `C = A·B` at column `c0`, over the
+/// `k` range `ks`. Each element's accumulator starts at +0.0 when
+/// `ks.start == 0`, or else at the value already in `out_block`, adds
+/// `a_rows[i][kk]·bd[kk·n + c0 + j]` for ascending `kk` in `ks`, and is
+/// stored back. A store and a reload are exact, so consecutive ranges
+/// from `0` give the same bits as one walk over `0..k`.
 ///
 /// # Safety
-/// Requires the ISA of `V`; `a_rows[i].len() == k`, `bd.len() ≥ k·n`,
-/// `c0 + NR ≤ n`, and `out_block` must cover `rows` rows of stride `n`.
+/// Requires the ISA of `V`; `a_rows[i].len() ≥ ks.end`,
+/// `bd.len() ≥ ks.end·n`, `c0 + NR ≤ n`, and `out_block` must cover
+/// `rows` rows of stride `n`.
 //
 // `inline(always)` is load-bearing on every generic kernel here: the body
 // must be compiled *inside* the `#[target_feature]` wrapper that
@@ -42,17 +52,29 @@ use super::{DOT_LANES, MR, NR};
 pub(super) unsafe fn tile_ab<V: Vf32>(
     a_rows: &[&[f32]],
     bd: &[f32],
-    k: usize,
+    ks: Range<usize>,
     n: usize,
     c0: usize,
     out_block: &mut [f32],
 ) {
     let rows = a_rows.len();
-    debug_assert!(rows <= MR && c0 + NR <= n && bd.len() >= k * n);
+    debug_assert!(rows <= MR && c0 + NR <= n && bd.len() >= ks.end * n);
     let nv = NR / V::LANES;
+    // SAFETY: the caller's contract above bounds every access: each `kk`
+    // is below `ks.end`, so `a_rows[i][kk]` and the `NR` floats at
+    // `bd[kk·n + c0]` exist, and the `NR` floats at `i·n + c0` lie inside
+    // `out_block` for every `i < rows`.
     unsafe {
         let mut acc = [[V::splat(0.0); NR]; MR];
-        for kk in 0..k {
+        if ks.start > 0 {
+            for (i, acc_i) in acc.iter_mut().enumerate().take(rows) {
+                let obase = out_block.as_ptr().add(i * n + c0);
+                for v in 0..nv {
+                    acc_i[v] = V::load(obase.add(v * V::LANES));
+                }
+            }
+        }
+        for kk in ks {
             let bbase = bd.as_ptr().add(kk * n + c0);
             let mut bvs = [V::splat(0.0); NR];
             for (v, slot) in bvs.iter_mut().enumerate().take(nv) {
@@ -75,8 +97,10 @@ pub(super) unsafe fn tile_ab<V: Vf32>(
     }
 }
 
-/// One `rows × NR` register tile of `C = Aᵀ·B` (`a` stored `[k, m]`): the
-/// block's `A` operands sit contiguously at `ad[kk·m + r0 ..]`.
+/// One `rows × NR` register tile of `C += Aᵀ·B` (`a` stored `[k, m]`): the
+/// block's `A` operands sit contiguously at `ad[kk·m + r0 ..]`. Each
+/// element's sum starts at +0.0 and runs over ascending `k`; the finished
+/// sum is then added to the element once, `c + Σ_k`.
 ///
 /// # Safety
 /// Requires the ISA of `V`; `ad.len() ≥ k·m`, `r0 + rows ≤ m`,
@@ -97,6 +121,9 @@ pub(super) unsafe fn tile_atb<V: Vf32>(
 ) {
     debug_assert!(rows <= MR && c0 + NR <= n && bd.len() >= k * n && ad.len() >= k * m);
     let nv = NR / V::LANES;
+    // SAFETY: the caller's contract above bounds every access: `ad[kk·m +
+    // r0 + i]` for `i < rows`, the `NR` floats at `bd[kk·n + c0]` for
+    // `kk < k`, and the `NR` floats at `i·n + c0` of `out_block`.
     unsafe {
         let mut acc = [[V::splat(0.0); NR]; MR];
         for kk in 0..k {
@@ -117,7 +144,8 @@ pub(super) unsafe fn tile_atb<V: Vf32>(
         for (i, acc_i) in acc.iter().enumerate().take(rows) {
             let obase = out_block.as_mut_ptr().add(i * n + c0);
             for v in 0..nv {
-                acc_i[v].store(obase.add(v * V::LANES));
+                let p = obase.add(v * V::LANES);
+                V::load(p).add(acc_i[v]).store(p);
             }
         }
     }
@@ -132,9 +160,8 @@ pub(super) unsafe fn tile_atb<V: Vf32>(
 #[inline(always)]
 pub(super) unsafe fn dot<V: Vf32>(x: &[f32], y: &[f32]) -> f32 {
     debug_assert_eq!(x.len(), y.len());
-    let n = x.len();
     let nacc = DOT_LANES / V::LANES;
-    let chunks = n / DOT_LANES;
+    let chunks = x.len() / DOT_LANES;
     unsafe {
         let mut acc = [V::splat(0.0); DOT_LANES];
         for c in 0..chunks {
@@ -146,6 +173,73 @@ pub(super) unsafe fn dot<V: Vf32>(x: &[f32], y: &[f32]) -> f32 {
                 *slot = slot.add(xv.mul(yv));
             }
         }
+        fold_dot(&acc, x, y)
+    }
+}
+
+/// The `rows` dots of one block of `C = A·Bᵀ` (`b` stored `[n, k]`) against
+/// every row of `b`: `out_block[i·n + c] = dot(a_rows[i], b_c)`. Each `b`
+/// row is read once, every [`DOT_LANES`] chunk of it used by all the
+/// block's rows while it sits in L1, and each output keeps [`dot`]'s own
+/// lane accumulators, lane split and fold, so every element has `dot`'s
+/// bits.
+///
+/// # Safety
+/// Requires the ISA of `V`; `a_rows[i].len() == k`, `bd.len() ≥ n·k`,
+/// `a_rows.len() ≤ MR`, and `out_block` must cover `rows` rows of
+/// stride `n`.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+pub(super) unsafe fn dot_rows<V: Vf32>(
+    a_rows: &[&[f32]],
+    bd: &[f32],
+    k: usize,
+    n: usize,
+    out_block: &mut [f32],
+) {
+    let rows = a_rows.len();
+    debug_assert!(rows <= MR && bd.len() >= n * k);
+    let nacc = DOT_LANES / V::LANES;
+    let chunks = k / DOT_LANES;
+    // SAFETY: the caller's contract above bounds every access: row `c < n`
+    // of `bd` spans `[c·k, (c+1)·k)`, every vector load reads below
+    // `chunks·DOT_LANES ≤ k` of a length-`k` slice, `i < rows ≤ MR`
+    // indexes both `a_rows` and `acc`, and `i·n + c` lies inside
+    // `out_block`.
+    unsafe {
+        for c in 0..n {
+            let y = bd.get_unchecked(c * k..(c + 1) * k);
+            let mut acc = [[V::splat(0.0); DOT_LANES]; MR];
+            for ch in 0..chunks {
+                let off = ch * DOT_LANES;
+                for va in 0..nacc {
+                    let yv = V::load(y.as_ptr().add(off + va * V::LANES));
+                    for i in 0..rows {
+                        let xv = V::load(a_rows.get_unchecked(i).as_ptr().add(off + va * V::LANES));
+                        acc[i][va] = acc[i][va].add(xv.mul(yv));
+                    }
+                }
+            }
+            for i in 0..rows {
+                *out_block.get_unchecked_mut(i * n + c) =
+                    fold_dot(&acc[i], a_rows.get_unchecked(i), y);
+            }
+        }
+    }
+}
+
+/// Folds one dot's [`DOT_LANES`] logical lanes in ascending order, then adds
+/// the scalar tail (`x.len() % DOT_LANES` products) in ascending order.
+///
+/// # Safety
+/// Requires the ISA of `V` and `x.len() == y.len()`.
+#[inline(always)]
+unsafe fn fold_dot<V: Vf32>(acc: &[V; DOT_LANES], x: &[f32], y: &[f32]) -> f32 {
+    let nacc = DOT_LANES / V::LANES;
+    let tail = x.len() - x.len() % DOT_LANES;
+    // SAFETY: `nacc` stores of `V::LANES` floats fill the `DOT_LANES`-float
+    // `lanes` exactly, and the tail indexes stay below `x.len() == y.len()`.
+    unsafe {
         let mut lanes = [0.0f32; DOT_LANES];
         for (va, slot) in acc.iter().enumerate().take(nacc) {
             slot.store(lanes.as_mut_ptr().add(va * V::LANES));
@@ -154,7 +248,7 @@ pub(super) unsafe fn dot<V: Vf32>(x: &[f32], y: &[f32]) -> f32 {
         for &lane in &lanes {
             s += lane;
         }
-        for i in chunks * DOT_LANES..n {
+        for i in tail..x.len() {
             s += *x.get_unchecked(i) * *y.get_unchecked(i);
         }
         s

@@ -22,6 +22,7 @@ mod kernels;
 mod vec;
 
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -232,38 +233,45 @@ macro_rules! tier_dispatch {
 }
 
 tier_wrappers!(tile_ab, tile_ab_sse2, tile_ab_avx2,
-    (a_rows: &[&[f32]], bd: &[f32], k: usize, n: usize, c0: usize, out_block: &mut [f32]) -> ());
+    (a_rows: &[&[f32]], bd: &[f32], ks: Range<usize>, n: usize, c0: usize,
+     out_block: &mut [f32]) -> ());
 tier_wrappers!(tile_atb, tile_atb_sse2, tile_atb_avx2,
     (ad: &[f32], bd: &[f32], k: usize, m: usize, n: usize, r0: usize, rows: usize, c0: usize,
      out_block: &mut [f32]) -> ());
 tier_wrappers!(dot, dot_sse2, dot_avx2, (x: &[f32], y: &[f32]) -> f32);
+tier_wrappers!(dot_rows, dot_rows_sse2, dot_rows_avx2,
+    (a_rows: &[&[f32]], bd: &[f32], k: usize, n: usize, out_block: &mut [f32]) -> ());
 
-/// One `rows × NR` register tile of `C = A·B` at column `c0` (overwrites).
-/// `a_rows` holds ≤ [`MR`] row slices of length `k`; `out_block` covers the
-/// same rows with stride `n`; requires `c0 + NR ≤ n` and `bd.len() ≥ k·n`.
+/// One `rows × NR` register tile of `C = A·B` at column `c0` over the `k`
+/// range `ks`, stored to `out_block`. Each element starts from +0.0 when
+/// `ks.start == 0`, or else from its value in `out_block`, and adds its
+/// products in ascending `k`. `a_rows` holds ≤ [`MR`] row slices of
+/// length ≥ `ks.end`; `out_block` covers the same rows with stride `n`;
+/// requires `c0 + NR ≤ n` and `bd.len() ≥ ks.end·n`.
 pub fn tile_ab(
     a_rows: &[&[f32]],
     bd: &[f32],
-    k: usize,
+    ks: Range<usize>,
     n: usize,
     c0: usize,
     out_block: &mut [f32],
 ) {
-    assert!(a_rows.len() <= MR && c0 + NR <= n && bd.len() >= k * n);
+    assert!(a_rows.len() <= MR && c0 + NR <= n && bd.len() >= ks.end * n);
     for r in a_rows {
-        assert_eq!(r.len(), k);
+        assert!(r.len() >= ks.end);
     }
     assert!(out_block.len() >= a_rows.len().saturating_sub(1) * n + c0 + NR);
     tier_dispatch!(
         tile_ab,
         tile_ab_sse2,
         tile_ab_avx2,
-        (a_rows, bd, k, n, c0, out_block)
+        (a_rows, bd, ks, n, c0, out_block)
     )
 }
 
-/// One `rows × NR` register tile of `C = Aᵀ·B` (`a` stored `[k, m]`) at
-/// rows `r0..r0+rows`, column `c0` (overwrites).
+/// One `rows × NR` register tile of `C += Aᵀ·B` (`a` stored `[k, m]`) at
+/// rows `r0..r0+rows`, column `c0`: each element gets its ascending-`k`
+/// sum, started at +0.0, added once.
 #[allow(clippy::too_many_arguments)]
 pub fn tile_atb(
     ad: &[f32],
@@ -292,6 +300,23 @@ pub fn tile_atb(
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len());
     tier_dispatch!(dot, dot_sse2, dot_avx2, (x, y))
+}
+
+/// `out_block[i·n + c] = dot(a_rows[i], bd[c·k .. (c+1)·k])` for every row
+/// of `bd` (stored `[n, k]`), walking `bd` once for all ≤ [`MR`] rows.
+/// Every element has [`dot`]'s bits.
+pub fn dot_rows(a_rows: &[&[f32]], bd: &[f32], k: usize, n: usize, out_block: &mut [f32]) {
+    assert!(a_rows.len() <= MR && bd.len() >= n * k);
+    for r in a_rows {
+        assert_eq!(r.len(), k);
+    }
+    assert!(out_block.len() >= a_rows.len() * n);
+    tier_dispatch!(
+        dot_rows,
+        dot_rows_sse2,
+        dot_rows_avx2,
+        (a_rows, bd, k, n, out_block)
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -484,6 +509,30 @@ pub fn f16_to_f32_into(src: &[u16], dst: &mut [f32]) {
     } else {
         f16_to_f32_into_seq(src, dst);
     }
+}
+
+/// The documented 8-lane dot, written out with no dispatch: lane `l` sums
+/// `x[8i+l]·y[8i+l]` in ascending `i`, the lanes fold in ascending order,
+/// then the tail adds in ascending order. The reference every dot-based
+/// kernel is checked against.
+#[cfg(test)]
+pub(crate) fn reference_dot(x: &[f32], y: &[f32]) -> f32 {
+    let n = x.len();
+    let mut lanes = [0.0f32; DOT_LANES];
+    let chunks = n / DOT_LANES;
+    for c in 0..chunks {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            *lane += x[c * DOT_LANES + l] * y[c * DOT_LANES + l];
+        }
+    }
+    let mut s = 0.0f32;
+    for &lane in &lanes {
+        s += lane;
+    }
+    for i in chunks * DOT_LANES..n {
+        s += x[i] * y[i];
+    }
+    s
 }
 
 #[cfg(test)]
@@ -687,21 +736,7 @@ mod tests {
         for &n in SIZES {
             let x = fill(&mut rng, n);
             let y = fill(&mut rng, n);
-            // Reference: the documented 8-lane split accumulation.
-            let mut lanes = [0.0f32; DOT_LANES];
-            let chunks = n / DOT_LANES;
-            for c in 0..chunks {
-                for l in 0..DOT_LANES {
-                    lanes[l] += x[c * DOT_LANES + l] * y[c * DOT_LANES + l];
-                }
-            }
-            let mut want = 0.0f32;
-            for &lane in &lanes {
-                want += lane;
-            }
-            for i in chunks * DOT_LANES..n {
-                want += x[i] * y[i];
-            }
+            let want = reference_dot(&x, &y);
             for &tier in tiers() {
                 let got = with_tier(tier, || dot(&x, &y));
                 assert_eq!(got.to_bits(), want.to_bits(), "dot tier {}", tier.name());
@@ -711,31 +746,43 @@ mod tests {
 
     #[test]
     fn tile_ab_bit_eq_across_tiers() {
+        // Whole-`k` tiles from zero, and a `k` walk split at `split` whose
+        // second range carries on from the output (at `split = 0` the
+        // empty first range zeroes the tile and the second starts from
+        // zero too).
         let mut rng = CounterRng::new(0x7117, 4);
-        for &(rows, k, n, c0) in &[
-            (MR, 17usize, NR + 8, 0usize),
-            (MR, 5, NR, 0),
-            (2, 33, 2 * NR + 8, NR),
-            (1, 1, NR, 0),
-            (3, 64, NR + 8, 8),
+        for &(rows, k, n, c0, split) in &[
+            (MR, 17usize, NR + 8, 0usize, 16usize),
+            (MR, 5, NR, 0, 5),
+            (2, 33, 2 * NR + 8, NR, 1),
+            (1, 1, NR, 0, 0),
+            (3, 64, NR + 8, 8, 48),
         ] {
             let ad: Vec<f32> = fill(&mut rng, rows * k);
             let bd = fill(&mut rng, k * n);
+            let dirty = fill(&mut rng, rows * n);
             let a_rows: Vec<&[f32]> = (0..rows).map(|i| &ad[i * k..(i + 1) * k]).collect();
             let run = |tier: SimdTier| {
                 with_tier(tier, || {
-                    let mut out = vec![0.0f32; rows * n];
-                    tile_ab(&a_rows, &bd, k, n, c0, &mut out);
-                    out
+                    let mut whole = dirty.clone();
+                    tile_ab(&a_rows, &bd, 0..k, n, c0, &mut whole);
+                    let mut split_walk = dirty.clone();
+                    tile_ab(&a_rows, &bd, 0..split, n, c0, &mut split_walk);
+                    tile_ab(&a_rows, &bd, split..k, n, c0, &mut split_walk);
+                    (whole, split_walk)
                 })
             };
             let want = run(SimdTier::Scalar);
+            let same =
+                |x: &[f32], y: &[f32]| x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(
+                same(&want.0, &want.1),
+                "tile_ab split walk differs from one walk rows={rows} k={k} split={split}"
+            );
             for &tier in tiers() {
                 let got = run(tier);
                 assert!(
-                    want.iter()
-                        .zip(&got)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    same(&want.0, &got.0) && same(&want.1, &got.1),
                     "tile_ab tier {} rows={rows} k={k} n={n} c0={c0}",
                     tier.name()
                 );
@@ -754,9 +801,10 @@ mod tests {
         ] {
             let ad = fill(&mut rng, k * m);
             let bd = fill(&mut rng, k * n);
+            let dirty = fill(&mut rng, rows * n);
             let run = |tier: SimdTier| {
                 with_tier(tier, || {
-                    let mut out = vec![0.0f32; rows * n];
+                    let mut out = dirty.clone();
                     tile_atb(&ad, &bd, k, m, n, r0, rows, c0, &mut out);
                     out
                 })

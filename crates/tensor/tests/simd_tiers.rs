@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use swift_tensor::simd::{self, SimdTier};
-use swift_tensor::{matmul, matmul_a_bt, matmul_at_b, Tensor};
+use swift_tensor::{matmul, matmul_a_bt, matmul_at_b_acc, Tensor};
 
 /// Raw bit patterns: includes every NaN payload, ±inf, subnormals.
 fn arb_bits_f32() -> impl Strategy<Value = f32> {
@@ -60,14 +60,15 @@ fn assert_tiers_bit_eq<T: PartialEq + std::fmt::Debug>(op: &dyn Fn() -> T) {
 }
 
 proptest! {
-    // All three matmul drivers (AB, AᵀB, ABᵀ) — the register-tile
-    // kernels plus their row/column remainder paths — are bitwise
-    // tier-independent at every shape, including shapes far smaller
-    // than one MR×NR tile.
+    // All three matmul forms (AB, AᵀB accumulated onto a dirty
+    // gradient, ABᵀ) — the register-tile kernels, the multi-row dot, the
+    // panel walk, and their row/column remainder paths — are bitwise
+    // tier-independent at every shape, including shapes far smaller than
+    // one MR×NR tile and a 2560-deep k (one case in six).
     #[test]
     fn matmul_drivers_bitwise_across_tiers(
         m in 1usize..24,
-        k in 1usize..40,
+        k in (1usize..48).prop_map(|k| if k < 40 { k } else { 2560 }),
         n in 1usize..56,
         seed in any::<u64>(),
     ) {
@@ -84,8 +85,13 @@ proptest! {
         let b = Tensor::from_vec([k, n], (0..k * n).map(|_| next()).collect());
         let at = Tensor::from_vec([k, m], (0..k * m).map(|_| next()).collect());
         let bt = Tensor::from_vec([n, k], (0..n * k).map(|_| next()).collect());
+        let g = Tensor::from_vec([m, n], (0..m * n).map(|_| next()).collect());
         assert_tiers_bit_eq(&|| bits(matmul(&a, &b).data()));
-        assert_tiers_bit_eq(&|| bits(matmul_at_b(&at, &b).data()));
+        assert_tiers_bit_eq(&|| {
+            let mut out = g.clone();
+            matmul_at_b_acc(&at, &b, &mut out);
+            bits(out.data())
+        });
         assert_tiers_bit_eq(&|| bits(matmul_a_bt(&a, &bt).data()));
     }
 

@@ -19,8 +19,8 @@
 //!      in [`NET_WALL_CLOCK_ALLOWLIST`];
 //!    - no `Vec::new` / `vec![` / `.to_vec(` / `Vec::with_capacity(` in
 //!      the hot-loop modules ([`HOT_LOOP_PATHS`]: the SIMD kernels,
-//!      matmul, the conv layer, the fused optimizer kernels, and the WAL
-//!      record encode path) — the steady-state contract is zero
+//!      matmul, the linear and conv layers, the fused optimizer kernels,
+//!      and the WAL record encode path) — the steady-state contract is zero
 //!      allocations per train step, and a stray `vec![]` in a kernel
 //!      silently re-introduces per-step malloc traffic. Cold code opts
 //!      out with a `lint:alloc-ok` comment on the line;
@@ -564,6 +564,7 @@ fn lint_no_wall_clock_in_net(root: &Path) -> usize {
 const HOT_LOOP_PATHS: &[&str] = &[
     "crates/tensor/src/matmul.rs",
     "crates/tensor/src/simd",
+    "crates/dnn/src/linear.rs",
     "crates/dnn/src/conv.rs",
     "crates/optim/src/ops.rs",
     "crates/wal/src/record.rs",
