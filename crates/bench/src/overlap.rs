@@ -169,7 +169,9 @@ fn bench_overlap_step(quick: bool) -> BenchResult {
         let mut reducer = BucketedAllreduce::new(me, &ranks, &numels, CAP_BYTES);
         let mut out: Vec<Tensor> = grads.clone();
         for g in (0..GROUPS).rev() {
-            reducer.stage(&mut ctx.comm, g, &grads[g]).unwrap();
+            reducer
+                .stage(&mut ctx.comm, g, &grads[g], &mut out)
+                .unwrap();
         }
         reducer
             .finish(&mut ctx.comm, &mut out, &mut |_, _| Ok(()))
@@ -181,7 +183,9 @@ fn bench_overlap_step(quick: bool) -> BenchResult {
         let fast = best_ns(iters, || {
             reducer.reset();
             for g in (0..GROUPS).rev() {
-                reducer.stage(&mut ctx.comm, g, &grads[g]).unwrap();
+                reducer
+                    .stage(&mut ctx.comm, g, &grads[g], &mut out)
+                    .unwrap();
             }
             reducer
                 .finish(&mut ctx.comm, &mut out, &mut |_, _| Ok(()))

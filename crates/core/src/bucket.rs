@@ -8,13 +8,15 @@
 //! the moment its backward finishes, overlapping the transfer with the
 //! remaining backward compute; the *bucket* is the synchronization,
 //! result, and update granularity: one tag, one result message, and one
-//! update callback per bucket, drained in launch order.
+//! update callback per bucket, drained in launch order. It reduces
+//! straight into the caller's per-group gradient tensors, and the root
+//! ships each bucket's result before it applies that bucket itself.
 //!
-//! Determinism contract: the root folds peer contributions in ascending
-//! rank order at each group's flat offset — elementwise, exactly the
-//! monolithic `allreduce_sum_among` left-fold — so results are bitwise
-//! identical to per-group monolithic all-reduce at any bucket cap and
-//! thread count. Two invariants are part of the wire protocol: every
+//! Determinism contract: the root folds peer contributions into its own
+//! staged copy of each group in ascending rank order — elementwise,
+//! exactly the monolithic `allreduce_sum_among` left-fold — so results
+//! are bitwise identical to per-group monolithic all-reduce at any bucket
+//! cap and thread count. Two invariants are part of the wire protocol: every
 //! participant must use the *same bucket cap* (bucket boundaries shape
 //! the message streams) and must stage groups in the *same order* (the
 //! shared backward order) — the root decodes each peer's per-bucket
@@ -23,6 +25,7 @@
 use std::ops::Range;
 
 use bytes::Bytes;
+use swift_dnn::Sequential;
 use swift_net::{bytemuck_f32, f32_from_bytes, Comm, CommError, Rank};
 use swift_tensor::Tensor;
 
@@ -31,7 +34,7 @@ use swift_tensor::Tensor;
 pub const DEFAULT_BUCKET_CAP_BYTES: usize = 4 * 1024 * 1024;
 
 /// Per-bucket completion callback: receives the bucket's global group
-/// range and the scattered (reduced) gradients.
+/// range and every group's gradient tensor, the bucket's ones reduced.
 pub type BucketCallback<'a> = &'a mut dyn FnMut(Range<usize>, &[Tensor]) -> Result<(), CommError>;
 
 /// Assigns parameter groups to size-capped buckets in reverse (backward
@@ -123,32 +126,29 @@ impl GradBucketer {
     }
 }
 
-/// One step's bucketed gradient all-reduce among a replica group.
+/// One step's bucketed gradient all-reduce among a replica group, reduced
+/// straight into the caller's gradient tensors (`out`, one per group).
 ///
 /// Non-root ranks stream each group's raw gradient bytes to the root as
-/// soon as backward produces it ([`Self::stage`]) — no pack copy, no
-/// bucket-sized payload allocation; the root folds peer contributions
-/// zero-copy into a per-bucket flat accumulator and returns results per
-/// bucket in [`Self::finish`], invoking a per-bucket callback (layer-wise
-/// updates, progress marks, crash injection) *before* the result leaves
-/// the root — which makes mid-launch crash tests deterministic. Peers
-/// scatter the bucket result straight from the wire into the output
-/// tensors.
+/// soon as backward produces it ([`Self::stage`]): no pack copy, no
+/// bucket-sized payload allocation. The root copies its own gradient into
+/// `out[g]` and folds peer contributions into it in [`Self::finish`], one
+/// bucket at a time. It ships each bucket's result to the live peers
+/// *before* it runs the per-bucket callback (layer-wise update, progress
+/// marks), so every peer's scatter and update run alongside the root's.
+/// Peers scatter the result straight from the wire into `out`.
 pub struct BucketedAllreduce {
     me: Rank,
     root: Rank,
-    /// Sorted participants.
+    /// Sorted participants; the root is the first.
     participants: Vec<Rank>,
     bucketer: GradBucketer,
     numels: Vec<usize>,
-    /// Root only: per-bucket flat fold accumulators (peers stream their
-    /// contributions straight to the wire and never pack).
-    flats: Vec<Vec<f32>>,
     /// Per-bucket collective tag, allocated at the bucket's first stage.
     tags: Vec<Option<u64>>,
     /// Per-bucket groups in the order they were staged this step (the
     /// shared backward order); the root uses its own record to map each
-    /// peer's positional message stream back to group offsets.
+    /// peer's positional message stream back to groups.
     stage_order: Vec<Vec<usize>>,
     /// Buckets in the order they were launched this step.
     launch_order: Vec<usize>,
@@ -167,15 +167,6 @@ impl BucketedAllreduce {
         assert!(sorted.contains(&me), "caller must be a participant");
         let root = sorted[0];
         let bucketer = GradBucketer::new(group_numels, cap_bytes);
-        let flats = (0..bucketer.num_buckets())
-            .map(|b| {
-                if me == root {
-                    vec![0.0f32; bucketer.elems_of(b)]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
         let tags = vec![None; bucketer.num_buckets()];
         let stage_order = vec![Vec::new(); bucketer.num_buckets()];
         BucketedAllreduce {
@@ -184,7 +175,6 @@ impl BucketedAllreduce {
             participants: sorted,
             bucketer,
             numels: group_numels.to_vec(),
-            flats,
             tags,
             stage_order,
             launch_order: Vec::new(),
@@ -215,14 +205,21 @@ impl BucketedAllreduce {
         self.bucketer.num_buckets()
     }
 
-    /// Stages group `g`'s local gradient: the root folds it into the
-    /// bucket's flat accumulator, peers ship the raw bytes to the root
-    /// immediately (overlapping with the remaining backward). The bucket
-    /// is launched — its tag allocated and its drain scheduled — at its
-    /// first staged group; every participant must stage in the same
-    /// (backward) order so tags and message streams line up.
-    pub fn stage(&mut self, comm: &mut Comm, g: usize, grad: &Tensor) -> Result<(), CommError> {
-        let (b, off) = self.bucketer.slot_of(g);
+    /// Stages group `g`'s local gradient: the root copies it into
+    /// `out[g]`, where [`Self::finish`] folds the peers in; peers ship the
+    /// raw bytes to the root immediately (overlapping with the remaining
+    /// backward) and leave `out` alone. The bucket is launched — its tag
+    /// allocated and its drain scheduled — at its first staged group;
+    /// every participant must stage in the same (backward) order so tags
+    /// and message streams line up.
+    pub fn stage(
+        &mut self,
+        comm: &mut Comm,
+        g: usize,
+        grad: &Tensor,
+        out: &mut [Tensor],
+    ) -> Result<(), CommError> {
+        let (b, _) = self.bucketer.slot_of(g);
         debug_assert_eq!(grad.numel(), self.numels[g], "gradient/group shape drift");
         let tag = match self.tags[b] {
             Some(t) => t,
@@ -238,7 +235,7 @@ impl BucketedAllreduce {
         };
         self.stage_order[b].push(g);
         if self.me == self.root {
-            self.flats[b][off..off + grad.numel()].copy_from_slice(grad.data());
+            out[g].data_mut().copy_from_slice(grad.data());
         } else {
             comm.send_bytes(
                 self.root,
@@ -252,91 +249,86 @@ impl BucketedAllreduce {
         Ok(())
     }
 
-    /// Drains launched buckets in launch order: the root folds peer
-    /// payloads (ascending rank — the monolithic fold order), scatters the
-    /// reduced gradients into `out`, runs `on_bucket` with the bucket's
-    /// global group range and the scattered tensors, and only then ships
-    /// results to peers. Non-root ranks receive, scatter, then run the
-    /// callback.
+    /// Drains launched buckets in launch order. The root folds each peer's
+    /// payloads into `out` (ascending rank after its own staged copy: the
+    /// monolithic fold order), ships the bucket's result to the live
+    /// peers, and then runs `on_bucket` with the bucket's global group
+    /// range and `out`. Peers receive the result into `out`, then run the
+    /// callback. On an error, the buckets already passed to `on_bucket`
+    /// hold their reduced values in `out`; the rest are unspecified.
     pub fn finish(
-        &mut self,
+        &self,
         comm: &mut Comm,
         out: &mut [Tensor],
         on_bucket: BucketCallback<'_>,
     ) -> Result<(), CommError> {
-        let launched = std::mem::take(&mut self.launch_order);
-        for &b in &launched {
+        let peers = &self.participants[1..];
+        for &b in &self.launch_order {
             let tag = self.tags[b].expect("launched bucket has a tag");
+            let groups = self.bucketer.groups_of(b);
             if self.me == self.root {
-                // Fold peers in ascending rank order (the monolithic fold
-                // order); each peer's stream carries one message per group
-                // in the shared staging order, folded zero-copy at that
-                // group's flat offset.
-                for &peer in self.participants.iter().filter(|&&p| p != self.root) {
-                    for k in 0..self.stage_order[b].len() {
-                        let g = self.stage_order[b][k];
-                        let (_, off) = self.bucketer.slot_of(g);
+                // Each peer's stream carries one message per group in the
+                // shared staging order.
+                for &peer in peers {
+                    for &g in &self.stage_order[b] {
                         let payload = comm.recv_bytes(peer, tag)?;
                         debug_assert_eq!(
                             payload.len(),
                             self.numels[g] * 4,
                             "peer staged groups in a different order"
                         );
-                        for (acc, v) in self.flats[b][off..off + self.numels[g]]
-                            .iter_mut()
-                            .zip(f32_from_bytes(&payload))
-                        {
+                        for (acc, v) in out[g].data_mut().iter_mut().zip(f32_from_bytes(&payload)) {
                             *acc += v;
                         }
                     }
                 }
-                self.scatter(b, out);
-                on_bucket(self.bucketer.groups_of(b), out)?;
-                // The root already applied this bucket, so every
-                // *surviving* peer must still receive the result (the
-                // update-before-result-send contract). A peer whose
-                // link is dark — already, or by the time its send is
-                // written — died mid-step: its result is doomed, and
-                // declaring the failure from the fan-out would fence the
-                // sends the survivors behind it still need. Skip it —
+                // A peer whose link is dark — already, or by the time its
+                // send is written — died mid-step: its result is doomed,
+                // and declaring the failure from the fan-out would fence
+                // the sends the survivors behind it still need. Skip it —
                 // the data dependency at the next fold (or the lease
-                // monitor) declares the death instead. The wire payload
-                // is built lazily so a peerless (single-replica) step
-                // stays allocation-free.
+                // monitor) declares the death instead. The result is
+                // gathered once, and only when a live peer needs it, so a
+                // peerless (single-replica) step stays allocation-free.
                 let mut result: Option<Bytes> = None;
-                for &peer in self.participants.iter().filter(|&&p| p != self.root) {
+                for &peer in peers {
                     if !comm.peer_link_up(peer) {
                         continue;
                     }
                     let payload = result
-                        .get_or_insert_with(|| Bytes::copy_from_slice(bytemuck_f32(&self.flats[b])))
+                        .get_or_insert_with(|| {
+                            let mut buf = Vec::with_capacity(self.bucketer.elems_of(b) * 4);
+                            for t in &out[groups.clone()] {
+                                buf.extend_from_slice(bytemuck_f32(t.data()));
+                            }
+                            Bytes::from(buf)
+                        })
                         .clone();
                     comm.send_unless_dark(peer, tag ^ (1 << 32), payload)?;
                 }
             } else {
-                // Scatter the bucket result straight from the wire.
                 let payload = comm.recv_bytes(self.root, tag ^ (1 << 32))?;
                 let mut off = 0usize;
-                for g in self.bucketer.groups_of(b) {
-                    let n = self.numels[g];
+                for g in groups.clone() {
+                    let n = self.numels[g] * 4;
                     for (dst, v) in out[g]
                         .data_mut()
                         .iter_mut()
-                        .zip(f32_from_bytes(&payload[off * 4..(off + n) * 4]))
+                        .zip(f32_from_bytes(&payload[off..off + n]))
                     {
                         *dst = v;
                     }
                     off += n;
                 }
-                on_bucket(self.bucketer.groups_of(b), out)?;
             }
+            on_bucket(groups, out)?;
         }
-        self.launch_order = launched;
         Ok(())
     }
 
-    /// Rearms for the next step, reusing the root's flat accumulators
-    /// (stage overwrites every element, so no zeroing is needed).
+    /// Rearms for the next step. Nothing is zeroed: the root's `stage`
+    /// overwrites each group's `out` tensor before any peer is folded in,
+    /// and a peer's result overwrites it whole.
     pub fn reset(&mut self) {
         self.bucketer.reset();
         self.launch_order.clear();
@@ -347,22 +339,89 @@ impl BucketedAllreduce {
             s.clear();
         }
     }
+}
 
-    fn scatter(&self, b: usize, out: &mut [Tensor]) {
-        let mut off = 0usize;
-        for g in self.bucketer.groups_of(b) {
-            let n = self.numels[g];
-            out[g]
-                .data_mut()
-                .copy_from_slice(&self.flats[b][off..off + n]);
-            off += n;
-        }
+/// Makes `grads` one tensor per parameter group of `model`, shaped like
+/// that group: the `out` buffers a [`BucketedAllreduce`] reduces into,
+/// allocated again only when the model geometry changes.
+pub(crate) fn fit_grad_buffers(model: &Sequential, grads: &mut Vec<Tensor>) {
+    if !model
+        .params()
+        .map(Tensor::shape)
+        .eq(grads.iter().map(Tensor::shape))
+    {
+        *grads = model.params().map(|p| Tensor::zeros(*p.shape())).collect();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swift_net::{Cluster, Topology};
+    use swift_tensor::CounterRng;
+
+    #[test]
+    fn reduces_into_out_bitwise_like_per_group_allreduce() {
+        // Caps (bytes) giving one group per bucket, a mix of single- and
+        // multi-group buckets ({4}, {2, 3}, {1}, {0}), and one bucket.
+        const NUMELS: [usize; 5] = [3, 70, 5, 33, 8];
+        let mixed = GradBucketer::new(&NUMELS, 160);
+        let sizes: Vec<usize> = (0..mixed.num_buckets())
+            .map(|b| mixed.groups_of(b).len())
+            .collect();
+        assert_eq!(sizes, [1, 2, 1, 1]);
+        for world in 1..=4 {
+            for cap in [4, 160, usize::MAX / 8] {
+                let results = Cluster::run_all(Topology::uniform(world, 1), move |mut ctx| {
+                    let me = ctx.rank();
+                    let ranks: Vec<Rank> = (0..world).collect();
+                    let mut rng = CounterRng::new(17, me as u64);
+                    let grads: Vec<Tensor> = NUMELS
+                        .iter()
+                        .map(|&n| Tensor::randn([n], 0.0, 1.0, &mut rng))
+                        .collect();
+                    let want: Vec<Tensor> = grads
+                        .iter()
+                        .map(|t| ctx.comm.allreduce_sum_among(&ranks, t).unwrap())
+                        .collect();
+                    // Stale values must never leak into the result.
+                    let mut out: Vec<Tensor> = NUMELS
+                        .iter()
+                        .map(|&n| Tensor::full([n], f32::NAN))
+                        .collect();
+                    let mut reducer = BucketedAllreduce::new(me, &ranks, &NUMELS, cap);
+                    for g in (0..NUMELS.len()).rev() {
+                        reducer
+                            .stage(&mut ctx.comm, g, &grads[g], &mut out)
+                            .unwrap();
+                    }
+                    // Each callback sees its bucket already reduced.
+                    let mut seen: Vec<(Range<usize>, Vec<Tensor>)> = Vec::new();
+                    reducer
+                        .finish(&mut ctx.comm, &mut out, &mut |range, grads| {
+                            seen.push((range.clone(), grads[range].to_vec()));
+                            Ok(())
+                        })
+                        .unwrap();
+                    (grads, want, out, seen, reducer.num_buckets())
+                });
+                for (rank, (grads, want, out, seen, buckets)) in results.iter().enumerate() {
+                    let at = format!("world {world}, cap {cap}, rank {rank}");
+                    assert!(out.iter().zip(want).all(|(a, b)| a.bit_eq(b)), "{at}");
+                    if world == 1 {
+                        assert!(out.iter().zip(grads).all(|(a, b)| a.bit_eq(b)), "{at}");
+                    }
+                    assert_eq!(seen.len(), *buckets, "{at}: one callback per bucket");
+                    for (range, got) in seen {
+                        assert!(got
+                            .iter()
+                            .zip(&want[range.clone()])
+                            .all(|(a, b)| a.bit_eq(b)));
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn buckets_are_reverse_order_and_capped() {

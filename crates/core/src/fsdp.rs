@@ -25,7 +25,7 @@ use swift_obs::Phase;
 use swift_optim::Optimizer;
 use swift_tensor::{Shape, Tensor};
 
-use crate::bucket::BucketedAllreduce;
+use crate::bucket::{fit_grad_buffers, BucketedAllreduce};
 use crate::consistency::UpdateTracker;
 use crate::fence::recovery_fence;
 use crate::supervisor::{supervise, RecoveryReport};
@@ -235,7 +235,9 @@ pub fn fsdp_train_step(
             w.bucket_cap_bytes,
         ));
     }
+    fit_grad_buffers(&w.model, &mut w.last_grads);
     let reducer = w.reducer.as_mut().expect("reducer just installed");
+    let reduced = &mut w.last_grads;
     let comm = &mut ctx.comm;
     let mut stage_err: Option<CommError> = None;
     w.model.backward_with(step_ctx, &grad, &mut |range, grads| {
@@ -243,7 +245,7 @@ pub fn fsdp_train_step(
             return;
         }
         for (g, t) in range.zip(grads.iter()).rev() {
-            if let Err(e) = reducer.stage(comm, g, t) {
+            if let Err(e) = reducer.stage(comm, g, t, reduced) {
                 stage_err = Some(e);
                 return;
             }
@@ -252,11 +254,7 @@ pub fn fsdp_train_step(
     if let Some(e) = stage_err {
         return Err(e);
     }
-    let mut reduced = std::mem::take(&mut w.last_grads);
-    w.model.grads_snapshot_into(&mut reduced);
-    let drained = reducer.finish(&mut ctx.comm, &mut reduced, &mut |_, _| Ok(()));
-    w.last_grads = reduced;
-    drained?;
+    reducer.finish(&mut ctx.comm, reduced, &mut |_, _| Ok(()))?;
 
     // Owner and backup both apply the (deterministic) update to their
     // copies; everyone else skips the group.
@@ -300,13 +298,13 @@ pub fn fsdp_recover_survivor(
 /// completed undo is a no-op.
 fn fsdp_repair_consistency(w: &mut FsdpWorker) {
     w.model.clear_caches();
-    let groups = w.tracker.updated().to_vec();
-    if !groups.is_empty() {
-        let grads = w.last_grads.clone();
+    let undone = w.tracker.updated().len();
+    if undone > 0 {
+        // Disjoint field borrows read the cached gradients in place.
         w.model
-            .undo_update_with(&mut *w.opt, &grads, &groups)
+            .undo_update_with(&mut *w.opt, &w.last_grads, w.tracker.updated())
             .expect("sharded recovery requires an invertible optimizer");
-        swift_obs::add(swift_obs::Counter::UndoneUpdates, groups.len() as u64);
+        swift_obs::add(swift_obs::Counter::UndoneUpdates, undone as u64);
         w.tracker.reset();
     }
 }

@@ -18,7 +18,7 @@ use swift_obs::Phase;
 use swift_optim::Optimizer;
 use swift_tensor::Tensor;
 
-use crate::bucket::BucketedAllreduce;
+use crate::bucket::{fit_grad_buffers, BucketedAllreduce};
 use crate::consistency::UpdateTracker;
 use crate::fence::recovery_fence;
 use crate::supervisor::{supervise, RecoveryReport};
@@ -134,7 +134,9 @@ pub fn dp_train_step(
             w.bucket_cap_bytes,
         ));
     }
+    fit_grad_buffers(&w.model, &mut w.last_grads);
     let reducer = w.reducer.as_mut().expect("reducer just installed");
+    let reduced = &mut w.last_grads;
     let comm = &mut ctx.comm;
     let mut stage_err: Option<CommError> = None;
     let mut staged = 0usize;
@@ -145,7 +147,7 @@ pub fn dp_train_step(
         // Reverse within the layer too, so buckets fill and launch in
         // strict backward (descending-group) order.
         for (g, t) in range.zip(grads.iter()).rev() {
-            if let Err(e) = reducer.stage(comm, g, t) {
+            if let Err(e) = reducer.stage(comm, g, t, reduced) {
                 stage_err = Some(e);
                 return;
             }
@@ -168,20 +170,16 @@ pub fn dp_train_step(
     // with a *partial* update — the crash-consistency window. The reduced
     // grads land in `last_grads` bucket by bucket: the cached `g_t` the
     // undo needs (§4).
-    let mut reduced = std::mem::take(&mut w.last_grads);
-    w.model.grads_snapshot_into(&mut reduced);
     let model = &mut w.model;
     let opt = &mut w.opt;
     let tracker = &mut w.tracker;
-    let drained = reducer.finish(&mut ctx.comm, &mut reduced, &mut |range, grads| {
+    reducer.finish(&mut ctx.comm, reduced, &mut |range, grads| {
         model.apply_update_range(&mut **opt, grads, range.start, range.end);
         for idx in range.clone() {
             tracker.mark(idx);
         }
         Ok(())
-    });
-    w.last_grads = reduced;
-    drained?;
+    })?;
     w.opt.finish_step();
     w.tracker.finish();
     w.tracker.reset();
@@ -479,17 +477,24 @@ mod tests {
 
     #[test]
     fn step_zeroes_gradients_where_it_starts() {
-        // Rank 1 starts iteration 2 with every gradient NaN. The step
-        // must come out as if both replicas had started clean: loss,
-        // parameters and the cached all-reduced gradients, on both ranks.
-        let run = |poison: bool| {
+        // Two stale inputs at iteration 2, run apart: rank 1's gradients
+        // all NaN, and both ranks' cached all-reduced gradients
+        // (`last_grads`, which the reducer writes in place) all NaN. The
+        // step must come out as if both replicas had started clean: loss,
+        // parameters and `last_grads`, on both ranks.
+        let run = |stale_grads: bool, stale_reduced: bool| {
             Cluster::run_all(Topology::uniform(2, 1), move |mut ctx| {
                 let ds = BlobsDataset::new(9, 6, 3, 0.3);
                 let mut w = make_two_bucket_worker();
                 let mut loss = 0.0f32;
                 for it in 0..3 {
-                    if poison && it == 2 && ctx.rank() == 1 {
+                    if stale_grads && it == 2 && ctx.rank() == 1 {
                         fill_grads(&mut w, f32::NAN);
+                    }
+                    if stale_reduced && it == 2 {
+                        for t in &mut w.last_grads {
+                            t.data_mut().fill(f32::NAN);
+                        }
                     }
                     let batch = ds.batch(it, 16);
                     let shard = shard_batch(&batch, ctx.rank(), 2);
@@ -500,16 +505,17 @@ mod tests {
                 (loss, w.model.state(), w.last_grads)
             })
         };
-        let clean = run(false);
-        let poisoned = run(true);
-        for (rank, (c, p)) in clean.iter().zip(&poisoned).enumerate() {
-            assert_eq!(c.0.to_bits(), p.0.to_bits(), "rank {rank}: loss");
-            assert!(c.1.bit_eq(&p.1), "rank {rank}: parameters");
-            assert_eq!(c.2.len(), p.2.len());
-            assert!(
-                c.2.iter().zip(&p.2).all(|(a, b)| a.bit_eq(b)),
-                "rank {rank}: last_grads"
-            );
+        let clean = run(false, false);
+        for stale in [run(true, false), run(false, true)] {
+            for (rank, (c, p)) in clean.iter().zip(&stale).enumerate() {
+                assert_eq!(c.0.to_bits(), p.0.to_bits(), "rank {rank}: loss");
+                assert!(c.1.bit_eq(&p.1), "rank {rank}: parameters");
+                assert_eq!(c.2.len(), p.2.len());
+                assert!(
+                    c.2.iter().zip(&p.2).all(|(a, b)| a.bit_eq(b)),
+                    "rank {rank}: last_grads"
+                );
+            }
         }
     }
 

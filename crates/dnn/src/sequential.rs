@@ -183,24 +183,6 @@ impl Sequential {
             .collect()
     }
 
-    /// Copies the current gradients into `out`, reusing its tensors'
-    /// buffers when the group count matches (the steady-state path: after
-    /// the first call this snapshots without allocating).
-    pub fn grads_snapshot_into(&self, out: &mut Vec<Tensor>) {
-        if out.len() != self.num_param_groups() {
-            out.clear();
-            out.extend(self.layers.iter().flat_map(|l| l.grads().iter().cloned()));
-            return;
-        }
-        let mut idx = 0usize;
-        for l in &self.layers {
-            for g in l.grads() {
-                out[idx].clone_from(g);
-                idx += 1;
-            }
-        }
-    }
-
     /// Clones the current parameters, globally ordered.
     pub fn params_snapshot(&self) -> Vec<Tensor> {
         self.params().cloned().collect()

@@ -110,7 +110,7 @@ impl Default for Config {
             iters: 2,
             groups: 2,
             max_crashes: 1,
-            crash_slots: vec![1],
+            crash_slots: vec![0, 1],
             torn_wal: false,
             mutation: Mutation::None,
         }
@@ -876,15 +876,18 @@ impl World {
                     got.len() == self.cfg.ranks - 1
                 };
                 if complete {
-                    self.apply_update(dst, it, g);
+                    // The result leaves the root before the root applies
+                    // it, so peers update alongside the root. A root that
+                    // dies between the two loses only its own update (its
+                    // replacement takes a survivor's state), so a crash
+                    // just after this step covers that window too.
                     let gen = self.ranks[dst].gen;
                     for peer in 0..self.cfg.ranks {
                         if peer == dst {
                             continue;
                         }
                         if !self.ranks[peer].alive {
-                            // The update-before-result-send contract:
-                            // a dark peer's result is skipped without
+                            // A dark peer's result is skipped without
                             // declaring from the fan-out (the data
                             // dependency at the next fold declares).
                             self.note(format!(
@@ -902,6 +905,7 @@ impl World {
                             },
                         );
                     }
+                    self.apply_update(dst, it, g);
                     self.advance_cursor(dst);
                 }
             }

@@ -37,14 +37,6 @@ impl Clone for Tensor {
             data: pool::take_f32_copy(&self.data),
         }
     }
-
-    /// Reuses `self`'s buffer when its capacity suffices — the
-    /// allocation-free snapshot path (`Sequential::grads_snapshot_into`).
-    fn clone_from(&mut self, src: &Tensor) {
-        self.shape = src.shape;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
 }
 
 impl std::fmt::Debug for Tensor {
