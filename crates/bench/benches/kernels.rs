@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use swift_dnn::profile::{bert_128, TESTBED};
-use swift_net::{Cluster, Topology};
+use swift_net::{default_chunk_bytes, Cluster, Topology};
 use swift_optim::OptimizerKind;
 use swift_pipeline::one_f_one_b;
 use swift_store::BlobStore;
@@ -72,25 +72,21 @@ fn bench_allreduce(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(3));
     for n in [1usize << 12, 1 << 16] {
         g.throughput(Throughput::Bytes((n * 4) as u64));
-        g.bench_with_input(BenchmarkId::new("tree", n), &n, |bench, &n| {
-            bench.iter(|| {
-                Cluster::run_all(Topology::uniform(4, 1), move |mut ctx| {
-                    let t = Tensor::full([n], ctx.rank() as f32);
-                    ctx.comm.allreduce_sum(&t).unwrap().sum()
+        // The chain all-reduce at the default chunk size and with one
+        // whole-tensor message per hop.
+        for (label, chunk) in [("chunked", default_chunk_bytes()), ("whole", usize::MAX)] {
+            g.bench_with_input(BenchmarkId::new(label, n), &n, |bench, &n| {
+                bench.iter(|| {
+                    Cluster::run_all(Topology::uniform(4, 1), move |mut ctx| {
+                        let t = Tensor::full([n], ctx.rank() as f32);
+                        ctx.comm
+                            .allreduce_sum_chunked_among(&[0, 1, 2, 3], &t, chunk)
+                            .unwrap()
+                            .sum()
+                    })
                 })
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("ring", n), &n, |bench, &n| {
-            bench.iter(|| {
-                Cluster::run_all(Topology::uniform(4, 1), move |mut ctx| {
-                    let t = Tensor::full([n], ctx.rank() as f32);
-                    ctx.comm
-                        .ring_allreduce_among(&[0, 1, 2, 3], &t)
-                        .unwrap()
-                        .sum()
-                })
-            })
-        });
+            });
+        }
     }
     g.finish();
 }

@@ -2,7 +2,8 @@
 //!
 //! Experiment harnesses that regenerate every table and figure of the
 //! paper's evaluation (§7). Each function returns its report as a string;
-//! the `src/bin/*` binaries and the `experiments` bench target print them.
+//! the `all_experiments` binary (all, or one with `--only <name>`) and the
+//! `experiments` bench target print them.
 //!
 //! Figures 3, 8, 9, 12, 13 and Tables 4–5 come from the `swift-sim`
 //! performance model (testbed-scale); Figure 11 runs *real* training on

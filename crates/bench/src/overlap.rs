@@ -1,19 +1,17 @@
 //! Overlap-layer microbenchmarks (`BENCH_pr5.json`).
 //!
-//! Four ops cover the compute/comm overlap layer this PR adds, each
-//! baselined against the pre-overlap implementation that still ships in
-//! the tree (the monolithic collectives, the per-group all-reduce loop,
-//! and the synchronous logger):
+//! Four ops cover the compute/comm overlap layer, each baselined against
+//! the same work without overlap: the collectives at an unbounded chunk
+//! size (one whole-tensor message per hop, so no transfer overlaps a
+//! fold), the per-group all-reduce loop, and the synchronous logger:
 //!
-//! - `allreduce`: chunked chain all-reduce into a reused output tensor vs
-//!   the monolithic `allreduce_sum_among` (fresh multi-MiB decode/encode
-//!   allocations per round);
-//! - `broadcast`: chunked streaming broadcast into a reused destination vs
-//!   the monolithic `broadcast_tensor_among` (fresh decode allocation per
-//!   receiver per round);
+//! - `allreduce`: chunked chain all-reduce vs the same chain with
+//!   whole-tensor chunks;
+//! - `broadcast`: chunked streaming broadcast vs one whole-tensor message
+//!   per receiver;
 //! - `overlap_step`: bucketed gradient all-reduce (two flat buckets,
-//!   zero-copy folds, one result message per bucket) vs the per-group
-//!   monolithic all-reduce loop;
+//!   zero-copy folds, one result message per bucket) vs a whole-tensor
+//!   all-reduce per group;
 //! - `wal_async`: the background writer pool hiding log writes inside a
 //!   simulated pipeline bubble vs the synchronous logger paying them on
 //!   the critical path before the same bubble.
@@ -37,6 +35,9 @@ use crate::fastpath::{bench_store, best_ns, randn, BenchResult};
 /// Chunk size for the chunked collectives under test (the default wired
 /// through recovery paths).
 const CHUNK_BYTES: usize = 64 * 1024;
+
+/// The baselines' chunk size: every tensor is one message per hop.
+const WHOLE: usize = usize::MAX;
 
 /// Runs the four overlap benchmarks. `quick` trims repetitions only
 /// slightly: these ops run 2-3 communicating threads on whatever cores CI
@@ -62,15 +63,18 @@ fn bench_allreduce(quick: bool) -> BenchResult {
     let times = Cluster::run_all(Topology::uniform(WORLD, 1), move |mut ctx| {
         let t = randn(ELEMS, 7 + ctx.rank() as u64);
         // Correctness outside the timed region: chunked must be bitwise
-        // identical to monolithic.
-        let mono = ctx.comm.allreduce_sum_among(&ranks, &t).unwrap();
+        // identical to whole-tensor.
+        let mut whole = Tensor::zeros([ELEMS]);
+        ctx.comm
+            .allreduce_sum_chunked_into(&ranks, &t, &mut whole, WHOLE)
+            .unwrap();
         let mut out = Tensor::zeros([ELEMS]);
         ctx.comm
             .allreduce_sum_chunked_into(&ranks, &t, &mut out, CHUNK_BYTES)
             .unwrap();
         assert!(
-            out.bit_eq(&mono),
-            "chunked all-reduce must match monolithic bitwise"
+            out.bit_eq(&whole),
+            "chunked all-reduce must match whole-tensor bitwise"
         );
         let fast = best_ns(iters, || {
             ctx.comm
@@ -78,7 +82,9 @@ fn bench_allreduce(quick: bool) -> BenchResult {
                 .unwrap();
         });
         let slow = best_ns(iters, || {
-            std::hint::black_box(ctx.comm.allreduce_sum_among(&ranks, &t).unwrap());
+            ctx.comm
+                .allreduce_sum_chunked_into(&ranks, &t, &mut whole, WHOLE)
+                .unwrap();
         });
         (fast, slow)
     });
@@ -105,17 +111,17 @@ fn bench_broadcast(quick: bool) -> BenchResult {
     let ranks: Vec<usize> = (0..WORLD).collect();
     let times = Cluster::run_all(Topology::uniform(WORLD, 1), move |mut ctx| {
         let src = (ctx.rank() == 0).then(|| randn(ELEMS, 17));
-        let mono = ctx
-            .comm
-            .broadcast_tensor_among(&ranks, 0, src.as_ref())
+        let mut whole = Tensor::zeros([ELEMS]);
+        ctx.comm
+            .broadcast_tensor_chunked_into(&ranks, 0, src.as_ref(), &mut whole, WHOLE)
             .unwrap();
         let mut dst = Tensor::zeros([ELEMS]);
         ctx.comm
             .broadcast_tensor_chunked_into(&ranks, 0, src.as_ref(), &mut dst, CHUNK_BYTES)
             .unwrap();
         assert!(
-            dst.bit_eq(&mono),
-            "chunked broadcast must match monolithic bitwise"
+            dst.bit_eq(&whole),
+            "chunked broadcast must match whole-tensor bitwise"
         );
         let fast = best_ns(iters, || {
             ctx.comm
@@ -123,11 +129,9 @@ fn bench_broadcast(quick: bool) -> BenchResult {
                 .unwrap();
         });
         let slow = best_ns(iters, || {
-            std::hint::black_box(
-                ctx.comm
-                    .broadcast_tensor_among(&ranks, 0, src.as_ref())
-                    .unwrap(),
-            );
+            ctx.comm
+                .broadcast_tensor_chunked_into(&ranks, 0, src.as_ref(), &mut whole, WHOLE)
+                .unwrap();
         });
         (fast, slow)
     });
@@ -161,11 +165,13 @@ fn bench_overlap_step(quick: bool) -> BenchResult {
         let me = ctx.rank();
 
         // Correctness: bucketed reduction is bitwise equal to the
-        // per-group monolithic loop.
-        let mono: Vec<Tensor> = grads
-            .iter()
-            .map(|g| ctx.comm.allreduce_sum_among(&ranks, g).unwrap())
-            .collect();
+        // per-group whole-tensor loop.
+        let mut whole: Vec<Tensor> = grads.clone();
+        for (g, w) in grads.iter().zip(&mut whole) {
+            ctx.comm
+                .allreduce_sum_chunked_into(&ranks, g, w, WHOLE)
+                .unwrap();
+        }
         let mut reducer = BucketedAllreduce::new(me, &ranks, &numels, CAP_BYTES);
         let mut out: Vec<Tensor> = grads.clone();
         for g in (0..GROUPS).rev() {
@@ -176,7 +182,7 @@ fn bench_overlap_step(quick: bool) -> BenchResult {
         reducer
             .finish(&mut ctx.comm, &mut out, &mut |_, _| Ok(()))
             .unwrap();
-        for (a, b) in out.iter().zip(&mono) {
+        for (a, b) in out.iter().zip(&whole) {
             assert!(a.bit_eq(b), "bucketed reduce must match per-group loop");
         }
 
@@ -192,8 +198,10 @@ fn bench_overlap_step(quick: bool) -> BenchResult {
                 .unwrap();
         });
         let slow = best_ns(iters, || {
-            for g in &grads {
-                std::hint::black_box(ctx.comm.allreduce_sum_among(&ranks, g).unwrap());
+            for (g, w) in grads.iter().zip(&mut whole) {
+                ctx.comm
+                    .allreduce_sum_chunked_into(&ranks, g, w, WHOLE)
+                    .unwrap();
             }
         });
         (fast, slow)

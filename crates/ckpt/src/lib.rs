@@ -4,15 +4,11 @@
 //! # swift-ckpt
 //!
 //! Checkpointing for the SWIFT reproduction: the periodic global
-//! checkpoint SWIFT itself keeps as a catastrophic-failure backstop (§3),
-//! and the baseline mechanisms the paper compares against (§2.2):
-//!
-//! - [`StrategyKind::Global`] — synchronous global checkpointing (the
-//!   PyTorch default);
-//! - [`StrategyKind::CheckFreq`] — two-phase snapshot + async persist,
-//!   with checkpoint-stall accounting and the 3.5%-overhead frequency
-//!   tuner [`checkfreq_interval`];
-//! - [`StrategyKind::Snapshot`] — Elastic Horovod's in-memory snapshot.
+//! checkpoint SWIFT itself keeps as a catastrophic-failure backstop (§3).
+//! The checkpointing baselines the paper compares against (§2.2: global
+//! checkpointing, CheckFreq, Elastic Horovod's snapshots) are modelled by
+//! `swift-sim`'s `Method`, which produces every baseline of Figs 3, 8a,
+//! 12, 13 and Table 5.
 //!
 //! [`Checkpoint`] bundles `(iteration, model state, optimizer state)` with
 //! a stable binary encoding; [`CheckpointManager`] owns the on-disk layout
@@ -24,8 +20,6 @@
 
 pub mod checkpoint;
 pub mod delta;
-pub mod strategy;
 
 pub use checkpoint::{Checkpoint, CheckpointManager};
 pub use delta::{tensor_digest, DeltaSession, IncrementalSave};
-pub use strategy::{checkfreq_interval, AsyncPersister, BaselineCheckpointer, StrategyKind};

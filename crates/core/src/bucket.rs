@@ -13,10 +13,10 @@
 //! ships each bucket's result before it applies that bucket itself.
 //!
 //! Determinism contract: the root folds peer contributions into its own
-//! staged copy of each group in ascending rank order — elementwise,
-//! exactly the monolithic `allreduce_sum_among` left-fold — so results
-//! are bitwise identical to per-group monolithic all-reduce at any bucket
-//! cap and thread count. Two invariants are part of the wire protocol: every
+//! staged copy of each group in ascending rank order — elementwise, the
+//! same ascending-rank left fold as `Comm::allreduce_sum_chunked_into` —
+//! so results are bitwise identical to a per-group all-reduce at any
+//! bucket cap and thread count. Two invariants are part of the wire protocol: every
 //! participant must use the *same bucket cap* (bucket boundaries shape
 //! the message streams) and must stage groups in the *same order* (the
 //! shared backward order) — the root decodes each peer's per-bucket
@@ -26,7 +26,7 @@ use std::ops::Range;
 
 use bytes::Bytes;
 use swift_dnn::Sequential;
-use swift_net::{bytemuck_f32, f32_from_bytes, Comm, CommError, Rank};
+use swift_net::{bytemuck_f32, check_frame_len, f32_from_bytes, Comm, CommError, Rank};
 use swift_tensor::Tensor;
 
 /// Default bucket capacity, mirroring PyTorch DDP's 25 MiB default scaled
@@ -272,11 +272,7 @@ impl BucketedAllreduce {
                 for &peer in peers {
                     for &g in &self.stage_order[b] {
                         let payload = comm.recv_bytes(peer, tag)?;
-                        debug_assert_eq!(
-                            payload.len(),
-                            self.numels[g] * 4,
-                            "peer staged groups in a different order"
-                        );
+                        check_frame_len("gradient payload", &payload, self.numels[g] * 4)?;
                         for (acc, v) in out[g].data_mut().iter_mut().zip(f32_from_bytes(&payload)) {
                             *acc += v;
                         }
@@ -308,6 +304,7 @@ impl BucketedAllreduce {
                 }
             } else {
                 let payload = comm.recv_bytes(self.root, tag ^ (1 << 32))?;
+                check_frame_len("bucket result", &payload, self.bucketer.elems_of(b) * 4)?;
                 let mut off = 0usize;
                 for g in groups.clone() {
                     let n = self.numels[g] * 4;
@@ -361,7 +358,7 @@ mod tests {
     use swift_tensor::CounterRng;
 
     #[test]
-    fn reduces_into_out_bitwise_like_per_group_allreduce() {
+    fn reduces_into_out_bitwise_like_an_ascending_rank_fold() {
         // Caps (bytes) giving one group per bucket, a mix of single- and
         // multi-group buckets ({4}, {2, 3}, {1}, {0}), and one bucket.
         const NUMELS: [usize; 5] = [3, 70, 5, 33, 8];
@@ -375,15 +372,22 @@ mod tests {
                 let results = Cluster::run_all(Topology::uniform(world, 1), move |mut ctx| {
                     let me = ctx.rank();
                     let ranks: Vec<Rank> = (0..world).collect();
-                    let mut rng = CounterRng::new(17, me as u64);
-                    let grads: Vec<Tensor> = NUMELS
-                        .iter()
-                        .map(|&n| Tensor::randn([n], 0.0, 1.0, &mut rng))
-                        .collect();
-                    let want: Vec<Tensor> = grads
-                        .iter()
-                        .map(|t| ctx.comm.allreduce_sum_among(&ranks, t).unwrap())
-                        .collect();
+                    // Every rank's seeded gradients, folded locally in
+                    // ascending rank order: the expected sums.
+                    let grads_of = |rank: Rank| -> Vec<Tensor> {
+                        let mut rng = CounterRng::new(17, rank as u64);
+                        NUMELS
+                            .iter()
+                            .map(|&n| Tensor::randn([n], 0.0, 1.0, &mut rng))
+                            .collect()
+                    };
+                    let grads = grads_of(me);
+                    let mut want = grads_of(0);
+                    for rank in 1..world {
+                        for (acc, t) in want.iter_mut().zip(grads_of(rank)) {
+                            acc.add_inplace(&t);
+                        }
+                    }
                     // Stale values must never leak into the result.
                     let mut out: Vec<Tensor> = NUMELS
                         .iter()
@@ -421,6 +425,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Rank `crafter` of two allocates the reducer's bucket tag and sends
+    /// the other rank `frame` on the stream `tag ^ tag_xor`; the other
+    /// rank stages one 4-element group and finishes. Returns its result.
+    /// The crafter waits (boundedly) until `finish` has returned, so it
+    /// outlives every send to it.
+    fn finish_after_crafted_frame(crafter: Rank, frame: &'static [u8], tag_xor: u64) -> String {
+        let out = Cluster::run_all(Topology::uniform(2, 1), move |mut ctx| {
+            if ctx.rank() == crafter {
+                let tag = ctx.comm.next_coll_tag();
+                let frame = Bytes::from_static(frame);
+                ctx.comm
+                    .send_bytes(1 - crafter, tag ^ tag_xor, frame)
+                    .unwrap();
+                let deadline = std::time::Duration::from_secs(30);
+                ctx.kv.wait_for("finish-returned", deadline);
+                return String::new();
+            }
+            let mut reducer = BucketedAllreduce::new(ctx.rank(), &[0, 1], &[4], 1024);
+            let mut out = vec![Tensor::zeros([4])];
+            let grad = Tensor::ones([4]);
+            reducer.stage(&mut ctx.comm, 0, &grad, &mut out).unwrap();
+            let result = reducer.finish(&mut ctx.comm, &mut out, &mut |_, _| Ok(()));
+            ctx.kv.set("finish-returned", "1");
+            format!("{result:?}")
+        });
+        out[1 - crafter].clone()
+    }
+
+    #[test]
+    fn short_frames_are_protocol_errors() {
+        // The root receives a 3-float gradient for a 4-float group.
+        let root = finish_after_crafted_frame(1, b"abcdefghijkl", 0);
+        assert!(root.starts_with("Err(Protocol"), "root: {root}");
+        // The peer receives a 3-float result for a 4-float bucket.
+        let peer = finish_after_crafted_frame(0, b"abcdefghijkl", 1 << 32);
+        assert!(peer.starts_with("Err(Protocol"), "peer: {peer}");
     }
 
     #[test]

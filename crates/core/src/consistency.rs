@@ -60,18 +60,21 @@ impl UpdateTracker {
 }
 
 /// Undoes exactly the tracked partial update on a survivor, restoring the
-/// pre-step state (§4). No-op when nothing was applied. Also rolls back
-/// the optimizer's step counter when the step had finished.
+/// pre-step state (§4). No-op when nothing was applied. Leaves the
+/// optimizer's step counter where it was before the step.
 pub fn repair_partial_update(
     model: &mut Sequential,
     opt: &mut dyn Optimizer,
     tracker: &mut UpdateTracker,
 ) -> Result<(), UndoError> {
     if !tracker.updated.is_empty() {
-        model.undo_update(opt, &tracker.updated)?;
-        if tracker.step_finished {
-            opt.rollback_step();
+        // The undo reads the counter of the step it reverts, which only
+        // `finish_step` advances.
+        if !tracker.step_finished {
+            opt.finish_step();
         }
+        model.undo_update(opt, &tracker.updated)?;
+        opt.rollback_step();
     }
     tracker.reset();
     Ok(())
@@ -169,6 +172,28 @@ mod tests {
         repair_partial_update(&mut m, opt.as_mut(), &mut tracker).unwrap();
         assert_eq!(opt.iteration(), 0);
         assert!(m.state().max_abs_diff(&before) < 1e-5);
+    }
+
+    #[test]
+    fn repair_of_a_partial_adam_step_bias_corrects_for_that_step() {
+        // Adam bias-corrects with the counter of the step in progress,
+        // which a partial step never advanced; the undo must use it too.
+        let (mut m, _) = trained_model(4);
+        let mut opt = OptimizerKind::Adam {
+            lr: 1e-2,
+            weight_decay: 0.0,
+        }
+        .build();
+        m.optimizer_step(opt.as_mut());
+        let before = m.state();
+        let mut tracker = UpdateTracker::new();
+        for g in m.apply_update(opt.as_mut(), 0, 2) {
+            tracker.mark(g);
+        }
+        repair_partial_update(&mut m, opt.as_mut(), &mut tracker).unwrap();
+        let diff = m.state().max_abs_diff(&before);
+        assert!(diff < 1e-6, "partial Adam step not undone: {diff}");
+        assert_eq!(opt.iteration(), 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use swift_obs::Generation;
 
 use crate::fence::recovery_fence;
 use crate::replication::DpWorker;
-use crate::transfer::{transfer_state, Landing};
+use crate::transfer::{transfer_replica, Landing};
 
 /// A membership epoch: which ranks participate from this epoch on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,7 +107,7 @@ pub fn elastic_transition_incumbent(
     recovery_fence(ctx, elastic_fence_gen(new.epoch), &new.members)?;
     if new.members.iter().any(|r| !old.members.contains(r)) {
         let root = transfer_root(old, new);
-        transfer_state(
+        transfer_replica(
             ctx,
             w,
             &[root],
@@ -131,7 +131,7 @@ pub fn elastic_join(
     let mut w = DpWorker::new(model_template, opt_template);
     recovery_fence(ctx, elastic_fence_gen(new.epoch), &new.members)?;
     let root = transfer_root(old, new);
-    transfer_state(
+    transfer_replica(
         ctx,
         &mut w,
         &[root],

@@ -120,7 +120,10 @@ mod tests {
             recovery_fence(&mut ctx, Generation::new(1), &[0, 1, 2]).unwrap();
             // Post-fence, a world collective must succeed.
             let t = Tensor::full([2], 1.0);
-            ctx.comm.allreduce_sum(&t).unwrap().sum()
+            ctx.comm
+                .allreduce_sum_chunked_among(&[0, 1, 2], &t, usize::MAX)
+                .unwrap()
+                .sum()
         });
         assert_eq!(results, vec![6.0, 6.0, 6.0]);
     }
@@ -149,7 +152,10 @@ mod tests {
         let results = Cluster::run_all(Topology::uniform(2, 1), |mut ctx| {
             recovery_fence(&mut ctx, Generation::new(1), &[0, 1]).unwrap();
             recovery_fence(&mut ctx, Generation::new(2), &[0, 1]).unwrap();
-            ctx.comm.allreduce_sum(&Tensor::scalar(1.0)).unwrap().item()
+            ctx.comm
+                .allreduce_sum_chunked_among(&[0, 1], &Tensor::scalar(1.0), usize::MAX)
+                .unwrap()
+                .item()
         });
         assert_eq!(results, vec![2.0, 2.0]);
     }

@@ -222,7 +222,7 @@ mod tests {
             ("DP survivor", &[Undo, Fence, Broadcast, Resume]),
             ("DP replacement", &[Undo, Fence, Broadcast, Resume]),
             ("FSDP survivor", &[Undo, Fence, Broadcast, Resume]),
-            ("FSDP join", &[Fence, Broadcast, Resume]),
+            ("FSDP replacement", &[Undo, Fence, Broadcast, Resume]),
             ("pipeline survivor", &[Undo, Resume]),
             (
                 "assisting pipeline survivor",

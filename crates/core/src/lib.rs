@@ -16,7 +16,6 @@ pub mod process;
 pub mod replication;
 pub mod scenario;
 pub mod supervisor;
-pub mod tensor_parallel;
 mod transfer;
 
 pub use api::{JobCrash, Parallelism, PlanError, SwiftJob, SwiftJobBuilder};
@@ -29,8 +28,8 @@ pub use elastic::{
 };
 pub use fence::recovery_fence;
 pub use fsdp::{
-    free_unstored, fsdp_join, fsdp_join_supervised, fsdp_recover_supervised, fsdp_recover_survivor,
-    fsdp_train_step, gather_full_params, FsdpWorker, ShardMap,
+    free_unstored, fsdp_join_supervised, fsdp_recover_supervised, fsdp_train_step,
+    gather_full_params, FsdpWorker, ShardMap,
 };
 pub use fsm::{recovery_fsm, EdgeKind, FsmState, Transition, TransitionTable};
 pub use pipeline_ft::{
@@ -52,4 +51,3 @@ pub use scenario::{
     pipeline_replacement_recover, pipeline_worker_loop, DatasetSource, ModelFn, ScenarioResult,
 };
 pub use supervisor::{supervise, wait_cascade_aware, PhaseTracker, RecoveryReport};
-pub use tensor_parallel::TpLinear;

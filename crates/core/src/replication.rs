@@ -9,6 +9,8 @@
 //! one root survivor that also re-aligns the other survivors — and
 //! training resumes from the consistent iteration.
 
+use std::ops::Range;
+
 use swift_dnn::{softmax_cross_entropy_scaled, Mode, Sequential, StepCtx};
 use swift_net::{
     default_chunk_bytes, default_shard_bytes, failure_epoch, failure_state, CommError, Rank,
@@ -22,7 +24,7 @@ use crate::bucket::{fit_grad_buffers, BucketedAllreduce};
 use crate::consistency::UpdateTracker;
 use crate::fence::recovery_fence;
 use crate::supervisor::{supervise, RecoveryReport};
-use crate::transfer::{transfer_state, Landing};
+use crate::transfer::{transfer_replica, Landing, EVERY_GROUP};
 
 /// One data-parallel replica worker's training state.
 pub struct DpWorker {
@@ -101,6 +103,32 @@ pub fn dp_train_step(
     example_weight: f32,
     crash: Option<CrashPoint>,
 ) -> Result<f32, CommError> {
+    train_step(
+        ctx,
+        w,
+        replicas,
+        x,
+        y,
+        example_weight,
+        crash,
+        &[EVERY_GROUP],
+    )
+}
+
+/// [`dp_train_step`] that applies the reduced update only to the groups
+/// in `applied` — a sharded worker's stored groups (see
+/// [`crate::fsdp`]); the reduce itself always covers every group.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn train_step(
+    ctx: &mut WorkerCtx,
+    w: &mut DpWorker,
+    replicas: &[Rank],
+    x: &Tensor,
+    y: &[usize],
+    example_weight: f32,
+    crash: Option<CrashPoint>,
+    applied: &[Range<usize>],
+) -> Result<f32, CommError> {
     let step_ctx = StepCtx::new(w.iteration, 0);
     // Gradients are zeroed where the step starts, not where the last one
     // ended: an aborted backward, an undo or a state transfer can leave
@@ -174,9 +202,14 @@ pub fn dp_train_step(
     let opt = &mut w.opt;
     let tracker = &mut w.tracker;
     reducer.finish(&mut ctx.comm, reduced, &mut |range, grads| {
-        model.apply_update_range(&mut **opt, grads, range.start, range.end);
-        for idx in range.clone() {
-            tracker.mark(idx);
+        for keep in applied {
+            let (lo, hi) = (range.start.max(keep.start), range.end.min(keep.end));
+            if lo < hi {
+                model.apply_update_range(&mut **opt, grads, lo, hi);
+                for idx in lo..hi {
+                    tracker.mark(idx);
+                }
+            }
         }
         Ok(())
     })?;
@@ -237,13 +270,13 @@ fn synchronize_state(
     };
     if !identical {
         let root = *survivors.first().expect("no survivors");
-        return transfer_state(ctx, w, &[root], &ordered, default_chunk_bytes(), landing);
+        return transfer_replica(ctx, w, &[root], &ordered, default_chunk_bytes(), landing);
     }
     if ordered.len() == survivors.len() {
         // Survivors are already bit-identical and nobody is joining.
         return Ok(());
     }
-    transfer_state(ctx, w, &survivors, &ordered, default_shard_bytes(), landing)
+    transfer_replica(ctx, w, &survivors, &ordered, default_shard_bytes(), landing)
 }
 
 /// Survivor-side recovery (§3, Fig. 5):
@@ -277,13 +310,16 @@ pub(crate) fn repair_dp_consistency(w: &mut DpWorker) {
     w.model.clear_caches();
     let undone = w.tracker.updated().len();
     if undone > 0 {
-        // A partial step never reached `finish_step`, so undoing the
-        // applied groups restores the pre-step state exactly; the step
-        // counter needs no rollback. Disjoint field borrows read the
-        // cached gradients in place.
+        // A partial step never reached `finish_step`, yet its updates
+        // read the counter of the step in progress (Adam and LAMB
+        // bias-correct with it): advance the counter for the undo, then
+        // roll it back. Disjoint field borrows read the cached gradients
+        // in place.
+        w.opt.finish_step();
         w.model
             .undo_update_with(&mut *w.opt, &w.last_grads, w.tracker.updated())
             .expect("replication recovery requires an invertible optimizer");
+        w.opt.rollback_step();
         swift_obs::add(swift_obs::Counter::UndoneUpdates, undone as u64);
         w.tracker.reset();
         // The undo restores the pre-step state only up to floating-point

@@ -1,22 +1,28 @@
-//! Replica state transfer: the one primitive that hands a data-parallel
-//! replica's model and optimizer state to the ranks that need it —
-//! replacements and re-aligning survivors in replication recovery (paper
-//! §3, Fig. 5), joiners and incumbents in elastic scale-out (§8).
+//! Replica state transfer: the one primitive that hands model and
+//! optimizer state to the ranks that need it — replacements and
+//! re-aligning survivors in replication recovery (paper §3, Fig. 5),
+//! joiners and incumbents in elastic scale-out (§8), and a sharded
+//! replacement's shards in FSDP recovery (§8).
 //!
-//! The sources walk their parameters, then their present optimizer-slot
-//! tensors, in [`Sequential::state`]/[`Optimizer::state`] order as one
-//! flat `f32` sequence, cut at fixed offsets into chunks of
-//! `chunk_bytes` rounded down to whole `f32`s (at least one): chunk *i*
-//! is sent by sorted source *i mod n*, so the schedule is a pure function
-//! of the state size, the chunk size and the source set. Before any
-//! tensor data, the lowest source sends every receiver one header: the
-//! iteration, every parameter's name and dims, and the optimizer's name,
-//! counters, scalars and per-slot presence mask. The receiver checks the
-//! header against its own layout before it writes a byte, shapes its
-//! slots to the masks, and copies every chunk straight into pre-shaped
-//! tensors. No snapshot, encoded image or reassembly buffer exists on
-//! either side; chunks span tensor boundaries, so a tiny state is one
-//! header plus one data message per receiver.
+//! What moves is described by a *plan*: contiguous ranges of parameter
+//! groups, each naming the ranks that send it ([`SourceRange`]). Every
+//! receiver receives every range. For one range, its sources walk the
+//! range's parameters, then the range's present optimizer-slot tensors, in
+//! [`Sequential::state`]/[`Optimizer::state`] order as one flat `f32`
+//! sequence, cut at fixed offsets into chunks of `chunk_bytes` rounded
+//! down to whole `f32`s (at least one): chunk *i* of the range is sent by
+//! its sorted source *i mod n*, so the schedule is a pure function of the
+//! range's state size, the chunk size and the range's source set. Before
+//! any tensor data, each range's lowest source sends every receiver one
+//! header: the iteration, the name and dims of every parameter in the
+//! range, and the optimizer's name, counters, scalars and per-slot
+//! presence mask over the range. The receiver checks every header against
+//! its own layout before it writes a byte, shapes its slots to the masks,
+//! and copies every chunk straight into pre-shaped tensors. No snapshot,
+//! encoded image or reassembly buffer exists on either side; chunks span
+//! tensor boundaries, so a tiny state is one header plus one data message
+//! per range and receiver. Replication and elastic scale-out move a whole
+//! replica as one range ([`transfer_replica`]).
 //!
 //! A receiver lands the stream one of two ways ([`Landing`]): in place,
 //! when it is rebuilt from its factories on every attempt (a replacement,
@@ -28,8 +34,10 @@
 //! [`Sequential::state`]: swift_dnn::Sequential::state
 //! [`Optimizer::state`]: swift_optim::Optimizer::state
 
+use std::ops::Range;
+
 use bytes::{BufMut, Bytes, BytesMut};
-use swift_net::{bytemuck_f32, f32_from_bytes, CommError, Rank, WorkerCtx};
+use swift_net::{bytemuck_f32, check_frame_len, f32_from_bytes, CommError, Rank, WorkerCtx};
 use swift_optim::OptimState;
 use swift_tensor::Tensor;
 
@@ -44,17 +52,23 @@ pub(crate) enum Landing {
     Staged,
 }
 
-/// Moves `sources`' state to every other rank of `participants`, which
-/// must all call this collectively. Every source must hold bit-identical
-/// state (a single source trivially does). On success every participant
-/// holds the sources' state at the sources' iteration, with the tracker
-/// reset, caches cleared and `needs_resync` cleared. Gradients are left
-/// as they are: the next `dp_train_step` zeroes them where it starts.
-///
-/// A receiver whose model layout or optimizer kind differs from the
-/// sources' fails with [`CommError::Protocol`] naming the first
-/// mismatching entry, before touching any tensor.
-pub(crate) fn transfer_state(
+/// One range of a transfer plan: contiguous parameter groups and the
+/// ranks that send them. Every source must hold the range bit-identically
+/// (a single source trivially does). A range reaching past a worker's
+/// last group stops there.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SourceRange {
+    pub groups: Range<usize>,
+    pub sources: Vec<Rank>,
+}
+
+/// Every parameter group of any model.
+pub(crate) const EVERY_GROUP: Range<usize> = 0..usize::MAX;
+
+/// Moves a whole replica's state from `sources` to every other rank of
+/// `participants`, which must all call this collectively: a
+/// [`transfer_state`] with one range covering every group.
+pub(crate) fn transfer_replica(
     ctx: &mut WorkerCtx,
     w: &mut DpWorker,
     sources: &[Rank],
@@ -62,22 +76,62 @@ pub(crate) fn transfer_state(
     chunk_bytes: usize,
     landing: Landing,
 ) -> Result<(), CommError> {
-    let tag = ctx.comm.next_coll_tag();
-    let chunk = (chunk_bytes / 4).max(1);
-    let mut sources = sources.to_vec();
-    sources.sort_unstable();
-    sources.dedup();
-    assert!(!sources.is_empty(), "state transfer needs a source");
-    let mut receivers: Vec<Rank> = participants
+    let receivers: Vec<Rank> = participants
         .iter()
         .copied()
-        .filter(|r| sources.binary_search(r).is_err())
+        .filter(|r| !sources.contains(r))
         .collect();
-    receivers.sort_unstable();
-    receivers.dedup();
-    match sources.iter().position(|&r| r == ctx.rank()) {
-        Some(pos) => send_state(ctx, w, tag, pos, &sources, &receivers, chunk)?,
-        None => receive_state(ctx, w, tag, &sources, chunk, landing)?,
+    let plan = [SourceRange {
+        groups: EVERY_GROUP,
+        sources: sources.to_vec(),
+    }];
+    transfer_state(ctx, w, &plan, &receivers, chunk_bytes, landing)
+}
+
+/// Moves the state `plan` describes to every rank of `receivers`. Every
+/// participant calls this collectively with the same plan and receivers:
+/// a participant that neither sends nor receives only allocates the tag,
+/// so collective sequences stay aligned. No receiver may be a source. On
+/// success every receiver holds each range's sources' copy of it at the
+/// sources' iteration, and every participant has its tracker reset,
+/// caches cleared and `needs_resync` cleared. Gradients are left as they
+/// are: the next `dp_train_step` zeroes them where it starts.
+///
+/// A receiver whose layout or optimizer kind differs from any range's
+/// header fails with [`CommError::Protocol`] naming the first mismatching
+/// entry, before touching any tensor.
+pub(crate) fn transfer_state(
+    ctx: &mut WorkerCtx,
+    w: &mut DpWorker,
+    plan: &[SourceRange],
+    receivers: &[Rank],
+    chunk_bytes: usize,
+    landing: Landing,
+) -> Result<(), CommError> {
+    let tag = ctx.comm.next_coll_tag();
+    let chunk = (chunk_bytes / 4).max(1);
+    let n = w.model.num_param_groups();
+    let plan: Vec<SourceRange> = plan
+        .iter()
+        .map(|range| {
+            let mut sources = range.sources.clone();
+            sources.sort_unstable();
+            sources.dedup();
+            assert!(!sources.is_empty(), "state transfer needs a source");
+            SourceRange {
+                groups: range.groups.start.min(n)..range.groups.end.min(n),
+                sources,
+            }
+        })
+        .collect();
+    let me = ctx.rank();
+    if receivers.contains(&me) {
+        receive_state(ctx, w, tag, &plan, chunk, landing)?;
+    } else if plan.iter().any(|range| range.sources.contains(&me)) {
+        let mut receivers = receivers.to_vec();
+        receivers.sort_unstable();
+        receivers.dedup();
+        send_state(ctx, w, tag, &plan, &receivers, chunk)?;
     }
     w.tracker.reset();
     w.model.clear_caches();
@@ -85,120 +139,201 @@ pub(crate) fn transfer_state(
     Ok(())
 }
 
-/// A source's half: the header (lowest source only), then its chunks.
+/// A source's half: a header for every range it leads, then its chunks of
+/// every range it sends, in plan order.
 fn send_state(
     ctx: &mut WorkerCtx,
     w: &DpWorker,
     tag: u64,
-    pos: usize,
-    sources: &[Rank],
+    plan: &[SourceRange],
     receivers: &[Rank],
     chunk: usize,
 ) -> Result<(), CommError> {
-    if pos == 0 {
-        let header = Header::of(w).encode();
+    let me = ctx.rank();
+    for range in plan.iter().filter(|range| range.sources[0] == me) {
+        let header = Header::of(w, range.groups.clone()).encode();
         for &r in receivers {
             ctx.comm.send_bytes(r, tag, header.clone())?;
         }
     }
     let params: Vec<&Tensor> = w.model.params().collect();
-    let mut walk: Vec<&[f32]> = params.iter().map(|p| p.data()).collect();
-    for (name, slots) in w.opt.slots() {
-        for (idx, slot) in slots.iter().enumerate() {
-            if let Some(t) = slot {
-                assert!(
-                    params.get(idx).is_some_and(|p| p.shape() == t.shape()),
-                    "optimizer slot {name}[{idx}] is not shaped like its parameter"
-                );
-                walk.push(t.data());
+    let slots = w.opt.slots();
+    let mut buf: Vec<u8> = Vec::new();
+    for range in plan {
+        let Some(pos) = range.sources.iter().position(|&s| s == me) else {
+            continue;
+        };
+        let groups = range.groups.clone();
+        let mut walk: Vec<&[f32]> = params[groups.clone()].iter().map(|p| p.data()).collect();
+        for (name, slots) in &slots {
+            for idx in groups.clone() {
+                if let Some(Some(t)) = slots.get(idx) {
+                    assert!(
+                        params[idx].shape() == t.shape(),
+                        "optimizer slot {name}[{idx}] is not shaped like its parameter"
+                    );
+                    walk.push(t.data());
+                }
             }
         }
-    }
-    let starts = starts(walk.iter().map(|s| s.len()));
-    let total = starts[walk.len()];
-    let mut buf: Vec<u8> = Vec::with_capacity(4 * chunk.min(total));
-    for i in (pos..total.div_ceil(chunk)).step_by(sources.len()) {
-        let (lo, hi) = (i * chunk, ((i + 1) * chunk).min(total));
-        buf.clear();
-        for_each_piece(&starts, lo, hi, |t, range| {
-            buf.extend_from_slice(bytemuck_f32(&walk[t][range]))
-        });
-        let piece = Bytes::copy_from_slice(&buf);
-        for &r in receivers {
-            ctx.comm.send_bytes(r, tag, piece.clone())?;
+        let starts = starts(walk.iter().map(|s| s.len()));
+        let total = starts[walk.len()];
+        for i in (pos..total.div_ceil(chunk)).step_by(range.sources.len()) {
+            let (lo, hi) = (i * chunk, ((i + 1) * chunk).min(total));
+            buf.clear();
+            for_each_piece(&starts, lo, hi, |t, piece| {
+                buf.extend_from_slice(bytemuck_f32(&walk[t][piece]))
+            });
+            let piece = Bytes::copy_from_slice(&buf);
+            for &r in receivers {
+                ctx.comm.send_bytes(r, tag, piece.clone())?;
+            }
         }
     }
     Ok(())
 }
 
-/// A receiver's half: check the header, then land every chunk. Returns
-/// only after the state is fully installed; on any error the worker's
-/// state is untouched when staged.
+/// A receiver's half: check every range's header, then land every chunk.
+/// Returns only after the state is fully installed; on any error the
+/// worker's state is untouched when staged.
 fn receive_state(
     ctx: &mut WorkerCtx,
     w: &mut DpWorker,
     tag: u64,
-    sources: &[Rank],
+    plan: &[SourceRange],
     chunk: usize,
     landing: Landing,
 ) -> Result<(), CommError> {
-    let header = Header::decode(&ctx.comm.recv_bytes(sources[0], tag)?)?;
-    header.check_against(w)?;
-    // Slots always come fresh, shaped to the header's masks: a missing
+    let mut headers: Vec<Header> = Vec::with_capacity(plan.len());
+    for range in plan {
+        let header = Header::decode(&ctx.comm.recv_bytes(range.sources[0], tag)?)?;
+        header.check_against(w, range.groups.clone())?;
+        if let Some(first) = headers.first().filter(|h| h.iteration != header.iteration) {
+            return Err(protocol(format!(
+                "ranges disagree on the iteration: {} and {}",
+                first.iteration, header.iteration
+            )));
+        }
+        headers.push(header);
+    }
+    // Slots always come fresh, shaped to each range's masks: a missing
     // slot is allocated like its parameter, an extra one is dropped.
     let shapes: Vec<_> = w.model.params().map(|p| *p.shape()).collect();
-    let mut slots: Vec<Vec<Option<Tensor>>> = header
-        .masks
+    let mut fresh: Vec<Vec<Vec<Option<Tensor>>>> = plan
         .iter()
-        .map(|(_, mask)| {
-            mask.iter()
-                .zip(&shapes)
-                .map(|(&present, &shape)| present.then(|| Tensor::zeros(shape)))
+        .zip(&headers)
+        .map(|(range, header)| {
+            header
+                .masks
+                .iter()
+                .map(|(_, mask)| {
+                    mask.iter()
+                        .zip(&shapes[range.groups.clone()])
+                        .map(|(&present, &shape)| present.then(|| Tensor::zeros(shape)))
+                        .collect()
+                })
                 .collect()
         })
         .collect();
-    let mut staged: Vec<Tensor> = match landing {
-        Landing::Staged => shapes.iter().map(|&shape| Tensor::zeros(shape)).collect(),
-        Landing::InPlace => Vec::new(),
-    };
+    let mut staged: Vec<Vec<Tensor>> = plan
+        .iter()
+        .map(|range| match landing {
+            Landing::Staged => shapes[range.groups.clone()]
+                .iter()
+                .map(|&shape| Tensor::zeros(shape))
+                .collect(),
+            Landing::InPlace => Vec::new(),
+        })
+        .collect();
     {
-        let mut walk: Vec<&mut [f32]> = match landing {
-            Landing::Staged => staged.iter_mut().map(Tensor::data_mut).collect(),
-            Landing::InPlace => w.model.params_mut().map(Tensor::data_mut).collect(),
+        let mut own: Vec<&mut Tensor> = match landing {
+            Landing::Staged => Vec::new(),
+            Landing::InPlace => w.model.params_mut().collect(),
         };
-        walk.extend(slots.iter_mut().flatten().flatten().map(Tensor::data_mut));
-        let starts = starts(walk.iter().map(|s| s.len()));
-        let total = starts[walk.len()];
-        for i in 0..total.div_ceil(chunk) {
-            let (lo, hi) = (i * chunk, ((i + 1) * chunk).min(total));
-            let piece = ctx.comm.recv_bytes(sources[i % sources.len()], tag)?;
-            if piece.len() != 4 * (hi - lo) {
-                return Err(protocol(format!(
-                    "state chunk {i} carries {} bytes, expected {}",
-                    piece.len(),
-                    4 * (hi - lo)
-                )));
+        for ((range, staged), fresh) in plan.iter().zip(&mut staged).zip(&mut fresh) {
+            let mut walk: Vec<&mut [f32]> = match landing {
+                Landing::Staged => staged.iter_mut().map(Tensor::data_mut).collect(),
+                Landing::InPlace => own[range.groups.clone()]
+                    .iter_mut()
+                    .map(|p| p.data_mut())
+                    .collect(),
+            };
+            walk.extend(fresh.iter_mut().flatten().flatten().map(Tensor::data_mut));
+            let starts = starts(walk.iter().map(|s| s.len()));
+            let total = starts[walk.len()];
+            for i in 0..total.div_ceil(chunk) {
+                let (lo, hi) = (i * chunk, ((i + 1) * chunk).min(total));
+                let piece = ctx
+                    .comm
+                    .recv_bytes(range.sources[i % range.sources.len()], tag)?;
+                check_frame_len("state chunk", &piece, 4 * (hi - lo))?;
+                let mut values = f32_from_bytes(&piece);
+                for_each_piece(&starts, lo, hi, |t, piece| {
+                    for (d, v) in walk[t][piece].iter_mut().zip(&mut values) {
+                        *d = v;
+                    }
+                });
             }
-            let mut values = f32_from_bytes(&piece);
-            for_each_piece(&starts, lo, hi, |t, range| {
-                for (d, v) in walk[t][range].iter_mut().zip(&mut values) {
-                    *d = v;
-                }
-            });
         }
     }
     // The last chunk landed: install.
     if landing == Landing::Staged {
-        for (p, s) in w.model.params_mut().zip(&mut staged) {
-            std::mem::swap(p, s);
+        let mut own: Vec<&mut Tensor> = w.model.params_mut().collect();
+        for (range, staged) in plan.iter().zip(&mut staged) {
+            for (p, s) in own[range.groups.clone()].iter_mut().zip(staged) {
+                std::mem::swap(*p, s);
+            }
         }
     }
-    for ((_, dst), src) in w.opt.slots_mut().into_iter().zip(slots) {
-        *dst = src;
+    let mut slots = w.opt.slots_mut();
+    for (range, fresh) in plan.iter().zip(fresh) {
+        for ((_, dst), src) in slots.iter_mut().zip(fresh) {
+            splice_slots(dst, range.groups.clone(), src);
+        }
     }
-    w.opt.load_scalar_state(&header.optim);
-    w.iteration = header.iteration;
+    // Counters and scalars come from the first range's header, except
+    // that entry g of a scalar vector (LAMB's per-group trust ratio) comes
+    // from the header of the range that holds group g.
+    let mut headers = headers.into_iter();
+    let Some(first) = headers.next() else {
+        return Ok(());
+    };
+    let mut optim = first.optim;
+    for (range, header) in plan.iter().skip(1).zip(headers) {
+        for (name, theirs) in &header.optim.scalars {
+            if let Some((_, dst)) = optim.scalars.iter_mut().find(|(n, _)| n == name) {
+                let hi = range.groups.end.min(theirs.len());
+                if dst.len() < hi {
+                    dst.extend_from_slice(&theirs[dst.len()..hi]);
+                }
+                let lo = range.groups.start.min(hi);
+                dst[lo..hi].copy_from_slice(&theirs[lo..hi]);
+            }
+        }
+    }
+    w.opt.load_scalar_state(&optim);
+    w.iteration = first.iteration;
     Ok(())
+}
+
+/// Makes `dst` hold a range's slot entries: `src` holds the source's
+/// entries from the range's first group on, and ends where the source's
+/// vector does. Entries of the range past that end become absent, and
+/// when nothing of `dst` lies past the range, `dst` ends there too — so a
+/// range covering every group leaves exactly the source's vector.
+fn splice_slots(dst: &mut Vec<Option<Tensor>>, groups: Range<usize>, src: Vec<Option<Tensor>>) {
+    let end = groups.start + src.len();
+    if dst.len() <= groups.end {
+        dst.truncate(end);
+    } else {
+        dst[end..groups.end].fill(None);
+    }
+    if !src.is_empty() && dst.len() < end {
+        dst.resize(end, None);
+    }
+    for (d, s) in dst[groups.start..end].iter_mut().zip(src) {
+        *d = s;
+    }
 }
 
 /// Flat offsets at which each walked tensor starts, plus the total.
@@ -212,12 +347,7 @@ fn starts(lens: impl Iterator<Item = usize>) -> Vec<usize> {
 
 /// Visits the flat range `[lo, hi)` tensor by tensor as `(tensor index,
 /// range within that tensor)`. `lo < hi <= total`.
-fn for_each_piece(
-    starts: &[usize],
-    lo: usize,
-    hi: usize,
-    mut f: impl FnMut(usize, std::ops::Range<usize>),
-) {
+fn for_each_piece(starts: &[usize], lo: usize, hi: usize, mut f: impl FnMut(usize, Range<usize>)) {
     let mut t = starts.partition_point(|&s| s <= lo) - 1;
     let mut pos = lo;
     while pos < hi {
@@ -234,24 +364,28 @@ fn protocol(detail: String) -> CommError {
     CommError::Protocol { detail }
 }
 
-/// What the lowest source tells every receiver before any tensor data.
+/// What a range's lowest source tells every receiver before any tensor
+/// data.
 struct Header {
     iteration: u64,
-    /// `(state() entry name, dims)` per parameter, in global group order.
+    /// `(state() entry name, dims)` per parameter of the range.
     params: Vec<(String, Vec<usize>)>,
     /// The optimizer's name, counters and scalars; `slots` is empty.
     optim: OptimState,
-    /// `(slot name, presence per parameter group)` in `state()` order.
+    /// `(slot name, presence per group of the range)` in `state()`
+    /// order, ending where the source's slot vector does.
     masks: Vec<(String, Vec<bool>)>,
 }
 
 impl Header {
-    fn of(w: &DpWorker) -> Self {
+    fn of(w: &DpWorker, groups: Range<usize>) -> Self {
         Header {
             iteration: w.iteration,
             params: w
                 .model
                 .named_params()
+                .skip(groups.start)
+                .take(groups.len())
                 .map(|(name, p)| (name, p.shape().dims().to_vec()))
                 .collect(),
             optim: w.opt.scalar_state(),
@@ -260,9 +394,10 @@ impl Header {
                 .slots()
                 .into_iter()
                 .map(|(name, slots)| {
+                    let held = groups.start.min(slots.len())..groups.end.min(slots.len());
                     (
                         name.to_string(),
-                        slots.iter().map(Option::is_some).collect(),
+                        slots[held].iter().map(Option::is_some).collect(),
                     )
                 })
                 .collect(),
@@ -348,10 +483,10 @@ impl Header {
         })
     }
 
-    /// Checks that `w` can hold the announced state, naming the first
-    /// entry that it cannot.
-    fn check_against(&self, w: &DpWorker) -> Result<(), CommError> {
-        let mut own = w.model.named_params();
+    /// Checks that `w` can hold the announced state of `groups`, naming
+    /// the first entry that it cannot.
+    fn check_against(&self, w: &DpWorker, groups: Range<usize>) -> Result<(), CommError> {
+        let mut own = w.model.named_params().skip(groups.start).take(groups.len());
         for (name, dims) in &self.params {
             let Some((own_name, p)) = own.next() else {
                 return Err(protocol(format!(
@@ -388,7 +523,7 @@ impl Header {
         }
         if let Some((name, mask)) = self.masks.iter().find(|(_, m)| m.len() > self.params.len()) {
             return Err(protocol(format!(
-                "optimizer slot `{name}` covers {} groups, the model has {}",
+                "optimizer slot `{name}` covers {} groups, the range has {}",
                 mask.len(),
                 self.params.len()
             )));
@@ -429,7 +564,7 @@ fn get_str(r: &mut &[u8]) -> Result<String, CommError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::replication::{replication_join, replication_recover_survivor};
     use crate::supervisor::supervise;
@@ -532,7 +667,7 @@ mod tests {
                 _ => (shape_only(kind, 7), Landing::InPlace),
             };
             w.needs_resync = ctx.rank() == 1 && rank1_steps != steps;
-            transfer_state(
+            transfer_replica(
                 &mut ctx,
                 &mut w,
                 sources,
@@ -619,13 +754,14 @@ mod tests {
         let all: &[Rank] = &[0, 1, 2];
         let h0 = cluster.spawn(0, move |mut ctx| {
             let mut w = trained(SGDM, 7, 3);
-            transfer_state(&mut ctx, &mut w, &[0], all, 16, Landing::Staged)
+            transfer_replica(&mut ctx, &mut w, &[0], all, 16, Landing::Staged)
         });
         let h1 = cluster.spawn(1, move |mut ctx| {
             let mut w = trained(SGDM, 7, 5);
             w.needs_resync = true;
             let before = (w.model.state(), w.opt.state());
-            let err = transfer_state(&mut ctx, &mut w, &[0], all, 16, Landing::Staged).unwrap_err();
+            let err =
+                transfer_replica(&mut ctx, &mut w, &[0], all, 16, Landing::Staged).unwrap_err();
             assert_eq!(err, CommError::PeerFailed { rank: 0 });
             assert!(w.model.state().bit_eq(&before.0), "torn model state");
             assert_eq!(w.opt.state(), before.1, "torn optimizer state");
@@ -640,7 +776,7 @@ mod tests {
         });
         let h2 = cluster.spawn(2, move |mut ctx| {
             let mut w = trained(SGDM, 7, 0);
-            let err = transfer_state(&mut ctx, &mut w, &[0], all, 16, Landing::InPlace);
+            let err = transfer_replica(&mut ctx, &mut w, &[0], all, 16, Landing::InPlace);
             assert_eq!(err, Err(CommError::PeerFailed { rank: 0 }));
             let (w, _) = supervise(&mut ctx, &RetryPolicy::recovery(), |ctx, _, _| {
                 replication_join(ctx, trained(SGDM, 7, 0).model, SGDM.build(), &[1], &[1, 2])
@@ -670,7 +806,7 @@ mod tests {
                 _ => (shape_only(kind, width), Landing::InPlace),
             };
             let before = (w.model.state(), w.opt.state());
-            let result = transfer_state(&mut ctx, &mut w, &[0], &[0, 1, 2], 20, landing);
+            let result = transfer_replica(&mut ctx, &mut w, &[0], &[0, 1, 2], 20, landing);
             let untouched = w.model.state().bit_eq(&before.0) && w.opt.state() == before.1;
             (result, untouched)
         });
@@ -711,5 +847,220 @@ mod tests {
             detail.contains("`SGD-momentum`") && detail.contains("`Adam`"),
             "{detail}"
         );
+    }
+
+    const LAMB: OptimizerKind = OptimizerKind::Lamb {
+        lr: 1e-2,
+        weight_decay: 0.01,
+    };
+
+    /// Every parameter, then every present slot in `state()` order: the
+    /// flat walk a whole-replica transfer streams.
+    fn flat_walk(w: &DpWorker) -> Vec<f32> {
+        let mut flat: Vec<f32> = w.model.params().flat_map(|p| p.data().to_vec()).collect();
+        for (_, slots) in w.opt.slots() {
+            flat.extend(slots.iter().flatten().flat_map(|t| t.data().to_vec()));
+        }
+        flat
+    }
+
+    #[test]
+    fn one_range_plan_sends_the_single_source_list_schedule() {
+        // A whole-replica transfer is the schedule it had before plans
+        // had ranges: the whole flat walk cut every `chunk_bytes / 4`
+        // f32s, chunk i from sorted source i mod n, and nothing else but
+        // the lowest source's header. The last rank receives the stream
+        // raw: each source's byte count first (so a wrong schedule fails
+        // instead of hanging), then every chunk from the expected source
+        // with the expected bounds and contents.
+        let kind = OptimizerKind::Adam {
+            lr: 1e-2,
+            weight_decay: 0.001,
+        };
+        for (sources, chunk_bytes) in [
+            (&[0usize][..], 20usize),
+            (&[0, 1][..], 20),
+            (&[0, 1, 2][..], 6),
+            (&[0, 1][..], 1 << 30),
+        ] {
+            let world = sources.len() + 1;
+            let all: Vec<Rank> = (0..world).collect();
+            Cluster::run_all(Topology::uniform(world, 1), move |mut ctx| {
+                let me = ctx.rank();
+                let mut w = trained(kind, 7, 3);
+                if me < sources.len() {
+                    transfer_replica(
+                        &mut ctx,
+                        &mut w,
+                        sources,
+                        &all,
+                        chunk_bytes,
+                        Landing::Staged,
+                    )
+                    .unwrap();
+                    ctx.kv
+                        .set(&format!("sent/{me}"), ctx.comm.bytes_sent().to_string());
+                    return;
+                }
+                let tag = ctx.comm.next_coll_tag();
+                let flat = flat_walk(&w);
+                let chunk = chunk_bytes / 4;
+                let bounds = |i: usize| (i * chunk, ((i + 1) * chunk).min(flat.len()));
+                let count = flat.len().div_ceil(chunk);
+                let header = ctx.comm.recv_bytes(0, tag).unwrap();
+                for (pos, &s) in sources.iter().enumerate() {
+                    let sent = ctx
+                        .kv
+                        .wait_for(&format!("sent/{s}"), RetryPolicy::recovery().deadline)
+                        .unwrap();
+                    let chunks: usize = (pos..count)
+                        .step_by(sources.len())
+                        .map(|i| 4 * (bounds(i).1 - bounds(i).0))
+                        .sum();
+                    let expected = chunks + if pos == 0 { header.len() } else { 0 };
+                    assert_eq!(sent, expected.to_string(), "{sources:?}, source {s}");
+                }
+                for i in 0..count {
+                    let (lo, hi) = bounds(i);
+                    let piece = ctx
+                        .comm
+                        .recv_bytes(sources[i % sources.len()], tag)
+                        .unwrap();
+                    assert_eq!(
+                        &piece[..],
+                        bytemuck_f32(&flat[lo..hi]),
+                        "{sources:?}, chunk {i}"
+                    );
+                }
+            });
+        }
+    }
+
+    /// A `[5, width, out]` replica `steps` in, its every parameter, slot
+    /// and per-group scalar then shifted by `shift` — distinct content at
+    /// the same iteration.
+    fn shifted(kind: OptimizerKind, dims: [usize; 3], steps: u64, shift: f32) -> DpWorker {
+        let mut w = DpWorker::new(mlp("t", &dims, 41), kind.build());
+        let ds = BlobsDataset::new(3, 5, 3, 0.3);
+        for it in 0..steps {
+            let batch = ds.batch(it, 4);
+            let ctx = StepCtx::new(it, 0);
+            let out = w.model.forward(ctx, &batch.x, Mode::Train);
+            let (_, grad) = softmax_cross_entropy_scaled(&out, &batch.y, 0.25);
+            w.model.backward(ctx, &grad);
+            w.model.optimizer_step(&mut *w.opt);
+            w.model.zero_grads();
+            w.iteration += 1;
+        }
+        let bump = |t: &mut Tensor| t.data_mut().iter_mut().for_each(|v| *v += shift);
+        w.model.params_mut().for_each(bump);
+        for (_, slots) in w.opt.slots_mut() {
+            slots.iter_mut().flatten().for_each(bump);
+        }
+        let mut scalars = w.opt.scalar_state();
+        for (name, vals) in &mut scalars.scalars {
+            if name == "saved_ratio" {
+                vals.iter_mut().for_each(|v| *v += shift);
+            }
+        }
+        w.opt.load_scalar_state(&scalars);
+        w
+    }
+
+    /// Group `g` of a worker: its parameter, its slot of every name and
+    /// its LAMB trust ratio.
+    pub(crate) type GroupCopy = (Tensor, Vec<Option<Tensor>>, Option<f32>);
+
+    pub(crate) fn group(w: &DpWorker, g: usize) -> GroupCopy {
+        let param = w.model.params().nth(g).unwrap().clone();
+        let slots = w
+            .opt
+            .slots()
+            .iter()
+            .map(|(_, s)| s.get(g).cloned().flatten())
+            .collect();
+        let scalars = w.opt.scalar_state().scalars;
+        let ratio = scalars.iter().find(|(n, _)| n == "saved_ratio");
+        (param, slots, ratio.and_then(|(_, v)| v.get(g).copied()))
+    }
+
+    /// Whether two copies of a group are bit-equal.
+    pub(crate) fn same_group(a: &GroupCopy, b: &GroupCopy) -> bool {
+        let slots_eq = a.1.len() == b.1.len()
+            && a.1.iter().zip(&b.1).all(|(x, y)| match (x, y) {
+                (Some(x), Some(y)) => x.bit_eq(y),
+                (None, None) => true,
+                _ => false,
+            });
+        a.0.bit_eq(&b.0) && slots_eq && a.2.map(f32::to_bits) == b.2.map(f32::to_bits)
+    }
+
+    #[test]
+    fn two_range_plan_lands_each_range_from_its_own_sources() {
+        // Groups 0..2 come from rank 0, groups 2..4 from rank 1, which
+        // holds different values at the same iteration. Rank 2 receives
+        // in place; rank 3 (staged) and rank 4 (in place) have a wider
+        // last layer, so only the second range's header mismatches —
+        // both must reject before any byte lands and keep their state;
+        // rank 5 is a bystander. Every rank ends on a barrier, so no
+        // receiver exits while the sources still stream.
+        let plan = [
+            SourceRange {
+                groups: 0..2,
+                sources: vec![0],
+            },
+            SourceRange {
+                groups: 2..usize::MAX,
+                sources: vec![1],
+            },
+        ];
+        let out = Cluster::run_all(Topology::uniform(6, 1), move |mut ctx| {
+            let me = ctx.rank();
+            let (mut w, landing) = match me {
+                0 => (shifted(LAMB, [5, 7, 3], 3, 0.0), Landing::InPlace),
+                1 => (shifted(LAMB, [5, 7, 3], 3, 0.5), Landing::InPlace),
+                2 => (shape_only(LAMB, 7), Landing::InPlace),
+                3 => (shifted(LAMB, [5, 7, 4], 2, 0.0), Landing::Staged),
+                4 => (shifted(LAMB, [5, 7, 4], 1, 0.0), Landing::InPlace),
+                _ => (shifted(LAMB, [5, 7, 3], 2, 0.25), Landing::InPlace),
+            };
+            let before = (w.model.state(), w.opt.state(), w.iteration);
+            let result = transfer_state(&mut ctx, &mut w, &plan, &[2, 3, 4], 20, landing);
+            ctx.comm.barrier_among(&[0, 1, 2, 3, 4, 5]).unwrap();
+            let kept = w.model.state().bit_eq(&before.0)
+                && w.opt.state() == before.1
+                && w.iteration == before.2;
+            let groups: Vec<_> = (0..w.model.num_param_groups())
+                .map(|g| group(&w, g))
+                .collect();
+            (result, kept, groups, w.iteration)
+        });
+        for rank in [0, 1, 5] {
+            assert_eq!(out[rank].0, Ok(()), "rank {rank}");
+            assert!(out[rank].1, "rank {rank} only sends or stands by");
+        }
+        let (result, _, groups, iteration) = &out[2];
+        assert_eq!(*result, Ok(()));
+        assert_eq!(*iteration, 3);
+        for (g, got) in groups.iter().enumerate() {
+            let source = if g < 2 { 0 } else { 1 };
+            assert!(
+                same_group(got, &out[source].2[g]),
+                "group {g} from rank {source}"
+            );
+        }
+        assert!(
+            !same_group(&out[0].2[3], &out[1].2[3]),
+            "the sources differ"
+        );
+        for rank in [3, 4] {
+            match &out[rank].0 {
+                Err(CommError::Protocol { detail }) => {
+                    assert!(detail.contains("`2:fc1.0`"), "rank {rank}: {detail}")
+                }
+                other => panic!("rank {rank}: expected a protocol error, got {other:?}"),
+            }
+            assert!(out[rank].1, "rank {rank} must keep its state");
+        }
     }
 }

@@ -501,12 +501,25 @@ mod tests {
         assert_eq!(results[1], 21.0);
     }
 
+    /// The ascending-rank left fold `((t₀ + t₁) + t₂) + …` of every
+    /// rank's input, computed locally: what the chunked all-reduce must
+    /// produce bit for bit.
+    fn left_fold(world: usize, input: impl Fn(Rank) -> Tensor) -> Tensor {
+        let mut acc = input(0);
+        for r in 1..world {
+            acc.add_inplace(&input(r));
+        }
+        acc
+    }
+
     #[test]
     fn allreduce_is_rank_sum_and_deterministic() {
         let run = || {
             Cluster::run_all(Topology::uniform(2, 2), |mut ctx| {
                 let t = Tensor::full([4], (ctx.rank() + 1) as f32);
-                ctx.comm.allreduce_sum(&t).unwrap()
+                ctx.comm
+                    .allreduce_sum_chunked_among(&[0, 1, 2, 3], &t, usize::MAX)
+                    .unwrap()
             })
         };
         let a = run();
@@ -521,32 +534,16 @@ mod tests {
     }
 
     #[test]
-    fn ring_allreduce_matches_tree() {
-        let results = Cluster::run_all(Topology::uniform(1, 4), |mut ctx| {
-            let t = Tensor::from_vec([10], (0..10).map(|i| (i + ctx.rank()) as f32).collect());
-            let ring = ctx.comm.ring_allreduce_among(&[0, 1, 2, 3], &t).unwrap();
-            let tree = ctx.comm.allreduce_sum(&t).unwrap();
-            (ring, tree)
-        });
-        for (ring, tree) in &results {
-            assert!(ring.max_abs_diff(tree) < 1e-5);
-        }
-        // All ranks agree.
-        for (ring, _) in &results[1..] {
-            assert!(ring.bit_eq(&results[0].0));
-        }
-    }
-
-    #[test]
     fn broadcast_among_subgroup() {
         let results = Cluster::run_all(Topology::uniform(2, 2), |mut ctx| {
             let group = [1usize, 3];
             if group.contains(&ctx.rank()) {
                 let data = (ctx.rank() == 1).then(|| Tensor::full([2], 9.0));
+                let mut dst = Tensor::zeros([2]);
                 ctx.comm
-                    .broadcast_tensor_among(&group, 1, data.as_ref())
-                    .unwrap()
-                    .sum()
+                    .broadcast_tensor_chunked_into(&group, 1, data.as_ref(), &mut dst, 4)
+                    .unwrap();
+                dst.sum()
             } else {
                 -1.0
             }
@@ -555,47 +552,47 @@ mod tests {
     }
 
     /// The chunked chain all-reduce must be *bitwise* equal to the
-    /// monolithic gather at every chunk size — 1 KiB (many chunks),
-    /// 64 KiB (the default), and whole-tensor (one chunk) — because the
-    /// chain preserves the exact left-fold rounding order. Shapes are
-    /// deliberately not chunk-aligned.
+    /// ascending-rank left fold of the inputs at every chunk size — 1 KiB
+    /// (many chunks), 64 KiB (the default), and whole-tensor (one chunk).
+    /// Shapes are deliberately not chunk-aligned.
     #[test]
-    fn chunked_allreduce_bitwise_matches_monolithic() {
+    fn chunked_allreduce_bitwise_matches_ascending_rank_fold() {
+        let input = |rank: Rank| {
+            let n = 40_961; // prime-ish: last chunk is ragged
+            Tensor::from_vec(
+                [n],
+                (0..n)
+                    .map(|i| ((i * 31 + rank * 17) % 1013) as f32 * 0.37 - 90.0)
+                    .collect(),
+            )
+        };
         for world in [2usize, 3, 4] {
-            for chunk_bytes in [1024usize, 64 * 1024, usize::MAX / 8] {
+            let want = left_fold(world, input);
+            for chunk_bytes in [1024usize, 64 * 1024, usize::MAX] {
                 let ranks: Vec<Rank> = (0..world).collect();
                 let results = Cluster::run_all(Topology::uniform(world, 1), move |mut ctx| {
-                    let n = 40_961; // prime-ish: last chunk is ragged
-                    let t = Tensor::from_vec(
-                        [n],
-                        (0..n)
-                            .map(|i| ((i * 31 + ctx.rank() * 17) % 1013) as f32 * 0.37 - 90.0)
-                            .collect(),
-                    );
-                    let mono = ctx.comm.allreduce_sum_among(&ranks, &t).unwrap();
-                    let chunked = ctx
-                        .comm
+                    let t = input(ctx.rank());
+                    ctx.comm
                         .allreduce_sum_chunked_among(&ranks, &t, chunk_bytes)
-                        .unwrap();
-                    (mono, chunked)
+                        .unwrap()
                 });
-                for (mono, chunked) in &results {
+                for chunked in &results {
                     assert!(
-                        chunked.bit_eq(mono),
+                        chunked.bit_eq(&want),
                         "chunked all-reduce diverged at world={world} chunk={chunk_bytes}"
                     );
-                    assert!(chunked.bit_eq(&results[0].1), "ranks disagree");
                 }
             }
         }
     }
 
     #[test]
-    fn chunked_broadcast_bitwise_matches_monolithic() {
-        for chunk_bytes in [1024usize, 64 * 1024, usize::MAX / 8] {
+    fn chunked_broadcast_delivers_the_root_tensor_bitwise() {
+        for chunk_bytes in [1024usize, 64 * 1024, usize::MAX] {
+            let n = 33_333;
+            let src = Tensor::from_vec([n], (0..n).map(|i| (i as f32).sin()).collect());
+            let want = src.clone();
             let results = Cluster::run_all(Topology::uniform(3, 1), move |mut ctx| {
-                let n = 33_333;
-                let src = Tensor::from_vec([n], (0..n).map(|i| (i as f32).sin()).collect());
                 let group = [0usize, 1, 2];
                 // Bytes path: payload must survive chunking byte-exactly.
                 let payload = (ctx.rank() == 1)
@@ -610,18 +607,13 @@ mod tests {
                 ctx.comm
                     .broadcast_tensor_chunked_into(&group, 1, mine.as_ref(), &mut dst, chunk_bytes)
                     .unwrap();
-                // Monolithic reference.
-                let mono = ctx
-                    .comm
-                    .broadcast_tensor_among(&group, 1, mine.as_ref())
-                    .unwrap();
-                (via_bytes, dst, mono)
+                (via_bytes, dst)
             });
-            for (via_bytes, dst, mono) in &results {
-                assert!(dst.bit_eq(mono), "chunked tensor broadcast diverged");
+            for (via_bytes, dst) in &results {
+                assert!(dst.bit_eq(&want), "chunked tensor broadcast diverged");
                 assert_eq!(
                     &via_bytes[..],
-                    crate::bytemuck_f32(mono.data()),
+                    crate::bytemuck_f32(want.data()),
                     "chunked bytes broadcast diverged"
                 );
             }
@@ -734,44 +726,48 @@ mod tests {
         assert_eq!(expect_off, len);
     }
 
-    /// One randomized round: chunked all-reduce and chunked broadcast
-    /// must be bitwise equal to the monolithic collectives. Returns
-    /// whether every rank agreed.
+    /// One randomized round: the chunked all-reduce must be bitwise equal
+    /// to the local ascending-rank fold, and the chunked broadcast of
+    /// rank 0's input must deliver it bitwise. Returns whether every rank
+    /// agreed.
     fn chunked_round_matches(numel: usize, chunk_bytes: usize, world: usize, seed: u64) -> bool {
         let ranks: Vec<Rank> = (0..world).collect();
-        let results = Cluster::run_all(Topology::uniform(world, 1), move |mut ctx| {
-            let t = Tensor::from_vec(
+        let input = move |rank: Rank| {
+            Tensor::from_vec(
                 [numel],
                 (0..numel)
                     .map(|i| {
                         let x = (i as u64)
                             .wrapping_mul(6364136223846793005)
-                            .wrapping_add(seed + ctx.rank() as u64);
+                            .wrapping_add(seed + rank as u64);
                         (x >> 40) as f32 * 1e-4 - 0.8
                     })
                     .collect(),
-            );
-            let mono = ctx.comm.allreduce_sum_among(&ranks, &t).unwrap();
+            )
+        };
+        let want = left_fold(world, input);
+        let root = input(0);
+        let results = Cluster::run_all(Topology::uniform(world, 1), move |mut ctx| {
+            let t = input(ctx.rank());
             let chunked = ctx
                 .comm
                 .allreduce_sum_chunked_among(&ranks, &t, chunk_bytes)
                 .unwrap();
-            let root_val = (ctx.rank() == 0).then(|| mono.clone());
             let mut bcast = Tensor::zeros([numel]);
             ctx.comm
                 .broadcast_tensor_chunked_into(
                     &ranks,
                     0,
-                    root_val.as_ref(),
+                    (ctx.rank() == 0).then_some(&t),
                     &mut bcast,
                     chunk_bytes,
                 )
                 .unwrap();
-            (mono, chunked, bcast)
+            (chunked, bcast)
         });
         results
             .iter()
-            .all(|(mono, chunked, bcast)| chunked.bit_eq(mono) && bcast.bit_eq(&results[0].0))
+            .all(|(chunked, bcast)| chunked.bit_eq(&want) && bcast.bit_eq(&root))
     }
 
     mod proptests {
@@ -782,9 +778,10 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(6))]
 
             // Random shapes × chunk sizes × rank counts: the chunked
-            // collectives stay bitwise equal to the monolithic ones.
+            // collectives stay bitwise equal to the local fold and the
+            // root's tensor.
             #[test]
-            fn chunked_collectives_match_monolithic(
+            fn chunked_collectives_match_local_fold(
                 numel in 1usize..5000,
                 chunk_bytes in 4usize..4096,
                 world in 2usize..5,
@@ -809,6 +806,98 @@ mod tests {
                 ));
             }
         }
+    }
+
+    /// Runs `op` on one rank of two while the other, `crafter`, allocates
+    /// the same collective tag and sends it `frame` on that tag's stream
+    /// `tag ^ tag_xor`: the receive site must reject the malformed frame
+    /// as a protocol error — never panic, never fold a short chunk. The
+    /// crafter waits (boundedly) until the op has returned, so it
+    /// outlives every send to it.
+    fn rejects_crafted_frame<T: std::fmt::Debug + 'static>(
+        crafter: Rank,
+        frame: &'static [u8],
+        tag_xor: u64,
+        op: fn(&mut WorkerCtx) -> Result<T, CommError>,
+    ) {
+        let out = Cluster::run_all(Topology::uniform(2, 1), move |mut ctx| {
+            if ctx.rank() == crafter {
+                let tag = ctx.comm.next_coll_tag();
+                let to = 1 - crafter;
+                ctx.comm
+                    .send_bytes(to, tag ^ tag_xor, bytes::Bytes::from_static(frame))
+                    .unwrap();
+                ctx.kv
+                    .wait_for("op-returned", std::time::Duration::from_secs(30));
+                return None;
+            }
+            let got = match op(&mut ctx) {
+                Err(CommError::Protocol { detail }) => Ok(detail),
+                other => Err(format!("{other:?}")),
+            };
+            ctx.kv.set("op-returned", "1");
+            Some(got)
+        });
+        let got = out[1 - crafter].clone().unwrap();
+        assert!(got.is_ok(), "expected a protocol error, got {got:?}");
+    }
+
+    #[test]
+    fn short_tensor_frame_is_a_protocol_error() {
+        let out = Cluster::run_all(Topology::uniform(2, 1), |mut ctx| {
+            if ctx.rank() == 0 {
+                let frame = bytes::Bytes::from_static(b"xy");
+                ctx.comm.send_bytes(1, 7, frame).unwrap();
+                return true;
+            }
+            matches!(ctx.comm.recv_tensor(0, 7), Err(CommError::Protocol { .. }))
+        });
+        assert!(out[1], "recv_tensor must reject a short frame");
+    }
+
+    #[test]
+    fn short_allreduce_chunk_is_a_protocol_error() {
+        // Rank 1, the chain's last rank, receives a 6-byte fold chunk.
+        rejects_crafted_frame(0, b"abcdef", 0, |ctx| {
+            ctx.comm
+                .allreduce_sum_chunked_among(&[0, 1], &Tensor::zeros([4]), 1024)
+        });
+    }
+
+    #[test]
+    fn short_broadcast_chunk_is_a_protocol_error() {
+        rejects_crafted_frame(0, b"abcdef", 0, |ctx| {
+            let mut dst = Tensor::zeros([4]);
+            ctx.comm
+                .broadcast_tensor_chunked_into(&[0, 1], 0, None, &mut dst, 1024)
+        });
+    }
+
+    #[test]
+    fn short_broadcast_header_is_a_protocol_error() {
+        rejects_crafted_frame(0, b"abc", 0, |ctx| {
+            ctx.comm
+                .broadcast_bytes_chunked_among(&[0, 1], 0, None, 1024)
+        });
+    }
+
+    #[test]
+    fn short_state_header_is_a_protocol_error() {
+        rejects_crafted_frame(0, b"abc", 0, |ctx| {
+            ctx.comm.scatter_state_sharded(&[0], &[1], None, 1024)
+        });
+    }
+
+    #[test]
+    fn short_all_gather_frames_are_protocol_errors() {
+        // The root receives a 3-byte value; a peer receives one value
+        // where two were gathered.
+        rejects_crafted_frame(1, b"abc", 0, |ctx| {
+            ctx.comm.all_gather_u64_among(&[0, 1], 5)
+        });
+        rejects_crafted_frame(0, b"12345678", 0, |ctx| {
+            ctx.comm.all_gather_u64_among(&[0, 1], 5)
+        });
     }
 
     #[test]

@@ -666,7 +666,9 @@ impl Comm {
     /// Receives a tensor.
     pub fn recv_tensor(&mut self, src: Rank, tag: u64) -> Result<Tensor, CommError> {
         let b = self.recv_bytes(src, tag)?;
-        Ok(decode_slice(&b).expect("malformed tensor payload"))
+        decode_slice(&b).map_err(|e| CommError::Protocol {
+            detail: format!("tensor from rank {src}: {e}"),
+        })
     }
 
     /// Allocates the next collective tag. Multi-collective protocols built
@@ -790,155 +792,19 @@ impl Comm {
         self.barrier_among(&all)
     }
 
-    /// Broadcast raw bytes from `root` among `participants`.
-    pub fn broadcast_bytes_among(
-        &mut self,
-        participants: &[Rank],
-        root: Rank,
-        data: Option<Bytes>,
-    ) -> Result<Bytes, CommError> {
-        let tag = self.next_coll_tag();
-        if self.rank == root {
-            let payload = data.expect("root must supply the broadcast payload");
-            for &r in participants.iter().filter(|&&r| r != root) {
-                self.send_bytes(r, tag, payload.clone())?;
-            }
-            Ok(payload)
-        } else {
-            self.recv_bytes(root, tag)
-        }
-    }
-
-    /// Broadcast a tensor from `root` among `participants` (used by
-    /// replication-based recovery to ship the surviving replica's state).
-    pub fn broadcast_tensor_among(
-        &mut self,
-        participants: &[Rank],
-        root: Rank,
-        t: Option<&Tensor>,
-    ) -> Result<Tensor, CommError> {
-        let b = self.broadcast_bytes_among(participants, root, t.map(encode))?;
-        Ok(decode_slice(&b).expect("malformed tensor payload"))
-    }
-
-    /// Deterministic all-reduce (sum) among `participants`: the smallest
-    /// rank gathers contributions in ascending rank order, sums them, and
-    /// broadcasts the result. Rank order fixes the floating-point
-    /// reduction order, so every run produces bit-identical results —
-    /// required for replay determinism (§6).
-    pub fn allreduce_sum_among(
-        &mut self,
-        participants: &[Rank],
-        t: &Tensor,
-    ) -> Result<Tensor, CommError> {
-        let tag = self.next_coll_tag();
-        let mut sorted: Vec<Rank> = participants.to_vec();
-        sorted.sort_unstable();
-        let root = sorted[0];
-        if self.rank == root {
-            let mut acc = t.clone();
-            for &r in sorted.iter().skip(1) {
-                let contrib = {
-                    let b = self.recv_bytes(r, tag)?;
-                    decode_slice(&b).expect("malformed tensor payload")
-                };
-                acc.add_inplace(&contrib);
-            }
-            for &r in sorted.iter().skip(1) {
-                self.send_bytes(r, tag, encode(&acc))?;
-            }
-            Ok(acc)
-        } else {
-            self.send_bytes(root, tag, encode(t))?;
-            let b = self.recv_bytes(root, tag)?;
-            Ok(decode_slice(&b).expect("malformed tensor payload"))
-        }
-    }
-
-    /// Full-world deterministic all-reduce (sum).
-    pub fn allreduce_sum(&mut self, t: &Tensor) -> Result<Tensor, CommError> {
-        let all: Vec<Rank> = (0..self.world).collect();
-        self.allreduce_sum_among(&all, t)
-    }
-
-    /// Ring all-reduce (sum): reduce-scatter then all-gather over the ring
-    /// of `participants`. Deterministic (the ring fixes the reduction
-    /// order) but with a different rounding order than
-    /// [`allreduce_sum_among`](Comm::allreduce_sum_among); offered for bandwidth-optimal synchronization
-    /// at scale.
-    pub fn ring_allreduce_among(
-        &mut self,
-        participants: &[Rank],
-        t: &Tensor,
-    ) -> Result<Tensor, CommError> {
-        let mut ring: Vec<Rank> = participants.to_vec();
-        ring.sort_unstable();
-        let n = ring.len();
-        if n == 1 {
-            return Ok(t.clone());
-        }
-        let me = ring
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("not a participant");
-        let next = ring[(me + 1) % n];
-        let prev = ring[(me + n - 1) % n];
-        let numel = t.numel();
-        // Chunk boundaries: chunk c covers [floor(c·numel/n), floor((c+1)·numel/n)).
-        let bounds: Vec<usize> = (0..=n).map(|c| c * numel / n).collect();
-        let mut data = t.data().to_vec();
-        let tag_base = self.next_coll_tag();
-
-        // Reduce-scatter: after n−1 steps, chunk c is fully summed at rank
-        // index (c+1) mod n.
-        for step in 0..n - 1 {
-            let send_c = (me + n - step) % n;
-            let recv_c = (me + n - 1 - step) % n;
-            let tag = tag_base ^ (step as u64) << 32;
-            let chunk =
-                Bytes::copy_from_slice(bytemuck_f32(&data[bounds[send_c]..bounds[send_c + 1]]));
-            self.send_bytes(next, tag, chunk)?;
-            let incoming = self.recv_bytes(prev, tag)?;
-            let vals = f32_from_bytes(&incoming);
-            for (dst, v) in data[bounds[recv_c]..bounds[recv_c + 1]]
-                .iter_mut()
-                .zip(vals)
-            {
-                *dst += v;
-            }
-        }
-        // All-gather: circulate the finished chunks.
-        for step in 0..n - 1 {
-            let send_c = (me + 1 + n - step) % n;
-            let recv_c = (me + n - step) % n;
-            let tag = tag_base ^ (0x100 + step as u64) << 32;
-            let chunk =
-                Bytes::copy_from_slice(bytemuck_f32(&data[bounds[send_c]..bounds[send_c + 1]]));
-            self.send_bytes(next, tag, chunk)?;
-            let incoming = self.recv_bytes(prev, tag)?;
-            let vals = f32_from_bytes(&incoming);
-            for (dst, v) in data[bounds[recv_c]..bounds[recv_c + 1]]
-                .iter_mut()
-                .zip(vals)
-            {
-                *dst = v;
-            }
-        }
-        Ok(Tensor::from_vec(*t.shape(), data))
-    }
-
-    /// Chunked, pipelined deterministic all-reduce (sum): identical
-    /// rounding to [`allreduce_sum_among`](Comm::allreduce_sum_among)
-    /// — bitwise equal at any chunk size and thread count — but streamed
-    /// in `chunk_bytes` chunks so chunk *k*'s reduction overlaps chunk
-    /// *k+1*'s transfer.
+    /// Chunked, pipelined deterministic all-reduce (sum) among
+    /// `participants`, streamed in `chunk_bytes` chunks so chunk *k*'s
+    /// reduction overlaps chunk *k+1*'s transfer.
     ///
     /// The schedule is an ascending-rank chain: the partial sum of chunk
     /// *k* flows rank-index 0 → 1 → … → n−1, each rank folding its own
-    /// contribution in (the exact left-fold order of the monolithic
-    /// gather), and the last rank streams finished chunks back down the
-    /// chain while later chunks are still folding — 2(n−1) hops per
-    /// chunk, pipelined across chunks.
+    /// contribution in, and the last rank streams finished chunks back
+    /// down the chain while later chunks are still folding — 2(n−1) hops
+    /// per chunk, pipelined across chunks. Every element is the
+    /// ascending-rank left fold `((t₀ + t₁) + t₂) + …`, so the result is
+    /// bitwise identical at any chunk size and thread count — required
+    /// for replay determinism (§6). A chunk larger than the tensor makes
+    /// it one message per hop.
     pub fn allreduce_sum_chunked_among(
         &mut self,
         participants: &[Rank],
@@ -983,9 +849,8 @@ impl Comm {
         let own = t.data();
         // Fold phase: the partial sum climbs the chain chunk by chunk.
         // Rank index i receives t₀+…+t_{i−1} and adds its own values —
-        // exactly the monolithic root's `acc += contrib` left fold, so
-        // the result is bitwise identical and, being elementwise,
-        // independent of thread count.
+        // an elementwise left fold, so the result is independent of the
+        // chunk size and the thread count.
         if me == 0 {
             let mut lo = 0;
             while lo < numel {
@@ -1001,6 +866,7 @@ impl Comm {
             while lo < numel {
                 let hi = (lo + chunk).min(numel);
                 let incoming = self.recv_bytes(prev, fold_tag)?;
+                check_frame_len("all-reduce chunk", &incoming, 4 * (hi - lo))?;
                 scratch.clear();
                 scratch.extend(
                     f32_from_bytes(&incoming)
@@ -1028,6 +894,7 @@ impl Comm {
             while lo < numel {
                 let hi = (lo + chunk).min(numel);
                 let incoming = self.recv_bytes(from, gather_tag)?;
+                check_frame_len("all-reduce result chunk", &incoming, 4 * (hi - lo))?;
                 if me > 0 {
                     self.send_bytes(chain[me - 1], gather_tag, incoming.clone())?;
                 }
@@ -1046,8 +913,7 @@ impl Comm {
     /// Chunked broadcast of raw bytes from `root`: a length header, then
     /// `chunk_bytes`-sized slices of the payload (refcounted at the root
     /// — no copies), so a receiver starts consuming while later chunks
-    /// are still in flight. Payload-identical to
-    /// [`broadcast_bytes_among`](Comm::broadcast_bytes_among).
+    /// are still in flight.
     pub fn broadcast_bytes_chunked_among(
         &mut self,
         participants: &[Rank],
@@ -1074,11 +940,11 @@ impl Comm {
             }
             Ok(payload)
         } else {
-            let header = self.recv_bytes(root, tag)?;
-            let total = u64::from_le_bytes(header[..8].try_into().unwrap()) as usize;
+            let total = u64_frame("broadcast header", &self.recv_bytes(root, tag)?)? as usize;
             let mut buf = Vec::with_capacity(total);
             while buf.len() < total {
                 let piece = self.recv_bytes(root, tag)?;
+                check_frame_len("broadcast chunk", &piece, chunk.min(total - buf.len()))?;
                 buf.extend_from_slice(&piece);
             }
             Ok(Bytes::from(buf))
@@ -1090,8 +956,7 @@ impl Comm {
     /// tensor data and receivers install each chunk into `dst`'s existing
     /// storage — no wire header, no intermediate decode allocation, and a
     /// replacement rank starts deserializing while later chunks are still
-    /// in flight. Values are bitwise identical to
-    /// [`broadcast_tensor_among`](Comm::broadcast_tensor_among).
+    /// in flight.
     pub fn broadcast_tensor_chunked_into(
         &mut self,
         participants: &[Rank],
@@ -1128,6 +993,7 @@ impl Comm {
             while lo < numel {
                 let hi = (lo + chunk).min(numel);
                 let incoming = self.recv_bytes(root, tag)?;
+                check_frame_len("broadcast chunk", &incoming, 4 * (hi - lo))?;
                 for (d, v) in dst.data_mut()[lo..hi]
                     .iter_mut()
                     .zip(f32_from_bytes(&incoming))
@@ -1138,24 +1004,6 @@ impl Comm {
             }
         }
         Ok(())
-    }
-
-    /// Chunked tensor broadcast returning a fresh tensor (convenience
-    /// wrapper over
-    /// [`broadcast_tensor_chunked_into`](Comm::broadcast_tensor_chunked_into)
-    /// for call sites whose receivers already know the shape from a
-    /// deterministic model factory).
-    pub fn broadcast_tensor_chunked_among(
-        &mut self,
-        participants: &[Rank],
-        root: Rank,
-        src: Option<&Tensor>,
-        shape: &[usize],
-        chunk_bytes: usize,
-    ) -> Result<Tensor, CommError> {
-        let mut dst = Tensor::zeros(shape.to_vec());
-        self.broadcast_tensor_chunked_into(participants, root, src, &mut dst, chunk_bytes)?;
-        Ok(dst)
     }
 
     /// Sharded multi-source state transfer: every survivor concurrently
@@ -1272,12 +1120,11 @@ impl Comm {
                 replacements.contains(&self.rank),
                 "caller must be a survivor or a replacement"
             );
-            let header = self.recv_bytes(srcs[0], tag)?;
-            let total =
-                u64::from_le_bytes(header[..8].try_into().expect("8-byte length header")) as usize;
+            let total = u64_frame("state header", &self.recv_bytes(srcs[0], tag)?)? as usize;
             let num_shards = total.div_ceil(shard);
             for i in 0..num_shards {
                 let piece = self.recv_bytes(srcs[i % n], tag)?;
+                check_frame_len("state shard", &piece, shard.min(total - i * shard))?;
                 on_shard(total, i * shard, &piece);
             }
             Ok(total)
@@ -1300,8 +1147,7 @@ impl Comm {
         if self.rank == root {
             let mut vals = vec![value];
             for &r in sorted.iter().skip(1) {
-                let b = self.recv_bytes(r, tag)?;
-                vals.push(u64::from_le_bytes(b[..8].try_into().unwrap()));
+                vals.push(u64_frame("all-gather value", &self.recv_bytes(r, tag)?)?);
             }
             let mut payload = Vec::with_capacity(8 * vals.len());
             for v in &vals {
@@ -1315,9 +1161,8 @@ impl Comm {
         } else {
             self.send_bytes(root, tag, Bytes::copy_from_slice(&value.to_le_bytes()))?;
             let b = self.recv_bytes(root, tag)?;
-            Ok(b.chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect())
+            check_frame_len("all-gather result", &b, 8 * sorted.len())?;
+            Ok(b.chunks_exact(8).map(u64_le).collect())
         }
     }
 }
@@ -1334,6 +1179,30 @@ pub fn bytemuck_f32(v: &[f32]) -> &[u8] {
 pub fn f32_from_bytes(b: &[u8]) -> impl Iterator<Item = f32> + '_ {
     b.chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+}
+
+/// Checks that a received `frame` (named `what` in the error) carries
+/// exactly `expected` bytes: a malformed frame is a protocol error, never
+/// a panic or a silently truncated fold.
+pub fn check_frame_len(what: &str, frame: &[u8], expected: usize) -> Result<(), CommError> {
+    if frame.len() == expected {
+        Ok(())
+    } else {
+        Err(CommError::Protocol {
+            detail: format!("{what} carries {} bytes, expected {expected}", frame.len()),
+        })
+    }
+}
+
+/// Reads a frame that must be exactly one little-endian `u64`.
+fn u64_frame(what: &str, frame: &[u8]) -> Result<u64, CommError> {
+    check_frame_len(what, frame, 8)?;
+    Ok(u64_le(frame))
+}
+
+/// The little-endian `u64` in the first 8 bytes of `b`.
+fn u64_le(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
 /// The default collective chunk size in bytes: the `SWIFT_COLLECTIVE_CHUNK`

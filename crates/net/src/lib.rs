@@ -49,8 +49,8 @@ pub mod transport;
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use cluster::{Cluster, ClusterBuilder, ClusterError, WorkerCtx};
 pub use comm::{
-    build_comms, bytemuck_f32, default_chunk_bytes, default_shard_bytes, f32_from_bytes,
-    respawn_comm, Comm, CommError, Fabric, COLLECTIVE_BIT,
+    build_comms, bytemuck_f32, check_frame_len, default_chunk_bytes, default_shard_bytes,
+    f32_from_bytes, respawn_comm, Comm, CommError, Fabric, COLLECTIVE_BIT,
 };
 pub use detector::{
     declare_failed, declare_recovered, failure_epoch, failure_state, Heartbeat, HeartbeatConfig,

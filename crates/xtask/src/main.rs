@@ -479,6 +479,8 @@ fn lint_no_panics_in_recovery(root: &Path) -> usize {
     let files = [
         "crates/core/src/supervisor.rs",
         "crates/core/src/fence.rs",
+        "crates/core/src/transfer.rs",
+        "crates/core/src/fsdp.rs",
         "crates/net/src/cluster.rs",
         "crates/net/src/detector.rs",
         "crates/net/src/socket.rs",

@@ -8,11 +8,12 @@
 use std::time::Duration;
 
 use swift::core::{
-    fsdp_join, fsdp_recover_survivor, fsdp_train_step, gather_full_params, FsdpWorker,
+    fsdp_join_supervised, fsdp_recover_supervised, fsdp_train_step, gather_full_params, CrashPoint,
+    FsdpWorker,
 };
 use swift::data::{shard_batch, BlobsDataset, Dataset};
 use swift::dnn::models::mlp;
-use swift::net::{Cluster, CommError, Topology};
+use swift::net::{Cluster, CommError, RetryPolicy, Topology};
 use swift::optim::OptimizerKind;
 
 const SGDM: OptimizerKind = OptimizerKind::SgdMomentum {
@@ -23,12 +24,16 @@ const SGDM: OptimizerKind = OptimizerKind::SgdMomentum {
 };
 
 fn worker() -> FsdpWorker {
-    FsdpWorker::new(mlp("fs", &[6, 32, 32, 3], 88), SGDM.build(), 3)
+    let mut w = FsdpWorker::new(mlp("fs", &[6, 32, 32, 3], 88), SGDM.build(), 3);
+    // Small buckets, so updates land bucket by bucket and a crash
+    // mid-backward leaves the survivors with a partial update to undo.
+    w.dp.bucket_cap_bytes = 256;
+    w
 }
 
 fn main() {
     let w = worker();
-    let full = w.model.byte_size();
+    let full = w.dp.model.byte_size();
     let stored = w.stored_bytes(0);
     println!(
         "model {} B; each rank durably stores {} B ({}%) — shard + ring backup",
@@ -38,6 +43,7 @@ fn main() {
     );
 
     let iters = 10u64;
+    let ranks = [0, 1, 2];
     let cluster = Cluster::new(Topology::uniform(3, 1));
     let fc = cluster.failure_controller();
     let kv = cluster.kv();
@@ -46,72 +52,83 @@ fn main() {
         handles.push(cluster.spawn(rank, move |mut ctx| {
             let ds = BlobsDataset::new(8, 6, 3, 0.3);
             let mut w = worker();
+            // Rank 2 dies in iteration 5 with all but its first group
+            // staged: the other two ranks apply every bucket but the last.
+            let crash = (rank == 2).then_some(CrashPoint {
+                iteration: 5,
+                after_groups: 5,
+            });
             loop {
-                if w.iteration >= iters {
-                    gather_full_params(&mut ctx, &mut w, &[0, 1, 2]).unwrap();
-                    return Some(w.model.state());
+                if w.dp.iteration >= iters {
+                    gather_full_params(&mut ctx, &mut w, &ranks).unwrap();
+                    return Some(w.dp.model.state());
                 }
-                let b = ds.batch(w.iteration, 12);
+                let b = ds.batch(w.dp.iteration, 12);
                 let s = shard_batch(&b, ctx.rank(), 3);
-                let crash = (ctx.rank() == 1 && w.iteration == 5).then_some(2usize);
-                match fsdp_train_step(&mut ctx, &mut w, &[0, 1, 2], &s.x, &s.y, 1.0 / 12.0, crash) {
+                match fsdp_train_step(&mut ctx, &mut w, &ranks, &s.x, &s.y, 1.0 / 12.0, crash) {
                     Ok(_) => {}
                     Err(CommError::SelfKilled) => return None,
                     Err(e @ CommError::Protocol { .. }) => panic!("protocol bug: {e}"),
-                    Err(CommError::PeerFailed { rank }) => {
-                        let gen = ctx.comm.failure_controller().generation();
+                    Err(CommError::PeerFailed { .. }) => {
+                        let undone = w.dp.tracker.updated().len();
+                        let gen = swift::net::failure_epoch(&ctx.kv);
                         ctx.kv
                             .set(&format!("fsdp-ex/ack/{gen}/{}", ctx.rank()), "1");
                         ctx.kv
                             .wait_for("fsdp-ex/up", Duration::from_secs(30))
                             .unwrap();
-                        fsdp_recover_survivor(&mut ctx, &mut w, rank, &[0, 1, 2]).unwrap();
+                        fsdp_recover_supervised(&mut ctx, &mut w, &ranks, &RetryPolicy::recovery())
+                            .unwrap();
+                        println!("rank {rank} undid {undone} partially applied groups");
                     }
                 }
             }
         }));
     }
 
-    // Driver: wait for the crash, gate revival on survivor acks.
-    while !fc.any_dead() {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    println!("machine 1 died mid-update at iteration 5 (its shards live on ranks 0 and 2)");
-    for r in [0usize, 2] {
+    // Driver: wait for the declared failure, gate revival on survivor acks.
+    let declared = kv.wait_until(Duration::from_secs(30), || {
+        (!swift::net::failure_state(&kv).1.is_empty()).then_some(())
+    });
+    assert!(declared.is_some(), "failure never declared");
+    println!("machine 2 died mid-backward at iteration 5 (its shards live on ranks 0 and 1)");
+    for r in [0usize, 1] {
         kv.wait_for(&format!("fsdp-ex/ack/1/{r}"), Duration::from_secs(30))
             .unwrap();
     }
-    fc.replace_machine(1);
-    let mut rctx = cluster.respawn(1);
+    fc.replace_machine(2);
+    let mut rctx = cluster.respawn(2);
     let kv2 = kv.clone();
     let replacement = std::thread::spawn(move || {
         kv2.set("fsdp-ex/up", "1");
-        let mut w = fsdp_join(
+        let (mut w, _) = fsdp_join_supervised(
             &mut rctx,
-            mlp("fs", &[6, 32, 32, 3], 88),
-            SGDM.build(),
+            &|| mlp("fs", &[6, 32, 32, 3], 88),
+            &|| SGDM.build(),
             3,
-            &[0, 1, 2],
+            &ranks,
+            &RetryPolicy::recovery(),
         )
         .unwrap();
+        w.dp.bucket_cap_bytes = 256;
         println!(
             "replacement rebuilt its shards from the surviving copies (iteration {})",
-            w.iteration
+            w.dp.iteration
         );
         let ds = BlobsDataset::new(8, 6, 3, 0.3);
-        while w.iteration < iters {
-            let b = ds.batch(w.iteration, 12);
+        while w.dp.iteration < iters {
+            let b = ds.batch(w.dp.iteration, 12);
             let s = shard_batch(&b, rctx.rank(), 3);
-            fsdp_train_step(&mut rctx, &mut w, &[0, 1, 2], &s.x, &s.y, 1.0 / 12.0, None).unwrap();
+            fsdp_train_step(&mut rctx, &mut w, &ranks, &s.x, &s.y, 1.0 / 12.0, None).unwrap();
         }
-        gather_full_params(&mut rctx, &mut w, &[0, 1, 2]).unwrap();
-        w.model.state()
+        gather_full_params(&mut rctx, &mut w, &ranks).unwrap();
+        w.dp.model.state()
     });
 
     let s0 = handles.remove(0).join().unwrap().unwrap();
+    let s1 = handles.remove(0).join().unwrap().unwrap();
     let _dead = handles.remove(0).join().unwrap();
-    let s2 = handles.remove(0).join().unwrap().unwrap();
-    let s1 = replacement.join().unwrap();
+    let s2 = replacement.join().unwrap();
     println!(
         "after recovery, all three full-gathered states bitwise identical: {}",
         s0.bit_eq(&s1) && s0.bit_eq(&s2)
