@@ -110,14 +110,23 @@ fn bench_broadcast(quick: bool) -> BenchResult {
     let iters = if quick { 8 } else { 10 };
     let ranks: Vec<usize> = (0..WORLD).collect();
     let times = Cluster::run_all(Topology::uniform(WORLD, 1), move |mut ctx| {
-        let src = (ctx.rank() == 0).then(|| randn(ELEMS, 17));
-        let mut whole = Tensor::zeros([ELEMS]);
+        // The root broadcasts from its own tensor, so it starts both from
+        // the source; the others receive into zeros.
+        let root = ctx.rank() == 0;
+        let start = || {
+            if root {
+                randn(ELEMS, 17)
+            } else {
+                Tensor::zeros([ELEMS])
+            }
+        };
+        let mut whole = start();
         ctx.comm
-            .broadcast_tensor_chunked_into(&ranks, 0, src.as_ref(), &mut whole, WHOLE)
+            .broadcast_tensor_chunked_into(&ranks, 0, &mut whole, WHOLE)
             .unwrap();
-        let mut dst = Tensor::zeros([ELEMS]);
+        let mut dst = start();
         ctx.comm
-            .broadcast_tensor_chunked_into(&ranks, 0, src.as_ref(), &mut dst, CHUNK_BYTES)
+            .broadcast_tensor_chunked_into(&ranks, 0, &mut dst, CHUNK_BYTES)
             .unwrap();
         assert!(
             dst.bit_eq(&whole),
@@ -125,12 +134,12 @@ fn bench_broadcast(quick: bool) -> BenchResult {
         );
         let fast = best_ns(iters, || {
             ctx.comm
-                .broadcast_tensor_chunked_into(&ranks, 0, src.as_ref(), &mut dst, CHUNK_BYTES)
+                .broadcast_tensor_chunked_into(&ranks, 0, &mut dst, CHUNK_BYTES)
                 .unwrap();
         });
         let slow = best_ns(iters, || {
             ctx.comm
-                .broadcast_tensor_chunked_into(&ranks, 0, src.as_ref(), &mut whole, WHOLE)
+                .broadcast_tensor_chunked_into(&ranks, 0, &mut whole, WHOLE)
                 .unwrap();
         });
         (fast, slow)

@@ -3,7 +3,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use swift_dnn::ModelState;
 use swift_optim::OptimState;
-use swift_store::{BlobStore, ChunkedTransfer};
+use swift_store::BlobStore;
 
 use crate::delta::{self, DeltaRecord, DeltaSession, DigestSet, IncrementalSave};
 
@@ -178,22 +178,8 @@ impl CheckpointManager {
         })
     }
 
-    /// Persists a checkpoint as fixed-size chunks so upload/download can
-    /// pipeline with other recovery steps (§5.1's chunked-file trick,
-    /// applied to large model states).
-    pub fn save_chunked(&self, ckpt: &Checkpoint, chunk_bytes: usize) -> std::io::Result<()> {
-        let key = self.key(ckpt.iteration);
-        let xfer = ChunkedTransfer::new(chunk_bytes);
-        let mut payload = swift_tensor::pool::take_u8_raw(ckpt.byte_size());
-        ckpt.encode_into(&mut payload);
-        swift_obs::add(swift_obs::Counter::CheckpointBytes, payload.len() as u64);
-        xfer.put_chunked(&self.store, &key, &payload)?;
-        swift_tensor::pool::put_u8(payload);
-        Ok(self.store.put(&self.latest_key(), key.as_bytes())?)
-    }
-
-    /// Loads the most recent checkpoint, if any: whole-file, chunked, or
-    /// a delta manifest whose base chain is resolved (and digest-verified)
+    /// Loads the most recent checkpoint, if any: a full checkpoint, or a
+    /// delta manifest whose base chain is resolved (and digest-verified)
     /// back to its full anchor.
     pub fn load_latest(&self) -> std::io::Result<Option<Checkpoint>> {
         if !self.store.contains(&self.latest_key()) {
@@ -203,23 +189,12 @@ impl CheckpointManager {
         self.load_key(&key, 0).map(Some)
     }
 
-    /// Raw payload bytes for a checkpoint key, whole-file or chunked.
-    fn read_payload(&self, key: &str) -> std::io::Result<Bytes> {
-        if self.store.contains(key) {
-            Ok(self.store.get(key)?)
-        } else {
-            // Chunked layout: reassemble (any chunk size works — chunks
-            // are discovered by suffix).
-            Ok(ChunkedTransfer::new(1).get_chunked(&self.store, key)?)
-        }
-    }
-
     fn load_key(&self, key: &str, depth: usize) -> std::io::Result<Checkpoint> {
         let corrupt = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
         if depth > MAX_CHAIN {
             return Err(corrupt(format!("delta chain deeper than {MAX_CHAIN}")));
         }
-        let payload = self.read_payload(key)?;
+        let payload = self.store.get(key)?;
         if key.ends_with(".delta") {
             let rec = DeltaRecord::decode(payload).map_err(corrupt)?;
             let prev = rec.prev_key.clone();
@@ -254,7 +229,7 @@ impl CheckpointManager {
             if !key.ends_with(".delta") {
                 break;
             }
-            key = DeltaRecord::peek_prev_key(self.read_payload(&key)?).map_err(corrupt)?;
+            key = DeltaRecord::peek_prev_key(self.store.get(&key)?).map_err(corrupt)?;
         }
         let mut removed = 0;
         for key in self.store.list(&format!("ckpt/rank{}/", self.rank))? {
@@ -326,33 +301,6 @@ mod tests {
             mgr.save(&sample_ckpt(it)).unwrap();
         }
         assert_eq!(mgr.gc().unwrap(), 2);
-        assert_eq!(mgr.load_latest().unwrap().unwrap().iteration, 30);
-    }
-
-    #[test]
-    fn chunked_save_load_round_trip() {
-        let store = BlobStore::new_temp("ckpt-chunk").unwrap();
-        let mgr = CheckpointManager::new(store.clone(), 0);
-        let ckpt = sample_ckpt(77);
-        mgr.save_chunked(&ckpt, 64).unwrap();
-        // Several chunks on disk, none with the whole-file key.
-        let keys = store.list("ckpt/rank0/").unwrap();
-        assert!(
-            keys.iter().filter(|k| k.contains(".chunk")).count() >= 2,
-            "{keys:?}"
-        );
-        let back = mgr.load_latest().unwrap().unwrap();
-        assert_eq!(back, ckpt);
-    }
-
-    #[test]
-    fn chunked_and_whole_checkpoints_interleave() {
-        let store = BlobStore::new_temp("ckpt-mix").unwrap();
-        let mgr = CheckpointManager::new(store, 0);
-        mgr.save(&sample_ckpt(10)).unwrap();
-        mgr.save_chunked(&sample_ckpt(20), 128).unwrap();
-        assert_eq!(mgr.load_latest().unwrap().unwrap().iteration, 20);
-        mgr.save(&sample_ckpt(30)).unwrap();
         assert_eq!(mgr.load_latest().unwrap().unwrap().iteration, 30);
     }
 

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use swift_data::Dataset;
-use swift_net::FaultPlan;
+use swift_net::{FaultPlan, Rank};
 use swift_optim::{chain_for, ChainError, OptimizerKind};
 use swift_pipeline::ScheduleKind;
 use swift_wal::{LogMode, LogPrecision};
@@ -37,6 +37,25 @@ pub enum Parallelism {
         /// Micro-batches per iteration.
         microbatches: usize,
     },
+}
+
+impl Parallelism {
+    /// Machines in the layout, one rank each.
+    pub(crate) fn machines(self) -> usize {
+        match self {
+            Parallelism::Data { machines } => machines,
+            Parallelism::Pipeline { stages, .. } => stages,
+        }
+    }
+
+    /// The rank whose losses the job reports: rank 0 for DP, the last
+    /// stage for pipelines. Both backends' drivers report this rank's.
+    pub(crate) fn loss_owner(self) -> Rank {
+        match self {
+            Parallelism::Data { .. } => 0,
+            Parallelism::Pipeline { stages, .. } => stages - 1,
+        }
+    }
 }
 
 /// Why a job configuration was rejected at plan-build time.
@@ -96,8 +115,11 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// A fault-tolerant training job: the only description of an in-process
-/// job. Build with [`SwiftJob::builder`].
+/// A fault-tolerant training job: the only job description. The
+/// in-process driver runs it on threads, and the process backend's
+/// workers run the same runners from
+/// [`ProcessScenario::job`](crate::ProcessScenario::job). Build with
+/// [`SwiftJob::builder`].
 pub struct SwiftJob {
     pub(crate) model_fn: ModelFn,
     pub(crate) opt: OptimizerKind,

@@ -3,13 +3,12 @@
 //! With layer-wise wait-free updates, a crash mid-update strands survivors
 //! with a partially-applied optimizer step. [`UpdateTracker`] records which
 //! parameter groups of the current step have been applied — the "marked
-//! updated" set — so the survivor can undo exactly those. In pipeline
-//! parallelism, stages update at different times; survivors first agree on
-//! the *consensus pre-failure iteration* (the minimum completed iteration)
-//! and workers ahead of it undo their whole last step.
+//! updated" set — so the survivor can undo exactly those. (In pipeline
+//! parallelism, stages update at different times; survivors agree on the
+//! *consensus pre-failure iteration* through the KV store, and workers
+//! ahead of it undo their whole last step: `pipeline_on_failure_survivor`.)
 
 use swift_dnn::Sequential;
-use swift_net::{Comm, CommError, Rank};
 use swift_optim::{Optimizer, UndoError};
 
 /// Tracks the progress of one layer-wise optimizer step.
@@ -80,35 +79,11 @@ pub fn repair_partial_update(
     Ok(())
 }
 
-/// Pipeline-parallel consensus repair (§6 "Update-undo" in pipeline
-/// parallelism): survivors exchange their completed-iteration counters,
-/// agree on the minimum, and anyone ahead undoes their last full step.
-/// Returns the consensus iteration.
-pub fn consensus_undo(
-    comm: &mut Comm,
-    survivors: &[Rank],
-    model: &mut Sequential,
-    opt: &mut dyn Optimizer,
-) -> Result<u64, CommError> {
-    let mine = opt.iteration();
-    let all = comm.all_gather_u64_among(survivors, mine)?;
-    let consensus = *all.iter().min().expect("no survivors");
-    let mut it = mine;
-    while it > consensus {
-        model
-            .optimizer_undo(opt)
-            .expect("survivor ahead of consensus must be undoable");
-        it -= 1;
-    }
-    Ok(consensus)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use swift_dnn::models::mlp;
     use swift_dnn::{Mode, StepCtx};
-    use swift_net::{Cluster, Topology};
     use swift_optim::OptimizerKind;
     use swift_tensor::Tensor;
 
@@ -203,35 +178,5 @@ mod tests {
         let mut tracker = UpdateTracker::new();
         repair_partial_update(&mut m, opt.as_mut(), &mut tracker).unwrap();
         assert!(m.state().bit_eq(&before));
-    }
-
-    #[test]
-    fn consensus_undo_aligns_stages() {
-        // 3 survivors at iterations 5, 6, 6 → consensus 5; the two ahead
-        // undo one step each.
-        let results = Cluster::run_all(Topology::uniform(3, 1), |mut ctx| {
-            let rank = ctx.rank();
-            let (mut m, mut opt) = trained_model(10 + rank as u64);
-            let steps = if rank == 0 { 5 } else { 6 };
-            let mut state_at_5 = None;
-            for s in 0..steps {
-                if s == 5 {
-                    state_at_5 = Some(m.state());
-                }
-                m.optimizer_step(opt.as_mut());
-            }
-            if state_at_5.is_none() {
-                state_at_5 = Some(m.state());
-            }
-            let consensus =
-                consensus_undo(&mut ctx.comm, &[0, 1, 2], &mut m, opt.as_mut()).unwrap();
-            let diff = m.state().max_abs_diff(&state_at_5.unwrap());
-            (consensus, opt.iteration(), diff)
-        });
-        for (consensus, iter, diff) in results {
-            assert_eq!(consensus, 5);
-            assert_eq!(iter, 5);
-            assert!(diff < 1e-4, "state not restored to iteration 5: {diff}");
-        }
     }
 }

@@ -164,19 +164,12 @@ pub fn gather_full_params(
     w: &mut FsdpWorker,
     ranks: &[Rank],
 ) -> Result<(), CommError> {
-    let me = ctx.rank();
     for (g, p) in w.dp.model.params_mut().enumerate() {
-        let owner = w.shards.owner(g);
-        let mine = (me == owner).then(|| p.clone());
         // Chunked streaming broadcast: receivers install the owner's
         // copy while later chunks are still in flight.
-        ctx.comm.broadcast_tensor_chunked_into(
-            ranks,
-            owner,
-            mine.as_ref(),
-            p,
-            default_chunk_bytes(),
-        )?;
+        let owner = w.shards.owner(g);
+        ctx.comm
+            .broadcast_tensor_chunked_into(ranks, owner, p, default_chunk_bytes())?;
     }
     Ok(())
 }

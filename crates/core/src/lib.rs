@@ -1,6 +1,8 @@
 //! # swift-core
 //!
-//! The SWIFT runtime (work in progress while modules land).
+//! The SWIFT runtime: the job API and its two drivers (threads and real
+//! processes), the replication, logging and sharded recovery protocols
+//! and the update-undo repair they share.
 
 pub mod api;
 pub mod bucket;
@@ -21,7 +23,7 @@ mod transfer;
 pub use api::{JobCrash, Parallelism, PlanError, SwiftJob, SwiftJobBuilder};
 pub use bucket::{BucketedAllreduce, GradBucketer, DEFAULT_BUCKET_CAP_BYTES};
 pub use config::{select_strategy, JobShape, Strategy};
-pub use consistency::{consensus_undo, repair_partial_update, UpdateTracker};
+pub use consistency::{repair_partial_update, UpdateTracker};
 pub use elastic::{
     elastic_join, elastic_leave, elastic_transition_incumbent, elastic_transition_scale_in,
     Membership,
@@ -38,16 +40,11 @@ pub use pipeline_ft::{
 };
 pub use plan::{ParallelismPlan, PlacementPolicy};
 pub use process::{
-    dp_reference_dataset, dp_reference_model, pipeline_reference_dataset, pipeline_reference_model,
-    run_process_scenario, worker_main, ProcessError, ProcessKind, ProcessOutcome, ProcessScenario,
-    RunLayout, REFERENCE_OPT,
+    run_process_scenario, worker_main, ProcessError, ProcessOutcome, ProcessScenario, RunLayout,
 };
 pub use replication::{
     dp_train_step, replication_join, replication_join_supervised, replication_recover_supervised,
     replication_recover_survivor, CrashPoint, DpWorker,
 };
-pub use scenario::{
-    dp_replacement_join, dp_worker_loop, evaluate_state, optimizer_from_state,
-    pipeline_replacement_recover, pipeline_worker_loop, DatasetSource, ModelFn, ScenarioResult,
-};
+pub use scenario::{evaluate_state, DatasetSource, ModelFn, ScenarioResult};
 pub use supervisor::{supervise, wait_cascade_aware, PhaseTracker, RecoveryReport};

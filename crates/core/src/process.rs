@@ -14,11 +14,11 @@
 //! survivors unwind through exactly the protocol stack the in-process
 //! backend exercises.
 //!
-//! The two backends run *the same worker-loop code*
-//! ([`dp_worker_loop`], [`pipeline_worker_loop`] and the replacement
-//! paths), which is what makes their final model states
-//! bitwise-comparable: the chaos test trains the reference workload on
-//! both and asserts `ModelState::bit_eq`.
+//! The two backends run *the same runners*: a worker builds its job from
+//! [`ProcessScenario::job`] and runs its rank with the `start`/`rejoin`
+//! a cluster thread of [`SwiftJob::run`] calls, which is what makes their
+//! final model states comparable: the chaos tests train the reference
+//! workload on both and compare them.
 //!
 //! Supervisor protocol, per kill in the plan:
 //!
@@ -33,15 +33,15 @@
 //!    the in-process driver uses, then respawn the rank as a replacement
 //!    process that re-runs the recovery sequence and rejoins training.
 
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use swift_ckpt::CheckpointManager;
 use swift_data::BlobsDataset;
-use swift_dnn::{models::mlp, ModelState, Sequential};
+use swift_dnn::{models::mlp, ModelState};
 use swift_net::{
     failure_epoch, failure_state, ClusterError, Comm, FailureController, FaultPlan, Heartbeat,
     HeartbeatConfig, HeartbeatMonitor, KvServer, KvStore, Rank, RetryPolicy, SocketTransport,
@@ -49,16 +49,11 @@ use swift_net::{
 };
 use swift_obs::Event;
 use swift_optim::OptimizerKind;
-use swift_pipeline::ScheduleKind;
 use swift_store::{BlobStore, GlobalStore, StoreError};
-use swift_wal::{GroupMap, LogMode, LogPrecision, Logger, WalReader};
+use swift_wal::{LogMode, WalReader};
 
-use crate::pipeline_ft::{PipelineJob, PipelineWorker};
-use crate::replication::DpWorker;
-use crate::scenario::{
-    await_survivor_acks, dp_replacement_join, dp_worker_loop, pipeline_replacement_recover,
-    pipeline_worker_loop, DatasetSource, ModelFn,
-};
+use crate::api::{Parallelism, SwiftJob, SwiftJobBuilder};
+use crate::scenario::{await_survivor_acks, runner, ModelFn};
 
 /// Environment variable carrying the run directory to worker processes.
 pub const ENV_RUN_DIR: &str = "SWIFT_WORKER_RUN_DIR";
@@ -81,63 +76,41 @@ pub const ENV_MICROBATCHES: &str = "SWIFT_WORKER_MICROBATCHES";
 /// Environment variable carrying the checkpoint interval (pipeline).
 pub const ENV_CKPT_INTERVAL: &str = "SWIFT_WORKER_CKPT_INTERVAL";
 
-/// The optimizer both backends use for the reference workloads.
-pub const REFERENCE_OPT: OptimizerKind = OptimizerKind::SgdMomentum {
+/// The optimizer of both reference workloads.
+const REFERENCE_OPT: OptimizerKind = OptimizerKind::SgdMomentum {
     lr: 0.05,
     weight_decay: 0.0,
     momentum: 0.9,
     dampening: 0.0,
 };
 
-/// The DP reference model — the same deterministic factory the worker
-/// binary builds, exported so a test can run the identical workload
-/// in-process and compare final states bitwise.
-pub fn dp_reference_model() -> ModelFn {
-    Arc::new(|| mlp("it", &[6, 24, 3], 77))
-}
-
-/// The DP reference dataset (paired with [`dp_reference_model`]).
-pub fn dp_reference_dataset() -> Arc<BlobsDataset> {
-    Arc::new(BlobsDataset::new(5, 6, 3, 0.3))
-}
-
-/// The pipeline reference model (three stages' worth of layers).
-pub fn pipeline_reference_model() -> ModelFn {
-    Arc::new(|| mlp("pl", &[8, 24, 24, 3], 43))
-}
-
-/// The pipeline reference dataset (paired with
-/// [`pipeline_reference_model`]).
-pub fn pipeline_reference_dataset() -> Arc<BlobsDataset> {
-    Arc::new(BlobsDataset::new(9, 8, 3, 0.3))
-}
-
-/// Which reference workload a process scenario runs; on both backends,
-/// also which acknowledgement survivors publish before a replacement may
-/// come up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcessKind {
-    /// Data parallelism with replication recovery.
-    Dp,
-    /// Pipeline parallelism with logging recovery.
-    Pipeline,
-}
-
-impl ProcessKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            ProcessKind::Dp => "dp",
-            ProcessKind::Pipeline => "pipeline",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "dp" => Some(ProcessKind::Dp),
-            "pipeline" => Some(ProcessKind::Pipeline),
-            _ => None,
-        }
-    }
+/// The reference workload of `parallelism`, the job a worker runs: a
+/// deterministic MLP (three stages' worth of layers for pipelines) on a
+/// blobs dataset.
+fn reference_job(parallelism: Parallelism, batch: usize, ckpt_interval: u64) -> SwiftJobBuilder {
+    let (model_fn, dataset): (ModelFn, _) = match parallelism {
+        Parallelism::Data { .. } => (
+            Arc::new(|| mlp("it", &[6, 24, 3], 77)),
+            BlobsDataset::new(5, 6, 3, 0.3),
+        ),
+        Parallelism::Pipeline { .. } => (
+            Arc::new(|| mlp("pl", &[8, 24, 24, 3], 43)),
+            BlobsDataset::new(9, 8, 3, 0.3),
+        ),
+    };
+    SwiftJob::builder(model_fn, REFERENCE_OPT, Arc::new(dataset))
+        .parallelism(parallelism)
+        .batch_size(batch)
+        .ckpt_interval(ckpt_interval)
+        // Sync logging, deliberately: it guarantees every logged record
+        // is durable the instant SIGKILL lands, so the supervisor's
+        // torn-tail injection always has a newest record to tear. (With
+        // the async modes the local disk is empty right after a
+        // checkpoint GC while fresh records sit staged in memory, and
+        // whether the kill finds anything on disk becomes a timing
+        // lottery.) Log mode never changes the trained state
+        // (`tests/logging_recovery.rs::sync_logging_recovers_identically`).
+        .log_mode(LogMode::Sync)
 }
 
 /// Why a process scenario (or a worker process) failed.
@@ -147,7 +120,8 @@ pub enum ProcessError {
     Io(std::io::Error),
     /// A cluster component (heartbeat config, monitor) failed to start.
     Cluster(ClusterError),
-    /// The worker environment was missing or malformed.
+    /// The worker environment, or the job it describes, was missing or
+    /// malformed.
     Config(String),
     /// A worker process misbehaved (bad exit, missing result).
     Worker {
@@ -255,16 +229,13 @@ pub struct ProcessScenario {
     /// Path to the `swift-worker` binary (tests pass
     /// `env!("CARGO_BIN_EXE_swift-worker")`).
     pub worker_bin: PathBuf,
-    /// Which reference workload to run.
-    pub kind: ProcessKind,
-    /// Number of rank processes.
-    pub world: usize,
+    /// The layout, one rank process per machine; it also selects the
+    /// reference workload (see [`ProcessScenario::job`]).
+    pub parallelism: Parallelism,
     /// Iterations to train.
     pub iters: u64,
     /// Global mini-batch size.
     pub batch: usize,
-    /// Micro-batches per iteration (pipeline).
-    pub microbatches: usize,
     /// Checkpoint interval (pipeline).
     pub ckpt_interval: u64,
     /// Fault plan; only
@@ -292,23 +263,18 @@ pub struct ProcessScenario {
 }
 
 impl ProcessScenario {
-    /// A scenario with the reference defaults for `kind`: DP runs 2
-    /// replicas, pipeline runs 3 stages; 30 iterations, batch 8, the
-    /// in-process integration tests' shapes.
-    pub fn new(kind: ProcessKind, worker_bin: impl Into<PathBuf>) -> Self {
+    /// A scenario running `parallelism`'s reference workload for 30
+    /// iterations at batch 8, with a checkpoint every 10: the in-process
+    /// integration tests' shapes.
+    pub fn new(parallelism: Parallelism, worker_bin: impl Into<PathBuf>) -> Self {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let run_dir = std::env::temp_dir().join(format!("swift-proc-{}-{n}", std::process::id()));
         ProcessScenario {
             worker_bin: worker_bin.into(),
-            kind,
-            world: match kind {
-                ProcessKind::Dp => 2,
-                ProcessKind::Pipeline => 3,
-            },
+            parallelism,
             iters: 30,
             batch: 8,
-            microbatches: 4,
             ckpt_interval: 10,
             faults: FaultPlan::new(0),
             torn_wal: false,
@@ -325,6 +291,14 @@ impl ProcessScenario {
     /// The run's on-disk layout.
     pub fn layout(&self) -> RunLayout {
         RunLayout::new(&self.run_dir)
+    }
+
+    /// The job every worker of this scenario runs: the reference model
+    /// for the layout, SGD with momentum, the reference dataset and
+    /// synchronous logging. Building and running it in-process gives the
+    /// thread-backend twin of the scenario.
+    pub fn job(&self) -> SwiftJobBuilder {
+        reference_job(self.parallelism, self.batch, self.ckpt_interval)
     }
 }
 
@@ -402,30 +376,55 @@ impl WorkerRole {
     }
 }
 
+/// The environment a worker is spawned with: its rank and role, and the
+/// scenario's job as [`WorkerEnv::parse`] reads it back.
+fn worker_env(
+    cfg: &ProcessScenario,
+    rank: Rank,
+    role: WorkerRole,
+    attempt: u64,
+) -> Vec<(&'static str, OsString)> {
+    let (scenario, world, microbatches) = match cfg.parallelism {
+        Parallelism::Data { machines } => ("dp", machines, None),
+        Parallelism::Pipeline {
+            stages,
+            microbatches,
+        } => ("pipeline", stages, Some(microbatches)),
+    };
+    let mut vars = vec![
+        (ENV_RUN_DIR, cfg.run_dir.clone().into_os_string()),
+        (ENV_RANK, rank.to_string().into()),
+        (ENV_WORLD, world.to_string().into()),
+        (ENV_SCENARIO, scenario.into()),
+        (ENV_ROLE, role.as_str().into()),
+        (ENV_ATTEMPT, attempt.to_string().into()),
+        (ENV_ITERS, cfg.iters.to_string().into()),
+        (ENV_BATCH, cfg.batch.to_string().into()),
+        (ENV_CKPT_INTERVAL, cfg.ckpt_interval.to_string().into()),
+        (
+            HEARTBEAT_MS_ENV,
+            cfg.heartbeat.interval.as_millis().to_string().into(),
+        ),
+        (
+            LEASE_MS_ENV,
+            cfg.heartbeat.timeout.as_millis().to_string().into(),
+        ),
+    ];
+    if let Some(m) = microbatches {
+        vars.push((ENV_MICROBATCHES, m.to_string().into()));
+    }
+    vars
+}
+
 fn spawn_worker(
     cfg: &ProcessScenario,
-    layout: &RunLayout,
     rank: Rank,
     role: WorkerRole,
     attempt: u64,
 ) -> Result<Child, ProcessError> {
     swift_obs::emit(|| Event::Spawn { rank, attempt });
     Command::new(&cfg.worker_bin)
-        .env(ENV_RUN_DIR, layout.root())
-        .env(ENV_RANK, rank.to_string())
-        .env(ENV_WORLD, cfg.world.to_string())
-        .env(ENV_SCENARIO, cfg.kind.as_str())
-        .env(ENV_ROLE, role.as_str())
-        .env(ENV_ATTEMPT, attempt.to_string())
-        .env(ENV_ITERS, cfg.iters.to_string())
-        .env(ENV_BATCH, cfg.batch.to_string())
-        .env(ENV_MICROBATCHES, cfg.microbatches.to_string())
-        .env(ENV_CKPT_INTERVAL, cfg.ckpt_interval.to_string())
-        .env(
-            HEARTBEAT_MS_ENV,
-            cfg.heartbeat.interval.as_millis().to_string(),
-        )
-        .env(LEASE_MS_ENV, cfg.heartbeat.timeout.as_millis().to_string())
+        .envs(worker_env(cfg, rank, role, attempt))
         .stdin(Stdio::null())
         .spawn()
         .map_err(ProcessError::Io)
@@ -471,6 +470,11 @@ fn tear_newest_wal_record(wal_dir: &Path) -> Result<usize, ProcessError> {
 /// collect the final states.
 pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, ProcessError> {
     cfg.heartbeat.validate()?;
+    // Every worker builds this job: a plan they would reject fails here,
+    // before any process is spawned.
+    cfg.job()
+        .build()
+        .map_err(|e| ProcessError::Config(e.to_string()))?;
     let layout = cfg.layout();
     std::fs::create_dir_all(layout.sock_dir())?;
     std::fs::create_dir_all(layout.results_dir())?;
@@ -480,20 +484,15 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
     // and the lease monitor; workers reach both over the KV socket.
     let store = KvStore::new();
     let _kv_server = KvServer::bind(&layout.kv_sock(), store.clone())?;
-    let _monitor = HeartbeatMonitor::try_start(store.clone(), cfg.heartbeat, cfg.world)?;
+    let world = cfg.parallelism.machines();
+    let _monitor = HeartbeatMonitor::try_start(store.clone(), cfg.heartbeat, world)?;
 
-    let mut attempts = vec![0u64; cfg.world];
-    let mut children: Vec<Option<Child>> = Vec::with_capacity(cfg.world);
-    for rank in 0..cfg.world {
-        children.push(Some(spawn_worker(
-            cfg,
-            &layout,
-            rank,
-            WorkerRole::Worker,
-            0,
-        )?));
+    let mut attempts = vec![0u64; world];
+    let mut children: Vec<Option<Child>> = Vec::with_capacity(world);
+    for rank in 0..world {
+        children.push(Some(spawn_worker(cfg, rank, WorkerRole::Worker, 0)?));
     }
-    for rank in 0..cfg.world {
+    for rank in 0..world {
         wait_key(&store, cfg.spawn_deadline, &up_key(rank, 0), || {
             format!("rank {rank} never reported up")
         })?;
@@ -551,26 +550,13 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
         let epoch = failure_epoch(&store);
         // Survivor rendezvous before the respawn, on the same
         // acknowledgements the in-process driver waits for.
-        await_survivor_acks(
-            &store,
-            cfg.kind,
-            epoch,
-            cfg.world,
-            victim,
-            cfg.exit_deadline,
-        )
-        .map_err(|r| ProcessError::Rendezvous {
+        let acked = await_survivor_acks(&store, cfg.parallelism, epoch, victim, cfg.exit_deadline);
+        acked.map_err(|r| ProcessError::Rendezvous {
             what: format!("survivor {r} never acknowledged epoch {epoch}"),
         })?;
         attempts[victim] += 1;
         let attempt = attempts[victim];
-        children[victim] = Some(spawn_worker(
-            cfg,
-            &layout,
-            victim,
-            WorkerRole::Replacement,
-            attempt,
-        )?);
+        children[victim] = Some(spawn_worker(cfg, victim, WorkerRole::Replacement, attempt)?);
         swift_obs::emit(|| Event::Respawn {
             rank: victim,
             epoch,
@@ -654,8 +640,8 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
                 .unwrap_or(0);
         }
     }
-    let mut states = Vec::with_capacity(cfg.world);
-    for rank in 0..cfg.world {
+    let mut states = Vec::with_capacity(world);
+    for rank in 0..world {
         let mut bytes = results
             .get(&state_key(rank))
             .map_err(|e| ProcessError::Worker {
@@ -666,12 +652,8 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
             .map_err(|detail| ProcessError::Worker { rank, detail })?;
         states.push(state);
     }
-    let loss_owner = match cfg.kind {
-        ProcessKind::Dp => 0,
-        ProcessKind::Pipeline => cfg.world - 1,
-    };
     let losses = results
-        .get(&losses_key(loss_owner))
+        .get(&losses_key(cfg.parallelism.loss_owner()))
         .map(|b| decode_losses(&b))
         .unwrap_or_default();
 
@@ -690,47 +672,57 @@ pub fn run_process_scenario(cfg: &ProcessScenario) -> Result<ProcessOutcome, Pro
     })
 }
 
-/// A worker process's parsed environment.
+/// A worker process's parsed environment: who it is and the job it runs.
 struct WorkerEnv {
     layout: RunLayout,
     rank: Rank,
-    world: usize,
-    kind: ProcessKind,
     role: WorkerRole,
     attempt: u64,
     iters: u64,
-    batch: usize,
-    microbatches: usize,
-    ckpt_interval: u64,
+    job: SwiftJob,
 }
 
-fn env_var(name: &str) -> Result<String, ProcessError> {
-    std::env::var(name).map_err(|_| ProcessError::Config(format!("missing {name}")))
+type EnvLookup<'a> = &'a dyn Fn(&str) -> Option<String>;
+
+fn env_var(var: EnvLookup, name: &str) -> Result<String, ProcessError> {
+    var(name).ok_or_else(|| ProcessError::Config(format!("missing {name}")))
 }
 
-fn env_parse<T: std::str::FromStr>(name: &str) -> Result<T, ProcessError> {
-    env_var(name)?
+fn env_parse<T: std::str::FromStr>(var: EnvLookup, name: &str) -> Result<T, ProcessError> {
+    env_var(var, name)?
         .parse()
         .map_err(|_| ProcessError::Config(format!("unparseable {name}")))
 }
 
 impl WorkerEnv {
-    fn from_env() -> Result<Self, ProcessError> {
-        let scenario = env_var(ENV_SCENARIO)?;
-        let role = env_var(ENV_ROLE)?;
+    /// Reads the variables [`worker_env`] sets through `var` (the process
+    /// environment in a worker) and builds the scenario's job from them.
+    fn parse(var: EnvLookup) -> Result<Self, ProcessError> {
+        let world = env_parse(var, ENV_WORLD)?;
+        let parallelism = match env_var(var, ENV_SCENARIO)?.as_str() {
+            "dp" => Parallelism::Data { machines: world },
+            "pipeline" => Parallelism::Pipeline {
+                stages: world,
+                microbatches: env_parse(var, ENV_MICROBATCHES)?,
+            },
+            other => return Err(ProcessError::Config(format!("unknown scenario {other:?}"))),
+        };
+        let role = env_var(var, ENV_ROLE)?;
+        let job = reference_job(
+            parallelism,
+            env_parse(var, ENV_BATCH)?,
+            env_parse(var, ENV_CKPT_INTERVAL)?,
+        )
+        .build()
+        .map_err(|e| ProcessError::Config(e.to_string()))?;
         Ok(WorkerEnv {
-            layout: RunLayout::new(env_var(ENV_RUN_DIR)?),
-            rank: env_parse(ENV_RANK)?,
-            world: env_parse(ENV_WORLD)?,
-            kind: ProcessKind::parse(&scenario)
-                .ok_or_else(|| ProcessError::Config(format!("unknown scenario {scenario:?}")))?,
+            layout: RunLayout::new(env_var(var, ENV_RUN_DIR)?),
+            rank: env_parse(var, ENV_RANK)?,
             role: WorkerRole::parse(&role)
                 .ok_or_else(|| ProcessError::Config(format!("unknown role {role:?}")))?,
-            attempt: env_parse(ENV_ATTEMPT)?,
-            iters: env_parse(ENV_ITERS)?,
-            batch: env_parse(ENV_BATCH)?,
-            microbatches: env_parse(ENV_MICROBATCHES)?,
-            ckpt_interval: env_parse(ENV_CKPT_INTERVAL)?,
+            attempt: env_parse(var, ENV_ATTEMPT)?,
+            iters: env_parse(var, ENV_ITERS)?,
+            job,
         })
     }
 }
@@ -750,18 +742,19 @@ pub fn worker_main() -> i32 {
 }
 
 fn run_worker() -> Result<(), ProcessError> {
-    let env = WorkerEnv::from_env()?;
-    let topology = Topology::uniform(env.world, 1);
+    let env = WorkerEnv::parse(&|name| std::env::var(name).ok())?;
+    let world = env.job.parallelism.machines();
+    let topology = Topology::uniform(world, 1);
     let fc = FailureController::new(topology.clone());
     // lint:sleep-ok — connect retry while the supervisor binds its sockets.
     let connect = RetryPolicy::poll().with_deadline(Duration::from_secs(30));
     let kv = KvStore::connect(&env.layout.kv_sock(), &connect)?;
-    let transport = SocketTransport::bind(&env.layout.sock_dir(), env.rank, env.world, connect)?;
+    let transport = SocketTransport::bind(&env.layout.sock_dir(), env.rank, world, connect)?;
     // A replacement joins at the declared epoch; an initial worker at 0.
     let generation = failure_epoch(&kv).get();
     let comm = Comm::over_transport(
         env.rank,
-        env.world,
+        world,
         Box::new(transport),
         fc.clone(),
         kv.clone(),
@@ -769,7 +762,7 @@ fn run_worker() -> Result<(), ProcessError> {
     );
     let heartbeat =
         Heartbeat::try_start(kv.clone(), env.rank, HeartbeatConfig::from_env()?, fc, None)?;
-    let ctx = WorkerCtx::from_parts(comm, kv.clone(), topology.clone(), Some(heartbeat));
+    let ctx = WorkerCtx::from_parts(comm, kv.clone(), topology, Some(heartbeat));
     let results = BlobStore::open(env.layout.results_dir())?;
     eprintln!(
         "swift-worker pid {} rank {} attempt {} up (gen {generation})",
@@ -779,9 +772,26 @@ fn run_worker() -> Result<(), ProcessError> {
     );
     kv.set(&up_key(env.rank, env.attempt), "1");
 
-    let (state, losses) = match env.kind {
-        ProcessKind::Dp => run_dp_worker(ctx, &env),
-        ProcessKind::Pipeline => run_pipeline_worker(ctx, &env, &topology)?,
+    let global = GlobalStore::from_blob(BlobStore::open(env.layout.global_dir())?);
+    let local_log = BlobStore::open(env.layout.wal_dir(env.rank))?;
+    if env.role == WorkerRole::Replacement {
+        // Audit the machine-local log the dead predecessor left behind
+        // *now*, before checkpoint GC reclaims it (a DP rank's is empty):
+        // a tail torn by the crash must surface as a reported-and-skipped
+        // record, never as a fatal decode error. The supervisor
+        // cross-checks this count against what its fault injection
+        // actually tore.
+        let reader = WalReader::new(local_log.clone());
+        let mut torn = 0usize;
+        for it in reader.iterations()? {
+            torn += reader.records_for_audited(it)?.1.len();
+        }
+        results.put(&torn_key(env.rank), torn.to_string().as_bytes())?;
+    }
+    let runner = runner(&env.job, env.iters, None, Some((global, local_log)));
+    let (state, losses) = match env.role {
+        WorkerRole::Worker => runner.start(ctx),
+        WorkerRole::Replacement => runner.rejoin(ctx),
     };
     let Some(state) = state else {
         return Err(ProcessError::Worker {
@@ -794,117 +804,71 @@ fn run_worker() -> Result<(), ProcessError> {
     Ok(())
 }
 
-fn run_dp_worker(mut ctx: WorkerCtx, env: &WorkerEnv) -> (Option<ModelState>, Vec<f32>) {
-    let model_fn = dp_reference_model();
-    let dataset = dp_reference_dataset();
-    let replicas: Vec<Rank> = (0..env.world).collect();
-    let w = match env.role {
-        WorkerRole::Worker => DpWorker::new(model_fn(), REFERENCE_OPT.build()),
-        WorkerRole::Replacement => {
-            dp_replacement_join(&mut ctx, &*model_fn, REFERENCE_OPT, &replicas)
-        }
-    };
-    dp_worker_loop(ctx, w, &replicas, &*dataset, env.batch, env.iters, None)
-}
-
-fn run_pipeline_worker(
-    mut ctx: WorkerCtx,
-    env: &WorkerEnv,
-    topology: &Topology,
-) -> Result<(Option<ModelState>, Vec<f32>), ProcessError> {
-    let stages = env.world;
-    let model_fn = pipeline_reference_model();
-    let make_stage = {
-        let model_fn = model_fn.clone();
-        move |stage: usize| -> Sequential {
-            swift_dnn::models::split_stages(model_fn(), stages)
-                .into_iter()
-                .nth(stage)
-                .unwrap()
-        }
-    };
-    let global = GlobalStore::from_blob(BlobStore::open(env.layout.global_dir())?);
-    let wal_store = BlobStore::open(env.layout.wal_dir(env.rank))?;
-    if env.role == WorkerRole::Replacement {
-        // Audit the machine-local log the dead predecessor left behind
-        // *now*, before checkpoint GC reclaims it: a tail torn by the
-        // crash must surface as a reported-and-skipped record, never as
-        // a fatal decode error. The supervisor cross-checks this count
-        // against what its fault injection actually tore.
-        let reader = WalReader::new(BlobStore::open(env.layout.wal_dir(env.rank))?);
-        let mut torn = 0usize;
-        for it in reader.iterations()? {
-            torn += reader.records_for_audited(it)?.1.len();
-        }
-        BlobStore::open(env.layout.results_dir())?
-            .put(&torn_key(env.rank), torn.to_string().as_bytes())?;
-    }
-    let job = PipelineJob {
-        stage_ranks: (0..stages).collect(),
-        microbatches: env.microbatches,
-        kind: ScheduleKind::OneFOneB,
-        ckpt_interval: env.ckpt_interval,
-        batch_size: env.batch,
-    };
-    let data = DatasetSource {
-        dataset: pipeline_reference_dataset(),
-        batch_size: env.batch,
-        microbatches: env.microbatches,
-    };
-    let mut w = PipelineWorker {
-        stage: env.rank,
-        model: make_stage(env.rank),
-        opt: REFERENCE_OPT.build(),
-        iteration: 0,
-        // Sync logging, deliberately: it guarantees every logged record
-        // is durable the instant SIGKILL lands, so the supervisor's
-        // torn-tail injection always has a newest record to tear. (With
-        // the async modes the local disk is empty right after a
-        // checkpoint GC while fresh records sit staged in memory, and
-        // whether the kill finds anything on disk becomes a timing
-        // lottery.) Log mode never changes the trained state —
-        // `recovery_is_bitwise_across_log_modes` — so cross-backend
-        // bitwise comparisons against BubbleAsync references hold.
-        logger: Logger::with_precision(
-            LogMode::Sync,
-            topology.clone(),
-            GroupMap::singletons(stages),
-            wal_store,
-            LogPrecision::F32,
-        ),
-        ckpt: CheckpointManager::new(global.blob().clone(), env.rank),
-        global: global.clone(),
-        last_grads: Vec::new(),
-    };
-    if env.role == WorkerRole::Replacement {
-        pipeline_replacement_recover(&mut ctx, &mut w, &job, &data, 1);
-    }
-    Ok(pipeline_worker_loop(
-        ctx,
-        w,
-        &job,
-        &data,
-        env.iters,
-        &make_stage,
-        REFERENCE_OPT,
-        1,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// What a worker spawned by `cfg` as rank 1, attempt 2 parses from
+    /// the environment `spawn_worker` sets, `set` overriding one variable.
+    /// (A lookup, because `std::env::set_var` races in a threaded test
+    /// binary.)
+    fn parse_spawned(
+        cfg: &ProcessScenario,
+        role: WorkerRole,
+        set: Option<(&str, &str)>,
+    ) -> Result<WorkerEnv, ProcessError> {
+        let vars = worker_env(cfg, 1, role, 2);
+        WorkerEnv::parse(&|name| match set {
+            Some((k, v)) if k == name => Some(v.to_string()),
+            _ => vars
+                .iter()
+                .find(|(k, _)| *k == name)
+                .and_then(|(_, v)| v.clone().into_string().ok()),
+        })
+    }
+
     #[test]
-    fn kinds_and_roles_round_trip() {
-        for k in [ProcessKind::Dp, ProcessKind::Pipeline] {
-            assert_eq!(ProcessKind::parse(k.as_str()), Some(k));
+    fn workers_run_the_job_of_the_scenario_that_spawns_them() {
+        let dp = ProcessScenario::new(Parallelism::Data { machines: 3 }, "swift-worker");
+        let mut pipeline = ProcessScenario::new(
+            Parallelism::Pipeline {
+                stages: 4,
+                microbatches: 2,
+            },
+            "swift-worker",
+        );
+        pipeline.iters = 21;
+        pipeline.batch = 12;
+        pipeline.ckpt_interval = 7;
+        for cfg in [&dp, &pipeline] {
+            let twin = cfg.job().build().unwrap();
+            for role in [WorkerRole::Worker, WorkerRole::Replacement] {
+                let env = parse_spawned(cfg, role, None).unwrap();
+                assert_eq!((env.rank, env.attempt, env.role), (1, 2, role));
+                assert_eq!(env.layout.root(), cfg.run_dir);
+                assert_eq!(env.iters, cfg.iters);
+                let job = &env.job;
+                assert_eq!(job.parallelism, cfg.parallelism);
+                assert_eq!(job.batch_size, cfg.batch);
+                assert_eq!(job.ckpt_interval, cfg.ckpt_interval);
+                assert_eq!(job.log_mode, LogMode::Sync);
+                assert!((job.model_fn)().state().bit_eq(&(twin.model_fn)().state()));
+            }
         }
-        for r in [WorkerRole::Worker, WorkerRole::Replacement] {
-            assert_eq!(WorkerRole::parse(r.as_str()), Some(r));
+        for (name, bad) in [(ENV_SCENARIO, "tp"), (ENV_ROLE, "zombie")] {
+            let err = parse_spawned(&dp, WorkerRole::Worker, Some((name, bad)))
+                .map(|_| ())
+                .unwrap_err();
+            assert!(err.to_string().contains(bad), "{err}");
         }
-        assert_eq!(ProcessKind::parse("tp"), None);
-        assert_eq!(WorkerRole::parse("zombie"), None);
+    }
+
+    #[test]
+    fn a_job_the_workers_would_reject_fails_before_any_spawn() {
+        let cfg = ProcessScenario::new(Parallelism::Data { machines: 1 }, "no-such-worker");
+        let err = run_process_scenario(&cfg).map(|_| ()).unwrap_err();
+        assert!(matches!(err, ProcessError::Config(_)), "{err}");
+        assert!(!cfg.run_dir.exists());
     }
 
     #[test]

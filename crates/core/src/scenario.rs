@@ -1,8 +1,10 @@
-//! The in-process job driver: runs a [`SwiftJob`] on a cluster of
-//! threads — train, kill a machine, recover, finish — for the end-to-end
-//! accuracy experiments (paper Fig. 11), the examples, the integration
-//! tests and the benchmark. Also home to the worker loops and replacement
-//! sequences the process backend runs unchanged.
+//! The job runners and the in-process driver. A runner is one rank's
+//! half of a [`SwiftJob`]: training plus its side of recovery, from
+//! iteration 0 or as a replacement. The in-process driver runs one per
+//! cluster thread — train, kill a machine, recover, finish — for the
+//! end-to-end accuracy experiments (paper Fig. 11), the examples, the
+//! integration tests and the benchmark; the process backend's
+//! `swift-worker` runs the same runner for its one rank.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,7 +29,6 @@ use crate::pipeline_ft::{
     pipeline_maybe_checkpoint, pipeline_on_failure_survivor, pipeline_replay,
     pipeline_train_iteration, DataSource, PipelineJob, PipelineWorker, RecoveryRole,
 };
-use crate::process::ProcessKind;
 use crate::replication::{
     dp_train_step, replication_join_supervised, replication_recover_supervised, CrashPoint,
     DpWorker,
@@ -115,67 +116,67 @@ pub struct ScenarioResult {
     pub trace: Option<Trace>,
 }
 
-/// What one rank's thread hands back: its final state (`None` when the
-/// rank was killed) and the losses it recorded.
-type RankOutcome = (Option<ModelState>, Vec<f32>);
+/// What one rank hands back: its final state (`None` when the rank was
+/// killed) and the losses it recorded.
+pub(crate) type RankOutcome = (Option<ModelState>, Vec<f32>);
 
-/// One recovery strategy's half of an in-process job. [`drive`] is the
-/// other half, and the same for every strategy.
-trait Runner: Send + Sync + 'static {
-    /// The acknowledgement each survivor publishes under the declared
-    /// epoch before the replacement may come up.
-    const ACK: ProcessKind;
+/// One recovery strategy's half of a job, the same on both backends: a
+/// cluster thread here and a `swift-worker` process in the process
+/// backend run it. [`drive`] is the in-process other half.
+///
+/// Every iteration a rank publishes to `proc/progress/{rank}` in the KV
+/// store, so the process supervisor can arm its progress-based kill
+/// triggers (`CrashTrigger::KillProcess`) without a shared-memory oracle.
+pub(crate) trait Runner: Send + Sync {
     /// Runs a rank from iteration 0: training plus the survivor side of
     /// recovery.
     fn start(&self, ctx: WorkerCtx) -> RankOutcome;
     /// Runs a replacement: its side of recovery, then training to the end.
     fn rejoin(&self, ctx: WorkerCtx) -> RankOutcome;
-    /// The rank whose losses the job reports.
-    fn loss_owner(&self) -> Rank;
 }
 
-/// Waits, up to `deadline` per survivor, until every rank in `0..world`
-/// but `victim` has acknowledged the failure declared at `epoch`: a DP
-/// replica under `dp/ack/{epoch}/{rank}`, a pipeline stage by publishing
-/// its consensus iteration. Both backends wait here before reviving the
-/// victim: revival restores its links, after which a survivor that had
-/// not yet detected the failure would block on the revived but still
-/// recovering rank. Returns the first survivor that missed the deadline.
+/// Waits, up to `deadline` per survivor, until every rank of
+/// `parallelism` but `victim` has acknowledged the failure declared at
+/// `epoch`: a DP replica under `dp/ack/{epoch}/{rank}`, a pipeline stage
+/// by publishing its consensus iteration. Both backends wait here before
+/// reviving the victim: revival restores its links, after which a
+/// survivor that had not yet detected the failure would block on the
+/// revived but still recovering rank. Returns the first survivor that
+/// missed the deadline.
 pub(crate) fn await_survivor_acks(
     kv: &KvStore,
-    kind: ProcessKind,
+    parallelism: Parallelism,
     epoch: Epoch,
-    world: usize,
     victim: Rank,
     deadline: Duration,
 ) -> Result<(), Rank> {
-    for r in (0..world).filter(|&r| r != victim) {
-        let key = match kind {
-            ProcessKind::Dp => format!("dp/ack/{epoch}/{r}"),
-            ProcessKind::Pipeline => format!("consensus/{epoch}/{r}"),
+    for r in (0..parallelism.machines()).filter(|&r| r != victim) {
+        let key = match parallelism {
+            Parallelism::Data { .. } => format!("dp/ack/{epoch}/{r}"),
+            Parallelism::Pipeline { .. } => format!("consensus/{epoch}/{r}"),
         };
         kv.wait_for(&key, deadline).ok_or(r)?;
     }
     Ok(())
 }
 
-/// Runs one job on `world` single-rank machines: installs the fault plan
-/// and (optionally) the fabric tracer, runs a thread per rank and, when
+/// Runs one job on single-rank machines: installs the fault plan and
+/// (optionally) the fabric tracer, runs a thread per rank and, when
 /// `victim` is doomed, brings its replacement up once the failure is
 /// declared and every survivor has acknowledged it. The driver reacts to
 /// the declaration only, never to injector ground truth.
-fn drive<R: Runner>(
-    runner: R,
-    world: usize,
+fn drive(
+    runner: Arc<dyn Runner>,
+    parallelism: Parallelism,
     faults: Option<FaultPlan>,
     victim: Option<Rank>,
     trace: bool,
 ) -> ScenarioResult {
+    let world = parallelism.machines();
     let cluster = Cluster::new(Topology::uniform(world, 1));
     let tracer = trace.then(|| cluster.enable_tracing());
     let fc = cluster.failure_controller();
     let injector = faults.map(|plan| cluster.install_faults(plan));
-    let runner = Arc::new(runner);
     let handles: Vec<_> = (0..world)
         .map(|rank| {
             let runner = runner.clone();
@@ -185,7 +186,7 @@ fn drive<R: Runner>(
     let replacement = victim.map(|mach| {
         let kv = cluster.kv();
         let epoch = wait_declared(&kv);
-        await_survivor_acks(&kv, R::ACK, epoch, world, mach, RENDEZVOUS_DEADLINE)
+        await_survivor_acks(&kv, parallelism, epoch, mach, RENDEZVOUS_DEADLINE)
             .unwrap_or_else(|r| panic!("survivor {r} never acknowledged epoch {epoch}"));
         fc.replace_machine(mach);
         let rctx = cluster.respawn(mach);
@@ -203,7 +204,7 @@ fn drive<R: Runner>(
     let mut states = vec![None; world];
     let mut losses = Vec::new();
     for (rank, (state, l)) in outcomes {
-        if rank == runner.loss_owner() && !l.is_empty() {
+        if rank == parallelism.loss_owner() && !l.is_empty() {
             losses = l;
         }
         states[rank] = state;
@@ -233,49 +234,65 @@ pub(crate) fn run_job(job: &SwiftJob, iters: u64, crash: Option<JobCrash>) -> Sc
         })
     });
     let victim = crash.map(|c| c.machine).or(plan_victim);
-    match job.parallelism {
-        Parallelism::Data { machines } => {
-            let runner = DpRunner {
-                model_fn: job.model_fn.clone(),
-                opt: job.opt,
-                dataset: job.dataset.clone(),
-                replicas: (0..machines).collect(),
-                batch: job.batch_size,
-                iters,
-                bucket_cap: job.bucket_cap_bytes,
-                crash: crash.map(|c| {
-                    let at = CrashPoint {
-                        iteration: c.iteration,
-                        after_groups: c.after_groups.max(1),
-                    };
-                    (c.machine, at)
+    // A pipeline's scripted crash rides on the fault injector: an
+    // `AtIteration` trigger kills the machine when the victim reports
+    // that iteration (one rank per machine, so rank == machine).
+    // Triggers are one-shot, so the replacement re-running the same
+    // iteration survives. A DP runner holds its mid-update crash itself.
+    let faults = match (job.parallelism, crash) {
+        (Parallelism::Pipeline { .. }, Some(c)) => Some(
+            job.faults
+                .clone()
+                .unwrap_or_else(|| FaultPlan::new(0))
+                .with_crash(CrashTrigger::AtIteration {
+                    rank: c.machine,
+                    iteration: c.iteration,
                 }),
-                crash_armed: AtomicBool::new(true),
-            };
-            drive(runner, machines, job.faults.clone(), victim, job.trace)
-        }
+        ),
+        _ => job.faults.clone(),
+    };
+    let runner = runner(job, iters, crash, None);
+    drive(runner, job.parallelism, faults, victim, job.trace)
+}
+
+/// The runner of `job`'s layout, training to `iters`. `stores` is a
+/// pipeline's global store and this rank's machine-local log store when
+/// both must outlive the process (a `swift-worker`'s run directory);
+/// without it the run gets a fresh temporary global store and each
+/// worker a fresh temporary log store.
+pub(crate) fn runner(
+    job: &SwiftJob,
+    iters: u64,
+    crash: Option<JobCrash>,
+    stores: Option<(GlobalStore, BlobStore)>,
+) -> Arc<dyn Runner> {
+    match job.parallelism {
+        Parallelism::Data { machines } => Arc::new(DpRunner {
+            model_fn: job.model_fn.clone(),
+            opt: job.opt,
+            dataset: job.dataset.clone(),
+            replicas: (0..machines).collect(),
+            batch: job.batch_size,
+            iters,
+            bucket_cap: job.bucket_cap_bytes,
+            crash: crash.map(|c| {
+                let at = CrashPoint {
+                    iteration: c.iteration,
+                    after_groups: c.after_groups.max(1),
+                };
+                (c.machine, at)
+            }),
+            crash_armed: AtomicBool::new(true),
+        }),
         Parallelism::Pipeline {
             stages,
             microbatches,
         } => {
-            // The scripted crash rides on the fault injector: an
-            // `AtIteration` trigger kills the machine when the victim
-            // reports that iteration (one rank per machine, so rank ==
-            // machine). Triggers are one-shot, so the replacement
-            // re-running the same iteration survives.
-            let faults = match crash {
-                Some(c) => Some(
-                    job.faults
-                        .clone()
-                        .unwrap_or_else(|| FaultPlan::new(0))
-                        .with_crash(CrashTrigger::AtIteration {
-                            rank: c.machine,
-                            iteration: c.iteration,
-                        }),
-                ),
-                None => job.faults.clone(),
+            let (global, local_log) = match stores {
+                Some((global, local_log)) => (global, Some(local_log)),
+                None => (GlobalStore::new_temp().expect("global store"), None),
             };
-            let runner = PipelineRunner {
+            Arc::new(PipelineRunner {
                 job: PipelineJob {
                     stage_ranks: (0..stages).collect(),
                     microbatches,
@@ -290,13 +307,13 @@ pub(crate) fn run_job(job: &SwiftJob, iters: u64, crash: Option<JobCrash>) -> Sc
                     batch_size: job.batch_size,
                     microbatches,
                 },
-                global: GlobalStore::new_temp().expect("global store"),
+                global,
+                local_log,
                 log_mode: job.log_mode,
                 log_precision: job.log_precision,
                 iters,
                 d: job.parallel_recovery,
-            };
-            drive(runner, stages, faults, victim, job.trace)
+            })
         }
     }
 }
@@ -318,7 +335,8 @@ struct DpRunner {
 }
 
 impl DpRunner {
-    fn train(&self, ctx: WorkerCtx, mut w: DpWorker) -> RankOutcome {
+    /// One replica's steady-state and survivor-recovery loop.
+    fn train(&self, mut ctx: WorkerCtx, mut w: DpWorker) -> RankOutcome {
         if let Some(cap) = self.bucket_cap {
             w.bucket_cap_bytes = cap;
         }
@@ -328,28 +346,99 @@ impl DpRunner {
                 ctx.machine() == mach && self.crash_armed.swap(false, Ordering::SeqCst)
             })
             .map(|(_, at)| at);
-        let (replicas, data) = (&self.replicas, &*self.dataset);
-        dp_worker_loop(ctx, w, replicas, data, self.batch, self.iters, my_crash)
+        let replicas = &self.replicas;
+        let mut losses = Vec::new();
+        loop {
+            // Progress beacon for external (process) supervisors.
+            ctx.kv.set(
+                &format!("proc/progress/{}", ctx.rank()),
+                w.iteration.to_string(),
+            );
+            // Report progress to the fault injector so AtIteration crash
+            // triggers can fire; a killed worker unwinds here.
+            if ctx.note_iteration(w.iteration).is_err() {
+                return (None, losses);
+            }
+            if w.iteration >= self.iters {
+                return (Some(w.model.state()), losses);
+            }
+            let it = w.iteration;
+            let b = dataset_shard(&*self.dataset, it, self.batch, ctx.rank(), replicas.len());
+            match dp_train_step(
+                &mut ctx,
+                &mut w,
+                replicas,
+                &b.0,
+                &b.1,
+                1.0 / self.batch as f32,
+                my_crash,
+            ) {
+                Ok(loss) => {
+                    // Sum of shard losses = global mean; approximate with
+                    // rank-local contribution × world for reporting.
+                    losses.push(loss * replicas.len() as f32);
+                }
+                Err(CommError::SelfKilled) => return (None, losses),
+                Err(e @ CommError::Protocol { .. }) => panic!("protocol bug: {e}"),
+                Err(CommError::PeerFailed { .. }) => {
+                    // Acknowledge detection under the *declared* failure
+                    // epoch; the driver revives the machine only once every
+                    // survivor has seen the failure (else a survivor could
+                    // block on the revived-but-idle rank).
+                    let epoch = failure_epoch(&ctx.kv);
+                    ctx.kv.set(&format!("dp/ack/{epoch}/{}", ctx.rank()), "1");
+                    assert!(
+                        ctx.kv
+                            .wait_for("dp/replacement-up", RENDEZVOUS_DEADLINE)
+                            .is_some(),
+                        "replacement never came up"
+                    );
+                    replication_recover_supervised(
+                        &mut ctx,
+                        &mut w,
+                        replicas,
+                        &RetryPolicy::recovery(),
+                    )
+                    .expect("survivor recovery failed");
+                }
+            }
+        }
     }
 }
 
 impl Runner for DpRunner {
-    const ACK: ProcessKind = ProcessKind::Dp;
-
     fn start(&self, ctx: WorkerCtx) -> RankOutcome {
         let w = DpWorker::new((self.model_fn)(), self.opt.build());
         self.train(ctx, w)
     }
 
     fn rejoin(&self, mut ctx: WorkerCtx) -> RankOutcome {
-        let w = dp_replacement_join(&mut ctx, &*self.model_fn, self.opt, &self.replicas);
+        // Announce itself (releasing blocked survivors), then adopt a
+        // replica's state by supervised state transfer.
+        ctx.kv.set("dp/replacement-up", "1");
+        let (w, _report) = replication_join_supervised(
+            &mut ctx,
+            &*self.model_fn,
+            &|| self.opt.build(),
+            &self.replicas,
+            &RetryPolicy::recovery(),
+        )
+        .expect("replacement join failed");
         // Its losses start mid-run; the original rank 0's are the job's.
         (self.train(ctx, w).0, Vec::new())
     }
+}
 
-    fn loss_owner(&self) -> Rank {
-        0
-    }
+fn dataset_shard(
+    ds: &dyn Dataset,
+    it: u64,
+    batch: usize,
+    rank: Rank,
+    world: usize,
+) -> (Tensor, Vec<usize>) {
+    let b = ds.batch(it, batch);
+    let s = shard_batch(&b, rank, world);
+    (s.x, s.y)
 }
 
 /// Logging recovery (§5): one pipeline stage per machine.
@@ -359,6 +448,9 @@ struct PipelineRunner {
     opt: OptimizerKind,
     data: DatasetSource,
     global: GlobalStore,
+    /// This rank's machine-local log store, when it must outlive the
+    /// process; `None` gives every worker a fresh temporary one.
+    local_log: Option<BlobStore>,
     log_mode: LogMode,
     log_precision: LogPrecision,
     iters: u64,
@@ -379,8 +471,11 @@ impl PipelineRunner {
     /// stage is the rank).
     fn worker(&self, ctx: &WorkerCtx) -> PipelineWorker {
         let (rank, topo) = (ctx.rank(), &ctx.topology);
-        let store = BlobStore::new_temp(&format!("scen-m{}", topo.machine_of(rank)))
-            .expect("machine-local log store");
+        let store = match &self.local_log {
+            Some(store) => store.clone(),
+            None => BlobStore::new_temp(&format!("scen-m{}", topo.machine_of(rank)))
+                .expect("machine-local log store"),
+        };
         PipelineWorker {
             stage: rank,
             model: self.stage(rank),
@@ -399,16 +494,208 @@ impl PipelineRunner {
         }
     }
 
-    fn train(&self, ctx: WorkerCtx, w: PipelineWorker) -> RankOutcome {
-        let make_stage = |s| self.stage(s);
-        let (job, data) = (&self.job, &self.data);
-        pipeline_worker_loop(ctx, w, job, data, self.iters, &make_stage, self.opt, self.d)
+    /// One stage's steady-state and survivor-recovery loop: training,
+    /// checkpointing, the survivor side of logging recovery (undo,
+    /// consensus, log upload, optional assist replay) and the resume
+    /// fence.
+    fn train(&self, mut ctx: WorkerCtx, mut w: PipelineWorker) -> RankOutcome {
+        let job = &self.job;
+        let mut losses = Vec::new();
+        loop {
+            // Progress beacon for external (process) supervisors.
+            ctx.kv.set(
+                &format!("proc/progress/{}", ctx.rank()),
+                w.iteration.to_string(),
+            );
+            if w.iteration >= self.iters {
+                return (Some(w.model.state()), losses);
+            }
+            // Report progress to the fault injector; an `AtIteration`
+            // crash trigger takes this machine down right here.
+            if ctx.note_iteration(w.iteration).is_err() {
+                return (None, losses);
+            }
+            match pipeline_train_iteration(&mut ctx, job, &mut w, &self.data) {
+                Ok(l) => {
+                    if w.stage + 1 == job.num_stages() {
+                        losses.push(l);
+                    }
+                    pipeline_maybe_checkpoint(job, &mut w).unwrap();
+                }
+                Err(CommError::SelfKilled) => return (None, losses),
+                Err(e @ CommError::Protocol { .. }) => panic!("protocol bug: {e}"),
+                Err(CommError::PeerFailed { rank: failed_rank }) => {
+                    // The failed machine's rank comes from the error
+                    // (the detection paths declare before returning);
+                    // all recovery namespaces derive from the declared
+                    // failure epoch.
+                    let generation = failure_epoch(&ctx.kv);
+                    let mut phases = PhaseTracker::new(ctx.rank(), generation);
+                    let survivors: Vec<Rank> = job
+                        .stage_ranks
+                        .iter()
+                        .copied()
+                        .filter(|&r| r != failed_rank)
+                        .collect();
+                    phases.enter(Phase::Undo);
+                    let consensus =
+                        pipeline_on_failure_survivor(&mut ctx, &mut w, &survivors).unwrap();
+                    phases.close();
+                    let assistants: Vec<Rank> =
+                        survivors.iter().copied().take(self.d - 1).collect();
+                    if assistants.contains(&ctx.rank()) {
+                        self.assist_replay(
+                            &mut ctx,
+                            failed_rank,
+                            &assistants,
+                            consensus,
+                            &mut phases,
+                        );
+                    }
+                    // Rendezvous with the replacement, then resume.
+                    phases.enter(Phase::Resume);
+                    recovery_fence(&mut ctx, generation.fence_channel(2), &job.stage_ranks)
+                        .unwrap();
+                    phases.close();
+                }
+            }
+        }
+    }
+
+    /// The replacement's recovery sequence before it trains: load the
+    /// latest checkpoint, adopt the survivors' consensus iteration, fence
+    /// with the replay group, replay the log, and pass the resume fence.
+    /// Returns with `w` positioned at the consensus iteration.
+    fn recover(&self, rctx: &mut WorkerCtx, w: &mut PipelineWorker) {
+        let job = &self.job;
+        let mach = rctx.rank();
+        let stages = job.num_stages();
+        let survivors: Vec<Rank> = job
+            .stage_ranks
+            .iter()
+            .copied()
+            .filter(|&r| r != mach)
+            .collect();
+        // Load the latest checkpoint from the global store.
+        let (from, consensus) = {
+            let ckpt = w.ckpt.load_latest().unwrap();
+            let from = match ckpt {
+                Some(c) => {
+                    w.model.load_state(&c.model);
+                    w.opt.load_state(&c.optim);
+                    c.iteration
+                }
+                None => 0,
+            };
+            // Consensus published by the survivors.
+            let generation = failure_epoch(&rctx.kv);
+            let mut consensus = u64::MAX;
+            for &r in &survivors {
+                let v = rctx
+                    .kv
+                    .wait_for(&format!("consensus/{generation}/{r}"), RENDEZVOUS_DEADLINE)
+                    .expect("no consensus");
+                consensus = consensus.min(v.parse().unwrap());
+            }
+            (from, consensus)
+        };
+        w.iteration = from;
+        let generation = failure_epoch(&rctx.kv);
+        let mut phases = PhaseTracker::new(mach, generation);
+        let replay_ranks = replay_participants(mach, &survivors, self.d);
+        // Fence phase: the replay-group rendezvous. Recorded even when
+        // the replacement replays alone (d = 1) so the per-incident
+        // breakdown always carries a (possibly empty) fence segment.
+        phases.enter(Phase::Fence);
+        if replay_ranks.len() > 1 {
+            recovery_fence(rctx, generation.fence_channel(1), &replay_ranks).unwrap();
+        }
+        phases.close();
+        let reader = WalReader::new(w.global.blob().clone());
+        let role = RecoveryRole {
+            stage: job.stage_of(mach),
+            recovered_stages: vec![job.stage_of(mach)],
+            group_ranks: vec![mach],
+            replica: 0,
+            num_replicas: self.d,
+            allreduce_peers: replay_ranks.clone(),
+        };
+        phases.enter(Phase::Replay);
+        pipeline_replay(
+            rctx,
+            job,
+            &role,
+            &mut w.model,
+            &mut *w.opt,
+            &reader,
+            &self.data,
+            from,
+            consensus,
+        )
+        .unwrap();
+        w.iteration = consensus;
+        phases.enter(Phase::Resume);
+        recovery_fence(
+            rctx,
+            generation.fence_channel(2),
+            &(0..stages).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        phases.close();
+    }
+
+    /// An assisting survivor's side of parallel recovery (Fig. 6c):
+    /// adopt the failed stage's checkpoint in a separate model instance,
+    /// leaving its own state intact, and replay its share of
+    /// micro-batches.
+    fn assist_replay(
+        &self,
+        ctx: &mut WorkerCtx,
+        failed_rank: Rank,
+        assistants: &[Rank],
+        consensus: u64,
+        phases: &mut PhaseTracker,
+    ) {
+        let job = &self.job;
+        let failed_stage = job.stage_of(failed_rank);
+        let mut model = self.stage(failed_stage);
+        let mut opt = self.opt.build();
+        let ckpt_mgr = CheckpointManager::new(self.global.blob().clone(), failed_rank);
+        // No checkpoint yet (failure before the first interval): start from
+        // the deterministic initial state at iteration 0.
+        let from = match ckpt_mgr.load_latest().expect("ckpt io") {
+            Some(ckpt) => {
+                model.load_state(&ckpt.model);
+                opt.load_state(&ckpt.optim);
+                ckpt.iteration
+            }
+            None => 0,
+        };
+        let survivors_sorted = replay_participants(failed_rank, assistants, self.d);
+        phases.enter(Phase::Fence);
+        recovery_fence(ctx, phases.epoch().fence_channel(1), &survivors_sorted)
+            .expect("replay-group fence");
+        phases.close();
+        let my_replica = 1 + assistants.iter().position(|&r| r == ctx.rank()).unwrap();
+        let reader = WalReader::new(self.global.blob().clone());
+        let role = RecoveryRole {
+            stage: failed_stage,
+            recovered_stages: vec![failed_stage],
+            group_ranks: vec![ctx.rank()],
+            replica: my_replica,
+            num_replicas: self.d,
+            allreduce_peers: survivors_sorted.clone(),
+        };
+        phases.enter(Phase::Replay);
+        pipeline_replay(
+            ctx, job, &role, &mut model, &mut *opt, &reader, &self.data, from, consensus,
+        )
+        .unwrap();
+        phases.close();
     }
 }
 
 impl Runner for PipelineRunner {
-    const ACK: ProcessKind = ProcessKind::Pipeline;
-
     fn start(&self, ctx: WorkerCtx) -> RankOutcome {
         let w = self.worker(&ctx);
         self.train(ctx, w)
@@ -416,293 +703,9 @@ impl Runner for PipelineRunner {
 
     fn rejoin(&self, mut ctx: WorkerCtx) -> RankOutcome {
         let mut w = self.worker(&ctx);
-        pipeline_replacement_recover(&mut ctx, &mut w, &self.job, &self.data, self.d);
+        self.recover(&mut ctx, &mut w);
         self.train(ctx, w)
     }
-
-    fn loss_owner(&self) -> Rank {
-        self.job.num_stages() - 1
-    }
-}
-
-/// One DP replica's steady-state + survivor-recovery loop — the code
-/// both backends run: the in-process scenario drives it on cluster
-/// threads, the process backend's `swift-worker` binary drives it in a
-/// real OS process over the socket transport. Keeping it shared is what
-/// makes the two backends bitwise-comparable.
-///
-/// Each iteration is published to `proc/progress/{rank}` in the KV store
-/// so an external supervisor can arm progress-based kill triggers
-/// (`CrashTrigger::KillProcess`) without any shared-memory oracle.
-pub fn dp_worker_loop(
-    mut ctx: WorkerCtx,
-    mut w: DpWorker,
-    replicas: &[Rank],
-    dataset: &dyn Dataset,
-    batch: usize,
-    iters: u64,
-    my_crash: Option<CrashPoint>,
-) -> (Option<ModelState>, Vec<f32>) {
-    let mut losses = Vec::new();
-    loop {
-        // Progress beacon for external (process) supervisors.
-        ctx.kv.set(
-            &format!("proc/progress/{}", ctx.rank()),
-            w.iteration.to_string(),
-        );
-        // Report progress to the fault injector so AtIteration crash
-        // triggers can fire; a killed worker unwinds here.
-        if ctx.note_iteration(w.iteration).is_err() {
-            return (None, losses);
-        }
-        if w.iteration >= iters {
-            return (Some(w.model.state()), losses);
-        }
-        let it = w.iteration;
-        let b = dataset_shard(dataset, it, batch, ctx.rank(), replicas.len());
-        match dp_train_step(
-            &mut ctx,
-            &mut w,
-            replicas,
-            &b.0,
-            &b.1,
-            1.0 / batch as f32,
-            my_crash,
-        ) {
-            Ok(loss) => {
-                // Sum of shard losses = global mean; approximate with
-                // rank-local contribution × world for reporting.
-                losses.push(loss * replicas.len() as f32);
-            }
-            Err(CommError::SelfKilled) => return (None, losses),
-            Err(e @ CommError::Protocol { .. }) => panic!("protocol bug: {e}"),
-            Err(CommError::PeerFailed { .. }) => {
-                // Acknowledge detection under the *declared* failure
-                // epoch; the driver revives the machine only once every
-                // survivor has seen the failure (else a survivor could
-                // block on the revived-but-idle rank).
-                let epoch = failure_epoch(&ctx.kv);
-                ctx.kv.set(&format!("dp/ack/{epoch}/{}", ctx.rank()), "1");
-                assert!(
-                    ctx.kv
-                        .wait_for("dp/replacement-up", RENDEZVOUS_DEADLINE)
-                        .is_some(),
-                    "replacement never came up"
-                );
-                replication_recover_supervised(
-                    &mut ctx,
-                    &mut w,
-                    replicas,
-                    &RetryPolicy::recovery(),
-                )
-                .expect("survivor recovery failed");
-            }
-        }
-    }
-}
-
-/// A DP replacement's join sequence: announce itself (releasing blocked
-/// survivors), then adopt a replica's state by supervised state transfer.
-/// Shared by the in-process driver and the `swift-worker` binary.
-pub fn dp_replacement_join(
-    rctx: &mut WorkerCtx,
-    model_fn: &dyn Fn() -> Sequential,
-    opt_kind: OptimizerKind,
-    replicas: &[Rank],
-) -> DpWorker {
-    rctx.kv.set("dp/replacement-up", "1");
-    let (w, _report) = replication_join_supervised(
-        rctx,
-        model_fn,
-        &|| opt_kind.build(),
-        replicas,
-        &RetryPolicy::recovery(),
-    )
-    .expect("replacement join failed");
-    w
-}
-
-fn dataset_shard(
-    ds: &dyn Dataset,
-    it: u64,
-    batch: usize,
-    rank: Rank,
-    world: usize,
-) -> (Tensor, Vec<usize>) {
-    let b = ds.batch(it, batch);
-    let s = shard_batch(&b, rank, world);
-    (s.x, s.y)
-}
-
-/// One pipeline stage's steady-state + survivor-recovery loop — like
-/// [`dp_worker_loop`], the exact code both the in-process scenario and
-/// the process backend's `swift-worker` binary run. Covers training,
-/// checkpointing, the survivor side of logging recovery (undo,
-/// consensus, log upload, optional assist replay) and the resume fence.
-#[allow(clippy::too_many_arguments)]
-pub fn pipeline_worker_loop(
-    mut ctx: WorkerCtx,
-    mut w: PipelineWorker,
-    job: &PipelineJob,
-    data: &dyn DataSource,
-    iters: u64,
-    make_stage: &dyn Fn(usize) -> Sequential,
-    opt_kind: OptimizerKind,
-    d: usize,
-) -> (Option<ModelState>, Vec<f32>) {
-    let all_ranks = job.stage_ranks.clone();
-    let global = w.global.clone();
-    let mut losses = Vec::new();
-    loop {
-        // Progress beacon for external (process) supervisors.
-        ctx.kv.set(
-            &format!("proc/progress/{}", ctx.rank()),
-            w.iteration.to_string(),
-        );
-        if w.iteration >= iters {
-            return (Some(w.model.state()), losses);
-        }
-        // Report progress to the fault injector; an `AtIteration`
-        // crash trigger takes this machine down right here.
-        if ctx.note_iteration(w.iteration).is_err() {
-            return (None, losses);
-        }
-        match pipeline_train_iteration(&mut ctx, job, &mut w, data) {
-            Ok(l) => {
-                if w.stage + 1 == job.num_stages() {
-                    losses.push(l);
-                }
-                pipeline_maybe_checkpoint(job, &mut w).unwrap();
-            }
-            Err(CommError::SelfKilled) => return (None, losses),
-            Err(e @ CommError::Protocol { .. }) => panic!("protocol bug: {e}"),
-            Err(CommError::PeerFailed { rank: failed_rank }) => {
-                // The failed machine's rank comes from the error
-                // (the detection paths declare before returning);
-                // all recovery namespaces derive from the declared
-                // failure epoch.
-                let generation = failure_epoch(&ctx.kv);
-                let mut phases = PhaseTracker::new(ctx.rank(), generation);
-                let survivors: Vec<Rank> = all_ranks
-                    .iter()
-                    .copied()
-                    .filter(|&r| r != failed_rank)
-                    .collect();
-                phases.enter(Phase::Undo);
-                let consensus = pipeline_on_failure_survivor(&mut ctx, &mut w, &survivors).unwrap();
-                phases.close();
-                let assistants: Vec<Rank> = survivors.iter().copied().take(d - 1).collect();
-                if assistants.contains(&ctx.rank()) {
-                    assist_replay(
-                        &mut ctx,
-                        job,
-                        &make_stage,
-                        &global,
-                        opt_kind,
-                        data,
-                        failed_rank,
-                        &assistants,
-                        consensus,
-                        &mut phases,
-                        d,
-                    );
-                }
-                // Rendezvous with the replacement, then resume.
-                phases.enter(Phase::Resume);
-                recovery_fence(&mut ctx, generation.fence_channel(2), &all_ranks).unwrap();
-                phases.close();
-            }
-        }
-    }
-}
-
-/// The pipeline replacement's recovery sequence before it joins
-/// [`pipeline_worker_loop`]: load the latest checkpoint, adopt the
-/// survivors' consensus iteration, fence with the replay group, replay
-/// the log, and pass the resume fence. Returns with `w` positioned at
-/// the consensus iteration. Shared by the in-process driver and the
-/// `swift-worker` binary.
-pub fn pipeline_replacement_recover(
-    rctx: &mut WorkerCtx,
-    w: &mut PipelineWorker,
-    job: &PipelineJob,
-    data: &dyn DataSource,
-    d: usize,
-) {
-    let mach = rctx.rank();
-    let stages = job.num_stages();
-    let survivors: Vec<Rank> = job
-        .stage_ranks
-        .iter()
-        .copied()
-        .filter(|&r| r != mach)
-        .collect();
-    // Load the latest checkpoint from the global store.
-    let (from, consensus) = {
-        let ckpt = w.ckpt.load_latest().unwrap();
-        let from = match ckpt {
-            Some(c) => {
-                w.model.load_state(&c.model);
-                w.opt.load_state(&c.optim);
-                c.iteration
-            }
-            None => 0,
-        };
-        // Consensus published by the survivors.
-        let generation = failure_epoch(&rctx.kv);
-        let mut consensus = u64::MAX;
-        for &r in &survivors {
-            let v = rctx
-                .kv
-                .wait_for(&format!("consensus/{generation}/{r}"), RENDEZVOUS_DEADLINE)
-                .expect("no consensus");
-            consensus = consensus.min(v.parse().unwrap());
-        }
-        (from, consensus)
-    };
-    w.iteration = from;
-    let generation = failure_epoch(&rctx.kv);
-    let mut phases = PhaseTracker::new(mach, generation);
-    let replay_ranks = replay_participants(mach, &survivors, d);
-    // Fence phase: the replay-group rendezvous. Recorded even when
-    // the replacement replays alone (d = 1) so the per-incident
-    // breakdown always carries a (possibly empty) fence segment.
-    phases.enter(Phase::Fence);
-    if replay_ranks.len() > 1 {
-        recovery_fence(rctx, generation.fence_channel(1), &replay_ranks).unwrap();
-    }
-    phases.close();
-    let reader = WalReader::new(w.global.blob().clone());
-    let role = RecoveryRole {
-        stage: job.stage_of(mach),
-        recovered_stages: vec![job.stage_of(mach)],
-        group_ranks: vec![mach],
-        replica: 0,
-        num_replicas: d,
-        allreduce_peers: replay_ranks.clone(),
-    };
-    phases.enter(Phase::Replay);
-    pipeline_replay(
-        rctx,
-        job,
-        &role,
-        &mut w.model,
-        &mut *w.opt,
-        &reader,
-        data,
-        from,
-        consensus,
-    )
-    .unwrap();
-    w.iteration = consensus;
-    phases.enter(Phase::Resume);
-    recovery_fence(
-        rctx,
-        generation.fence_channel(2),
-        &(0..stages).collect::<Vec<_>>(),
-    )
-    .unwrap();
-    phases.close();
 }
 
 /// The replica-group ranks for parallel recovery: the replacement plus
@@ -712,110 +715,4 @@ fn replay_participants(replacement: Rank, survivors: &[Rank], d: usize) -> Vec<R
     v.extend(survivors.iter().copied().take(d.saturating_sub(1)));
     v.sort_unstable();
     v
-}
-
-/// An assisting survivor's side of parallel recovery (Fig. 6c): snapshot
-/// own state, adopt the failed stage's checkpoint, replay its share of
-/// micro-batches, restore.
-#[allow(clippy::too_many_arguments)]
-fn assist_replay(
-    ctx: &mut WorkerCtx,
-    job: &PipelineJob,
-    make_stage: &impl Fn(usize) -> Sequential,
-    global: &GlobalStore,
-    opt_kind: OptimizerKind,
-    data: &dyn DataSource,
-    failed_rank: Rank,
-    assistants: &[Rank],
-    consensus: u64,
-    phases: &mut PhaseTracker,
-    d: usize,
-) {
-    let failed_stage = job.stage_of(failed_rank);
-    // Step 4: (in-memory) snapshot of own state is implicit — the
-    // assistant uses a *separate* model instance, leaving its own intact.
-    let mut model = make_stage(failed_stage);
-    let ckpt_mgr = CheckpointManager::new(global.blob().clone(), failed_rank);
-    // No checkpoint yet (failure before the first interval): start from
-    // the deterministic initial state at iteration 0.
-    let (mut opt, from) = match ckpt_mgr.load_latest().expect("ckpt io") {
-        Some(ckpt) => {
-            model.load_state(&ckpt.model);
-            let opt = optimizer_from_state(&ckpt.optim);
-            (opt, ckpt.iteration)
-        }
-        None => (opt_kind.build(), 0),
-    };
-    let survivors_sorted = replay_participants(failed_rank, assistants, d);
-    phases.enter(Phase::Fence);
-    recovery_fence(ctx, phases.epoch().fence_channel(1), &survivors_sorted)
-        .expect("replay-group fence");
-    phases.close();
-    let my_replica = 1 + assistants.iter().position(|&r| r == ctx.rank()).unwrap();
-    let reader = WalReader::new(global.blob().clone());
-    let role = RecoveryRole {
-        stage: failed_stage,
-        recovered_stages: vec![failed_stage],
-        group_ranks: vec![ctx.rank()],
-        replica: my_replica,
-        num_replicas: d,
-        allreduce_peers: survivors_sorted.clone(),
-    };
-    // The assistant replays interior stages only in this scenario (data
-    // source unused unless the failed stage is first/last; pass the real
-    // one if so — handled by the caller configuration).
-    phases.enter(Phase::Replay);
-    pipeline_replay(
-        ctx, job, &role, &mut model, &mut *opt, &reader, data, from, consensus,
-    )
-    .unwrap();
-    phases.close();
-    // Own state was never touched; nothing to restore.
-}
-
-/// Reconstructs a boxed optimizer from a checkpointed
-/// [`OptimState`](swift_optim::OptimState)
-/// (assistants adopt the failed stage's optimizer this way, Fig. 6c
-/// step 5).
-pub fn optimizer_from_state(state: &swift_optim::OptimState) -> Box<dyn swift_optim::Optimizer> {
-    let get = |k: &str| {
-        state
-            .scalars
-            .iter()
-            .find(|(n, _)| n == k)
-            .and_then(|(_, v)| v.first().copied())
-            .unwrap_or(0.0)
-    };
-    let kind = match state.name.as_str() {
-        "SGD" => OptimizerKind::Sgd {
-            lr: get("lr"),
-            weight_decay: get("wd"),
-        },
-        "SGD-momentum" => OptimizerKind::SgdMomentum {
-            lr: get("lr"),
-            weight_decay: get("wd"),
-            momentum: get("momentum"),
-            dampening: get("dampening"),
-        },
-        "Adam" => OptimizerKind::Adam {
-            lr: get("lr"),
-            weight_decay: get("wd"),
-        },
-        "AdamW" => OptimizerKind::AdamW {
-            lr: get("lr"),
-            weight_decay: get("wd"),
-        },
-        "LAMB" => OptimizerKind::Lamb {
-            lr: get("lr"),
-            weight_decay: get("wd"),
-        },
-        "AMSGrad" => OptimizerKind::AmsGrad {
-            lr: get("lr"),
-            weight_decay: get("wd"),
-        },
-        other => panic!("unknown optimizer kind {other}"),
-    };
-    let mut opt = kind.build();
-    opt.load_state(state);
-    opt
 }

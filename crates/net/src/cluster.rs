@@ -538,12 +538,15 @@ mod tests {
         let results = Cluster::run_all(Topology::uniform(2, 2), |mut ctx| {
             let group = [1usize, 3];
             if group.contains(&ctx.rank()) {
-                let data = (ctx.rank() == 1).then(|| Tensor::full([2], 9.0));
-                let mut dst = Tensor::zeros([2]);
+                let mut t = if ctx.rank() == 1 {
+                    Tensor::full([2], 9.0)
+                } else {
+                    Tensor::zeros([2])
+                };
                 ctx.comm
-                    .broadcast_tensor_chunked_into(&group, 1, data.as_ref(), &mut dst, 4)
+                    .broadcast_tensor_chunked_into(&group, 1, &mut t, 4)
                     .unwrap();
-                dst.sum()
+                t.sum()
             } else {
                 -1.0
             }
@@ -601,11 +604,15 @@ mod tests {
                     .comm
                     .broadcast_bytes_chunked_among(&group, 1, payload, chunk_bytes)
                     .unwrap();
-                // Tensor path: install into pre-shaped storage.
-                let mine = (ctx.rank() == 1).then(|| src.clone());
-                let mut dst = Tensor::zeros([n]);
+                // Tensor path: the root streams its own tensor, the others
+                // install into pre-shaped storage.
+                let mut dst = if ctx.rank() == 1 {
+                    src.clone()
+                } else {
+                    Tensor::zeros([n])
+                };
                 ctx.comm
-                    .broadcast_tensor_chunked_into(&group, 1, mine.as_ref(), &mut dst, chunk_bytes)
+                    .broadcast_tensor_chunked_into(&group, 1, &mut dst, chunk_bytes)
                     .unwrap();
                 (via_bytes, dst)
             });
@@ -753,15 +760,13 @@ mod tests {
                 .comm
                 .allreduce_sum_chunked_among(&ranks, &t, chunk_bytes)
                 .unwrap();
-            let mut bcast = Tensor::zeros([numel]);
+            let mut bcast = if ctx.rank() == 0 {
+                t.clone()
+            } else {
+                Tensor::zeros([numel])
+            };
             ctx.comm
-                .broadcast_tensor_chunked_into(
-                    &ranks,
-                    0,
-                    (ctx.rank() == 0).then_some(&t),
-                    &mut bcast,
-                    chunk_bytes,
-                )
+                .broadcast_tensor_chunked_into(&ranks, 0, &mut bcast, chunk_bytes)
                 .unwrap();
             (chunked, bcast)
         });
@@ -869,7 +874,7 @@ mod tests {
         rejects_crafted_frame(0, b"abcdef", 0, |ctx| {
             let mut dst = Tensor::zeros([4]);
             ctx.comm
-                .broadcast_tensor_chunked_into(&[0, 1], 0, None, &mut dst, 1024)
+                .broadcast_tensor_chunked_into(&[0, 1], 0, &mut dst, 1024)
         });
     }
 

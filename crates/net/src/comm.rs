@@ -951,29 +951,22 @@ impl Comm {
         }
     }
 
-    /// Chunked tensor broadcast writing straight into `dst` (which every
-    /// rank pre-shapes): the root streams raw little-endian chunks of the
-    /// tensor data and receivers install each chunk into `dst`'s existing
-    /// storage — no wire header, no intermediate decode allocation, and a
-    /// replacement rank starts deserializing while later chunks are still
-    /// in flight.
+    /// Chunked tensor broadcast of the root's `t` into every other rank's
+    /// `t` (which each pre-shapes): the root streams raw little-endian
+    /// chunks of its tensor and receivers install each chunk into their
+    /// existing storage — no wire header, no intermediate decode
+    /// allocation, and a receiver starts installing while later chunks are
+    /// still in flight.
     pub fn broadcast_tensor_chunked_into(
         &mut self,
         participants: &[Rank],
         root: Rank,
-        src: Option<&Tensor>,
-        dst: &mut Tensor,
+        t: &mut Tensor,
         chunk_bytes: usize,
     ) -> Result<(), CommError> {
         let tag = self.next_coll_tag();
         let chunk = (chunk_bytes / 4).max(1);
         if self.rank == root {
-            let t = src.expect("root must supply the broadcast tensor");
-            assert_eq!(
-                t.shape().dims(),
-                dst.shape().dims(),
-                "destination shape must match the source"
-            );
             let data = t.data();
             let mut lo = 0;
             while lo < data.len() {
@@ -984,17 +977,14 @@ impl Comm {
                 }
                 lo = hi;
             }
-            if !std::ptr::eq(t.data().as_ptr(), dst.data().as_ptr()) {
-                dst.data_mut().copy_from_slice(data);
-            }
         } else {
-            let numel = dst.numel();
+            let numel = t.numel();
             let mut lo = 0;
             while lo < numel {
                 let hi = (lo + chunk).min(numel);
                 let incoming = self.recv_bytes(root, tag)?;
                 check_frame_len("broadcast chunk", &incoming, 4 * (hi - lo))?;
-                for (d, v) in dst.data_mut()[lo..hi]
+                for (d, v) in t.data_mut()[lo..hi]
                     .iter_mut()
                     .zip(f32_from_bytes(&incoming))
                 {

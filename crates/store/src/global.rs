@@ -1,6 +1,4 @@
-//! The global store (the paper's HDFS cluster) and chunked transfers.
-
-use bytes::Bytes;
+//! The global store (the paper's HDFS cluster).
 
 use crate::blob::BlobStore;
 
@@ -67,67 +65,6 @@ impl GlobalStore {
     }
 }
 
-/// Splits a payload into fixed-size chunks keyed `"{key}.chunk{i:06}"` so
-/// upload, download and replay can pipeline (§5.1: "step 3, 4, and 5 can
-/// be executed in a pipeline by chunking the logging file").
-#[derive(Debug, Clone)]
-pub struct ChunkedTransfer {
-    /// Chunk payload size in bytes.
-    pub chunk_bytes: usize,
-}
-
-impl ChunkedTransfer {
-    /// Creates a transfer policy with the given chunk size.
-    pub fn new(chunk_bytes: usize) -> Self {
-        assert!(chunk_bytes > 0);
-        ChunkedTransfer { chunk_bytes }
-    }
-
-    /// Chunk keys for a payload of `len` bytes under `key`.
-    pub fn chunk_keys(&self, key: &str, len: usize) -> Vec<String> {
-        let n = len.div_ceil(self.chunk_bytes).max(1);
-        (0..n).map(|i| format!("{key}.chunk{i:06}")).collect()
-    }
-
-    /// Writes `data` as chunks into `store`; returns the chunk keys in
-    /// order.
-    pub fn put_chunked(
-        &self,
-        store: &BlobStore,
-        key: &str,
-        data: &[u8],
-    ) -> std::io::Result<Vec<String>> {
-        let keys = self.chunk_keys(key, data.len());
-        for (i, k) in keys.iter().enumerate() {
-            let start = i * self.chunk_bytes;
-            let end = (start + self.chunk_bytes).min(data.len());
-            store.put(k, &data[start..end])?;
-        }
-        Ok(keys)
-    }
-
-    /// Reads chunks back and reassembles the payload.
-    pub fn get_chunked(&self, store: &BlobStore, key: &str) -> std::io::Result<Bytes> {
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        loop {
-            let k = format!("{key}.chunk{i:06}");
-            if !store.contains(&k) {
-                break;
-            }
-            out.extend_from_slice(&store.get(&k)?);
-            i += 1;
-        }
-        if i == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("no chunks for {key}"),
-            ));
-        }
-        Ok(Bytes::from(out))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,41 +92,5 @@ mod tests {
         assert_eq!(global.blob().list("log/").unwrap().len(), 3);
         assert_eq!(global.delete_prefix("log/").unwrap(), 3);
         assert!(global.blob().list("log/").unwrap().is_empty());
-    }
-
-    #[test]
-    fn chunked_round_trip_uneven() {
-        let store = BlobStore::new_temp("m3").unwrap();
-        let xfer = ChunkedTransfer::new(7);
-        let payload: Vec<u8> = (0..23).collect();
-        let keys = xfer.put_chunked(&store, "file", &payload).unwrap();
-        assert_eq!(keys.len(), 4); // 7+7+7+2
-        let back = xfer.get_chunked(&store, "file").unwrap();
-        assert_eq!(back.as_ref(), payload.as_slice());
-    }
-
-    #[test]
-    fn chunked_exact_multiple() {
-        let store = BlobStore::new_temp("m4").unwrap();
-        let xfer = ChunkedTransfer::new(8);
-        let payload = [1u8; 16];
-        let keys = xfer.put_chunked(&store, "f", &payload).unwrap();
-        assert_eq!(keys.len(), 2);
-    }
-
-    #[test]
-    fn chunked_empty_payload() {
-        let store = BlobStore::new_temp("m5").unwrap();
-        let xfer = ChunkedTransfer::new(8);
-        let keys = xfer.put_chunked(&store, "f", &[]).unwrap();
-        assert_eq!(keys.len(), 1);
-        assert!(xfer.get_chunked(&store, "f").unwrap().is_empty());
-    }
-
-    #[test]
-    fn chunked_missing_errors() {
-        let store = BlobStore::new_temp("m6").unwrap();
-        let xfer = ChunkedTransfer::new(8);
-        assert!(xfer.get_chunked(&store, "absent").is_err());
     }
 }

@@ -75,6 +75,11 @@
 //! missing, overlapping or out-of-order phase, and feeds each run's
 //! fabric trace through `swift-verify`'s race checker. With `--json` the
 //! breakdown also lands in `target/timeline.json` (CI's `obs` artifact).
+//!
+//! `cargo xtask loc` prints the project's code size: the non-blank lines
+//! that do not start with `//`, above each file's first column-0
+//! `#[cfg(test)]`, in every `.rs` under `crates/` (but not
+//! `crates/*/tests/`), `src/` and `examples/`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -103,15 +108,21 @@ fn main() -> ExitCode {
             timeline(json)
         }
         Some("mc") => mc(args.collect()),
+        Some("loc") => {
+            println!("{}", loc(&workspace_root()));
+            ExitCode::SUCCESS
+        }
         Some(other) => {
-            eprintln!("xtask: unknown task `{other}` (available: verify, bench, timeline, mc)");
+            eprintln!(
+                "xtask: unknown task `{other}` (available: verify, bench, timeline, mc, loc)"
+            );
             ExitCode::FAILURE
         }
         None => {
             eprintln!(
                 "usage: cargo xtask <verify | bench [--quick] [--json] | timeline [--json] | \
                  mc [--depth N] [--seed S] [--iters N] [--walks N] [--mutation NAME] \
-                 [--no-torn] [--json] [--expect-violation] [--replay FILE]>"
+                 [--no-torn] [--json] [--expect-violation] [--replay FILE] | loc>"
             );
             ExitCode::FAILURE
         }
@@ -704,6 +715,41 @@ fn lint_no_draws_scope_call_sites(root: &Path) -> usize {
         .sum()
 }
 
+/// The code size `cargo xtask loc` prints (see the module docs).
+fn loc(root: &Path) -> usize {
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "examples"] {
+        rust_files_under(root, &root.join(dir), &mut files);
+    }
+    files
+        .iter()
+        .filter(|rel| !is_crate_integration_test(rel))
+        .map(|rel| {
+            let text = std::fs::read_to_string(root.join(rel))
+                .unwrap_or_else(|e| panic!("xtask: cannot read {rel}: {e}"));
+            code_lines(&text)
+        })
+        .sum()
+}
+
+/// Whether `rel` sits in a crate's `tests/` directory.
+fn is_crate_integration_test(rel: &str) -> bool {
+    let parts: Vec<_> = Path::new(rel).iter().collect();
+    parts.len() > 3 && parts[0] == "crates" && parts[2] == "tests"
+}
+
+/// Non-blank lines not starting with `//`, above the first column-0
+/// `#[cfg(test)]`.
+fn code_lines(text: &str) -> usize {
+    text.lines()
+        .take_while(|line| !line.starts_with("#[cfg(test)]"))
+        .filter(|line| {
+            let line = line.trim();
+            !line.is_empty() && !line.starts_with("//")
+        })
+        .count()
+}
+
 /// Appends every `.rs` file under `dir` (recursively, if it exists) to
 /// `out` as a path relative to `root`.
 fn rust_files_under(root: &Path, dir: &Path, out: &mut Vec<String>) {
@@ -887,6 +933,18 @@ mod tests {
         {\"op\":\"matmul\",\"shape\":\"8x8x8\",\"ns_per_iter\":1000,\"baseline_ns_per_iter\":2000,\"speedup\":2.00,\"gb_per_s\":1.5},\n\
         {\"op\":\"replay\",\"shape\":\"2mb\",\"ns_per_iter\":500,\"baseline_ns_per_iter\":2000,\"speedup\":4.00,\"gb_per_s\":3.0}\n\
         ]\n";
+
+    #[test]
+    fn loc_counts_code_above_the_test_module() {
+        let src = "//! doc\n\nuse a;\n    // note\nfn f() {}\n  #[cfg(test)] x\n\
+                   #[cfg(test)]\nmod tests { fn g() {} }\n";
+        assert_eq!(code_lines(src), 3);
+        assert!(is_crate_integration_test(
+            "crates/core/tests/tier_digest.rs"
+        ));
+        assert!(!is_crate_integration_test("crates/core/src/tests.rs"));
+        assert!(!is_crate_integration_test("tests/chaos.rs"));
+    }
 
     #[test]
     fn bench_json_parses_ops_and_times() {

@@ -21,11 +21,7 @@
 
 use std::time::Duration;
 
-use swift::core::{
-    dp_reference_dataset, dp_reference_model, pipeline_reference_dataset, pipeline_reference_model,
-    run_process_scenario, Parallelism, ProcessKind, ProcessOutcome, ProcessScenario, SwiftJob,
-    SwiftJobBuilder, REFERENCE_OPT,
-};
+use swift::core::{run_process_scenario, Parallelism, ProcessOutcome, ProcessScenario};
 use swift::net::FaultPlan;
 
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_swift-worker");
@@ -34,15 +30,6 @@ const WORKER_BIN: &str = env!("CARGO_BIN_EXE_swift-worker");
 /// a detection past this is a broken detector, not an unlucky scheduler.
 fn detection_bound(cfg: &ProcessScenario) -> Duration {
     cfg.heartbeat.timeout * 2 + Duration::from_secs(1)
-}
-
-/// The in-process twin of a DP process scenario.
-fn dp_job(cfg: &ProcessScenario) -> SwiftJobBuilder {
-    SwiftJob::builder(dp_reference_model(), REFERENCE_OPT, dp_reference_dataset())
-        .parallelism(Parallelism::Data {
-            machines: cfg.world,
-        })
-        .batch_size(cfg.batch)
 }
 
 fn assert_killed_and_detected(cfg: &ProcessScenario, out: &ProcessOutcome, victim: usize) {
@@ -61,10 +48,11 @@ fn assert_killed_and_detected(cfg: &ProcessScenario, out: &ProcessOutcome, victi
 #[test]
 #[ignore = "spawns real processes; run with --ignored --test-threads=1"]
 fn dp_sigkill_is_detected_and_converges_bitwise() {
+    const REPLICAS: usize = 2;
     const VICTIM: usize = 1;
     const KILL_AT: u64 = 10;
 
-    let mut cfg = ProcessScenario::new(ProcessKind::Dp, WORKER_BIN);
+    let mut cfg = ProcessScenario::new(Parallelism::Data { machines: REPLICAS }, WORKER_BIN);
     cfg.faults = FaultPlan::new(0).kill_process(VICTIM, KILL_AT);
     let out = run_process_scenario(&cfg).expect("process scenario");
     assert_killed_and_detected(&cfg, &out, VICTIM);
@@ -72,7 +60,7 @@ fn dp_sigkill_is_detected_and_converges_bitwise() {
     // The replication guarantee, now across real process boundaries:
     // the surviving replica and the respawned replacement agree
     // **bitwise** — same claim the in-process tests make.
-    assert_eq!(out.states.len(), cfg.world);
+    assert_eq!(out.states.len(), REPLICAS);
     for s in &out.states[1..] {
         assert!(out.states[0].bit_eq(s), "replicas diverged");
     }
@@ -85,13 +73,14 @@ fn dp_sigkill_is_detected_and_converges_bitwise() {
     // in-process recovery tests hold themselves to. (Bitwise equality
     // holds across replicas, not across recovered-vs-clean runs: the
     // undo inverts the partial update in floating point.)
-    let clean = dp_job(&cfg).build().unwrap().run(cfg.iters, None);
+    let clean = cfg.job().build().unwrap().run(cfg.iters, None);
     let drift = clean.states[0].max_abs_diff(&out.states[0]);
     assert!(drift < 1e-3, "drift {drift} vs the in-process clean run");
 
     // The thread-backend crashed run recovers from the same plan; both
     // backends must land within the same envelope of the clean run.
-    let crashed = dp_job(&cfg)
+    let crashed = cfg
+        .job()
         .faults(FaultPlan::new(0).kill_process(VICTIM, KILL_AT))
         .build()
         .unwrap()
@@ -102,31 +91,31 @@ fn dp_sigkill_is_detected_and_converges_bitwise() {
 }
 
 /// The process-backend MTTR smoke: a real `SIGKILL` against a 3-replica
-/// DP group, so the respawned replacement rejoins through the *sharded
-/// multi-source* state transfer with two genuine sources (the 2-replica
-/// test above degenerates to a single sender). Small shards force a
-/// multi-round reassembly through the same shard schedule the
-/// determinism matrix pins via `SWIFT_SHARD_BYTES`. The MTTR claims a
-/// smoke can make across real processes: detection lands within the
-/// lease bound, the replacement comes back, and recovery is exact —
-/// bitwise across all three replicas, within the undo envelope of the
-/// clean run.
+/// DP group, so the respawned replacement has two surviving sources (the
+/// 2-replica test above has one). When neither survivor had to undo, the
+/// two stream interleaved chunks of the state straight into the
+/// replacement, 4 KiB each here (`SWIFT_SHARD_BYTES`); when either undid,
+/// the lowest survivor alone streams and re-aligns the other. Where a
+/// real `SIGKILL` lands decides which. The MTTR claims a smoke can make
+/// across real processes: detection lands within the lease bound, the
+/// replacement comes back, and recovery is exact — bitwise across all
+/// three replicas, within the undo envelope of the clean run.
 #[test]
 #[ignore = "spawns real processes; run with --ignored --test-threads=1"]
 fn dp_sigkill_mttr_smoke_recovers_via_sharded_join() {
+    const REPLICAS: usize = 3;
     const VICTIM: usize = 1;
     const KILL_AT: u64 = 10;
 
     std::env::set_var("SWIFT_SHARD_BYTES", "4096");
-    let mut cfg = ProcessScenario::new(ProcessKind::Dp, WORKER_BIN);
-    cfg.world = 3;
+    let mut cfg = ProcessScenario::new(Parallelism::Data { machines: REPLICAS }, WORKER_BIN);
     cfg.faults = FaultPlan::new(0).kill_process(VICTIM, KILL_AT);
     let out = run_process_scenario(&cfg);
     std::env::remove_var("SWIFT_SHARD_BYTES");
     let out = out.expect("process scenario");
     assert_killed_and_detected(&cfg, &out, VICTIM);
 
-    assert_eq!(out.states.len(), cfg.world);
+    assert_eq!(out.states.len(), REPLICAS);
     for s in &out.states[1..] {
         assert!(
             out.states[0].bit_eq(s),
@@ -135,7 +124,7 @@ fn dp_sigkill_mttr_smoke_recovers_via_sharded_join() {
     }
     assert!(out.losses.len() as u64 >= cfg.iters);
 
-    let clean = dp_job(&cfg).build().unwrap().run(cfg.iters, None);
+    let clean = cfg.job().build().unwrap().run(cfg.iters, None);
     let drift = clean.states[0].max_abs_diff(&out.states[0]);
     assert!(drift < 1e-3, "drift {drift} vs the in-process clean run");
 }
@@ -146,7 +135,13 @@ fn pipeline_sigkill_mid_wal_flush_recovers_and_reports_torn_tail() {
     const VICTIM: usize = 1;
     const KILL_AT: u64 = 12; // between backstop checkpoints (interval 10)
 
-    let mut cfg = ProcessScenario::new(ProcessKind::Pipeline, WORKER_BIN);
+    let mut cfg = ProcessScenario::new(
+        Parallelism::Pipeline {
+            stages: 3,
+            microbatches: 4,
+        },
+        WORKER_BIN,
+    );
     cfg.faults = FaultPlan::new(0).kill_process(VICTIM, KILL_AT);
     cfg.torn_wal = true;
     let out = run_process_scenario(&cfg).expect("process scenario");
@@ -160,20 +155,6 @@ fn pipeline_sigkill_mid_wal_flush_recovers_and_reports_torn_tail() {
     assert_eq!(out.torn_reported, out.torn_injected);
     assert!(out.losses.len() as u64 >= cfg.iters);
 
-    let reference = || {
-        SwiftJob::builder(
-            pipeline_reference_model(),
-            REFERENCE_OPT,
-            pipeline_reference_dataset(),
-        )
-        .parallelism(Parallelism::Pipeline {
-            stages: cfg.world,
-            microbatches: cfg.microbatches,
-        })
-        .batch_size(cfg.batch)
-        .ckpt_interval(cfg.ckpt_interval)
-    };
-
     // Every stage within the floating-point undo envelope of the
     // in-process clean run. Bitwise equality is NOT the contract here:
     // a real SIGKILL lands at a physical instant, so whether a survivor
@@ -182,7 +163,7 @@ fn pipeline_sigkill_mid_wal_flush_recovers_and_reports_torn_tail() {
     // timing. The thread backend aborts at deterministic points and so
     // can promise bitwise recovery; the process backend promises the
     // same 1e-3 envelope the replication tests hold the undo path to.
-    let clean = reference().build().unwrap().run(cfg.iters, None);
+    let clean = cfg.job().build().unwrap().run(cfg.iters, None);
     assert_eq!(out.states.len(), clean.states.len());
     for (stage, (got, want)) in out.states.iter().zip(&clean.states).enumerate() {
         let drift = got.max_abs_diff(want);
@@ -193,7 +174,8 @@ fn pipeline_sigkill_mid_wal_flush_recovers_and_reports_torn_tail() {
     }
 
     // ...and of the thread-backend crashed run with the same plan.
-    let crashed = reference()
+    let crashed = cfg
+        .job()
         .faults(FaultPlan::new(0).kill_process(VICTIM, KILL_AT))
         .build()
         .unwrap()
