@@ -86,6 +86,14 @@ pub enum PlanError {
         /// The pipeline's stage count.
         stages: usize,
     },
+    /// The batch has fewer examples than the layout has parts (pipeline
+    /// micro-batches or DP replicas), so some part would hold none.
+    BatchTooSmall {
+        /// The global mini-batch size.
+        batch_size: usize,
+        /// Micro-batches per iteration, or DP machines.
+        parts: usize,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -108,6 +116,12 @@ impl std::fmt::Display for PlanError {
                  only the replacement and the {} survivors replay, so the \
                  micro-batches of the other replicas would never be recomputed",
                 stages - 1
+            ),
+            PlanError::BatchTooSmall { batch_size, parts } => write!(
+                f,
+                "a batch of {batch_size} examples cannot be split into {parts} \
+                 parts (micro-batches or replicas): every part needs at least \
+                 one example"
             ),
         }
     }
@@ -289,7 +303,9 @@ impl SwiftJobBuilder {
     ///   are rejected here, before training starts, instead of failing at
     ///   first undo;
     /// - the layout must leave a peer on another machine to recover from;
-    /// - parallel recovery may use at most one replica per stage.
+    /// - parallel recovery may use at most one replica per stage;
+    /// - the batch must hold at least one example per micro-batch (for
+    ///   pipelines) or per machine (for DP).
     pub fn build(self) -> Result<SwiftJob, PlanError> {
         let job = self.job;
         chain_for(&job.opt)
@@ -300,13 +316,26 @@ impl SwiftJobBuilder {
                 parallelism: job.parallelism,
             });
         }
-        if let Parallelism::Pipeline { stages, .. } = job.parallelism {
-            if job.parallel_recovery > stages {
-                return Err(PlanError::ReplicasExceedStages {
-                    replicas: job.parallel_recovery,
-                    stages,
-                });
+        let parts = match job.parallelism {
+            Parallelism::Data { machines } => machines,
+            Parallelism::Pipeline {
+                stages,
+                microbatches,
+            } => {
+                if job.parallel_recovery > stages {
+                    return Err(PlanError::ReplicasExceedStages {
+                        replicas: job.parallel_recovery,
+                        stages,
+                    });
+                }
+                microbatches
             }
+        };
+        if job.batch_size < parts {
+            return Err(PlanError::BatchTooSmall {
+                batch_size: job.batch_size,
+                parts,
+            });
         }
         Ok(job)
     }
@@ -486,6 +515,66 @@ mod tests {
         );
         let msg = err.to_string();
         assert!(msg.contains("d = 4 needs d ≤ 3"), "got: {msg}");
+    }
+
+    #[test]
+    fn build_rejects_a_batch_the_layout_cannot_split() {
+        for (parallelism, parts) in [
+            (
+                Parallelism::Pipeline {
+                    stages: 2,
+                    microbatches: 4,
+                },
+                4,
+            ),
+            (Parallelism::Data { machines: 3 }, 3),
+        ] {
+            let build = |batch_size| {
+                base()
+                    .parallelism(parallelism)
+                    .batch_size(batch_size)
+                    .build()
+                    .map(|_| ())
+            };
+            let err = build(2).unwrap_err();
+            assert_eq!(
+                err,
+                PlanError::BatchTooSmall {
+                    batch_size: 2,
+                    parts
+                }
+            );
+            let msg = err.to_string();
+            assert!(msg.contains("batch of 2 examples"), "got: {msg}");
+            assert_eq!(
+                build(parts - 1).unwrap_err(),
+                PlanError::BatchTooSmall {
+                    batch_size: parts - 1,
+                    parts
+                }
+            );
+            assert!(build(parts).is_ok(), "one example per part is the limit");
+        }
+    }
+
+    /// At the boundary, one example per part, the job also runs.
+    #[test]
+    fn one_example_per_part_runs() {
+        let pipeline = base()
+            .parallelism(Parallelism::Pipeline {
+                stages: 2,
+                microbatches: 4,
+            })
+            .batch_size(4)
+            .build()
+            .unwrap();
+        assert_eq!(pipeline.run(2, None).losses.len(), 2);
+        let dp = base()
+            .parallelism(Parallelism::Data { machines: 3 })
+            .batch_size(3)
+            .build()
+            .unwrap();
+        assert_eq!(dp.run(2, None).states.len(), 3);
     }
 
     #[test]

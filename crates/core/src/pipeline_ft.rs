@@ -89,7 +89,11 @@ pub struct PipelineWorker {
 
 /// Supplies deterministic training data: micro-batch inputs for stage 0
 /// and loss/gradient for the last stage, re-generatable for any iteration
-/// (recovery replays regenerate them — input determinism, §6).
+/// (recovery replays regenerate them — input determinism, §6). Both calls
+/// are pure functions of `(iteration, mb)`: a replay sees the bits the
+/// failure-free run saw. An implementation should produce only the one
+/// micro-batch asked for; [`DatasetSource`](crate::DatasetSource)
+/// generates just its examples, or just their labels for the loss.
 pub trait DataSource: Send {
     /// Input tensor for `(iteration, microbatch)` (stage 0 only).
     fn input(&self, iteration: u64, mb: usize) -> Tensor;
@@ -371,45 +375,21 @@ pub fn pipeline_replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swift_data::{split_microbatches, Batch, BlobsDataset, Dataset};
+    use crate::DatasetSource;
+    use std::sync::Arc;
+    use swift_data::BlobsDataset;
     use swift_dnn::models::{mlp, split_stages};
-    use swift_dnn::softmax_cross_entropy_scaled;
     use swift_net::Topology;
     use swift_optim::OptimizerKind;
     use swift_store::BlobStore;
     use swift_wal::{GroupMap, LogMode};
 
-    pub(crate) struct BlobSource {
-        ds: BlobsDataset,
-        batch: usize,
-        m: usize,
-    }
-
-    impl BlobSource {
-        pub fn new(seed: u64, batch: usize, m: usize) -> Self {
-            BlobSource {
-                ds: BlobsDataset::new(seed, 6, 3, 0.3),
-                batch,
-                m,
-            }
-        }
-
-        fn mbs(&self, it: u64) -> Vec<Batch> {
-            split_microbatches(&self.ds.batch(it, self.batch), self.m)
-                .into_iter()
-                .map(|m| m.batch)
-                .collect()
-        }
-    }
-
-    impl DataSource for BlobSource {
-        fn input(&self, it: u64, mb: usize) -> Tensor {
-            self.mbs(it)[mb].x.clone()
-        }
-
-        fn loss(&self, it: u64, mb: usize, y: &Tensor) -> (f32, Tensor) {
-            let mbs = self.mbs(it);
-            softmax_cross_entropy_scaled(y, &mbs[mb].y, 1.0 / self.batch as f32)
+    /// Blobs over 6 features and 3 classes; batch 8 over 4 micro-batches.
+    fn data() -> DatasetSource {
+        DatasetSource {
+            dataset: Arc::new(BlobsDataset::new(21, 6, 3, 0.3)),
+            batch_size: 8,
+            microbatches: 4,
         }
     }
 
@@ -475,7 +455,7 @@ mod tests {
             let stage = ctx.rank();
             let topo = ctx.topology.clone();
             let mut w = make_worker(stage, &topo, ctx.rank(), &global, LogMode::BubbleAsync);
-            let data = BlobSource::new(21, 8, 4);
+            let data = data();
             for _ in 0..iters {
                 pipeline_train_iteration(&mut ctx, &job(), &mut w, &data).unwrap();
                 pipeline_maybe_checkpoint(&job(), &mut w).unwrap();
@@ -492,7 +472,7 @@ mod tests {
             let stage = ctx.rank();
             let topo = ctx.topology.clone();
             let mut w = make_worker(stage, &topo, ctx.rank(), &g2, LogMode::BubbleAsync);
-            let data = BlobSource::new(21, 8, 4);
+            let data = data();
             let mut losses = Vec::new();
             for _ in 0..5 {
                 losses.push(pipeline_train_iteration(&mut ctx, &job(), &mut w, &data).unwrap());
@@ -521,7 +501,7 @@ mod tests {
             let stage = ctx.rank();
             let topo = ctx.topology.clone();
             let mut w = make_worker(stage, &topo, ctx.rank(), &g2, LogMode::BubbleAsync);
-            let data = BlobSource::new(21, 8, 4);
+            let data = data();
             for _ in 0..3 {
                 pipeline_train_iteration(&mut ctx, &job(), &mut w, &data).unwrap();
                 pipeline_maybe_checkpoint(&job(), &mut w).unwrap();
@@ -561,7 +541,7 @@ mod tests {
                 let topo = ctx.topology.clone();
                 let stage = ctx.rank();
                 let mut w = make_worker(stage, &topo, ctx.rank(), &g, LogMode::BubbleAsync);
-                let data = BlobSource::new(21, 8, 4);
+                let data = data();
                 loop {
                     if w.iteration >= iters_total {
                         return w.model.state();
@@ -594,7 +574,7 @@ mod tests {
         let hv = cluster.spawn(1, move |mut ctx| {
             let topo = ctx.topology.clone();
             let mut w = make_worker(1, &topo, 1, &g1, LogMode::BubbleAsync);
-            let data = BlobSource::new(21, 8, 4);
+            let data = data();
             for _ in 0..kill_after_iter {
                 pipeline_train_iteration(&mut ctx, &job(), &mut w, &data).unwrap();
                 pipeline_maybe_checkpoint(&job(), &mut w).unwrap();
@@ -617,7 +597,7 @@ mod tests {
         let hr = std::thread::spawn(move || {
             let topo = rctx.topology.clone();
             let mut w = make_worker(1, &topo, 1, &g, LogMode::BubbleAsync);
-            let data = BlobSource::new(21, 8, 4);
+            let data = data();
             // Load the latest checkpoint (written to the global store).
             let ckpt = w.ckpt.load_latest().unwrap().expect("no checkpoint");
             w.model.load_state(&ckpt.model);

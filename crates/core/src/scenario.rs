@@ -6,12 +6,13 @@
 //! integration tests and the benchmark; the process backend's
 //! `swift-worker` runs the same runner for its one rank.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use swift_ckpt::CheckpointManager;
-use swift_data::{shard_batch, split_microbatches, Dataset};
+use swift_data::{part_range, Dataset};
 use swift_dnn::{accuracy, softmax_cross_entropy_scaled, Mode, ModelState, Sequential, StepCtx};
 use swift_net::{
     failure_epoch, failure_state, Cluster, CommError, CrashTrigger, FaultPlan, FaultStatsSnapshot,
@@ -53,6 +54,9 @@ fn wait_declared(kv: &KvStore) -> Epoch {
 }
 
 /// Bridges a deterministic [`Dataset`] to the pipeline [`DataSource`].
+/// Micro-batch `mb` is examples [`part_range`]`(batch_size, mb,
+/// microbatches)` of the iteration's batch; each call generates only
+/// those examples (only their labels, for the loss).
 pub struct DatasetSource {
     /// The dataset.
     pub dataset: Arc<dyn Dataset>,
@@ -62,19 +66,20 @@ pub struct DatasetSource {
     pub microbatches: usize,
 }
 
+impl DatasetSource {
+    fn examples_of(&self, mb: usize) -> Range<usize> {
+        part_range(self.batch_size, mb, self.microbatches)
+    }
+}
+
 impl DataSource for DatasetSource {
     fn input(&self, iteration: u64, mb: usize) -> Tensor {
-        let batch = self.dataset.batch(iteration, self.batch_size);
-        split_microbatches(&batch, self.microbatches)[mb]
-            .batch
-            .x
-            .clone()
+        self.dataset.examples(iteration, self.examples_of(mb)).x
     }
 
     fn loss(&self, iteration: u64, mb: usize, output: &Tensor) -> (f32, Tensor) {
-        let batch = self.dataset.batch(iteration, self.batch_size);
-        let y = &split_microbatches(&batch, self.microbatches)[mb].batch.y;
-        softmax_cross_entropy_scaled(output, y, 1.0 / self.batch_size as f32)
+        let y = self.dataset.labels(iteration, self.examples_of(mb));
+        softmax_cross_entropy_scaled(output, &y, 1.0 / self.batch_size as f32)
     }
 }
 
@@ -429,6 +434,7 @@ impl Runner for DpRunner {
     }
 }
 
+/// Replica `rank`'s shard of batch `it`, generated alone.
 fn dataset_shard(
     ds: &dyn Dataset,
     it: u64,
@@ -436,8 +442,7 @@ fn dataset_shard(
     rank: Rank,
     world: usize,
 ) -> (Tensor, Vec<usize>) {
-    let b = ds.batch(it, batch);
-    let s = shard_batch(&b, rank, world);
+    let s = ds.examples(it, part_range(batch, rank, world));
     (s.x, s.y)
 }
 
@@ -715,4 +720,61 @@ fn replay_participants(replacement: Rank, survivors: &[Rank], d: usize) -> Vec<R
     v.extend(survivors.iter().copied().take(d.saturating_sub(1)));
     v.sort_unstable();
     v
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use swift_data::{Batch, BlobsDataset};
+    use swift_tensor::CounterRng;
+
+    /// How micro-batches were made before each call generated only its
+    /// own examples: the whole batch, sliced in order into `parts` parts of
+    /// which the first `n % parts` hold one extra example.
+    fn full_batch_split(whole: &Batch, parts: usize) -> Vec<Batch> {
+        let (n, dim) = (whole.len(), whole.x.shape().dims()[1]);
+        let mut start = 0;
+        (0..parts)
+            .map(|p| {
+                let len = n / parts + usize::from(p < n % parts);
+                let rows = start..start + len;
+                start += len;
+                Batch {
+                    x: Tensor::from_vec(
+                        [len, dim],
+                        whole.x.data()[rows.start * dim..rows.end * dim].to_vec(),
+                    ),
+                    y: whole.y[rows].to_vec(),
+                }
+            })
+            .collect()
+    }
+
+    /// Batch 10 over 4 micro-batches splits 3/3/2/2; every micro-batch's
+    /// input, loss and output gradient equal, bit for bit, those of the
+    /// full-batch split.
+    #[test]
+    fn dataset_source_matches_the_full_batch_split() {
+        let dataset: Arc<dyn Dataset> = Arc::new(BlobsDataset::new(21, 6, 3, 0.3));
+        let source = DatasetSource {
+            dataset: dataset.clone(),
+            batch_size: 10,
+            microbatches: 4,
+        };
+        for it in [0, 1, 7] {
+            let parts = full_batch_split(&dataset.batch(it, 10), 4);
+            let sizes: Vec<usize> = parts.iter().map(Batch::len).collect();
+            assert_eq!(sizes, [3, 3, 2, 2]);
+            for (mb, part) in parts.iter().enumerate() {
+                assert!(source.input(it, mb).bit_eq(&part.x), "it {it}, mb {mb}");
+                let mut rng = CounterRng::new(it, mb as u64);
+                let output = Tensor::randn([part.len(), 3], 0.0, 1.0, &mut rng);
+                let (loss, grad) = source.loss(it, mb, &output);
+                let (want_loss, want_grad) =
+                    softmax_cross_entropy_scaled(&output, &part.y, 1.0 / 10.0);
+                assert_eq!(loss.to_bits(), want_loss.to_bits(), "it {it}, mb {mb}");
+                assert!(grad.bit_eq(&want_grad), "it {it}, mb {mb}");
+            }
+        }
+    }
 }

@@ -1,7 +1,9 @@
 //! Gaussian-blob classification data (vision stand-in).
 
+use std::ops::Range;
+
 use crate::{Batch, Dataset};
-use swift_tensor::{CounterRng, Tensor};
+use swift_tensor::{pool, CounterRng, Tensor};
 
 /// Gaussian class clusters in `dim` dimensions: class `c` is centred at a
 /// deterministic random point, examples are `center + noise`.
@@ -42,6 +44,12 @@ impl BlobsDataset {
     pub fn center(&self, c: usize) -> &Tensor {
         &self.centers[c]
     }
+
+    /// The random stream of example `ex` of batch `index`: keyed by both,
+    /// so every example is a pure function of its coordinates.
+    fn stream(&self, index: u64, ex: usize) -> CounterRng {
+        CounterRng::new(self.seed, index.wrapping_mul(1_000_003) + ex as u64)
+    }
 }
 
 impl Dataset for BlobsDataset {
@@ -53,23 +61,33 @@ impl Dataset for BlobsDataset {
         self.classes
     }
 
-    fn batch(&self, index: u64, batch_size: usize) -> Batch {
-        let mut data = Vec::with_capacity(batch_size * self.dim);
-        let mut y = Vec::with_capacity(batch_size);
-        for ex in 0..batch_size {
-            // Stream keyed by (batch index, example index): pure function.
-            let mut rng = CounterRng::new(self.seed, index.wrapping_mul(1_000_003) + ex as u64);
+    fn examples(&self, index: u64, range: Range<usize>) -> Batch {
+        let n = range.len();
+        let mut data = pool::take_f32_raw(n * self.dim);
+        let mut y = Vec::with_capacity(n);
+        for ex in range {
+            let mut rng = self.stream(index, ex);
             let class = rng.below(self.classes as u64) as usize;
             let center = &self.centers[class];
-            for d in 0..self.dim {
-                data.push(center.data()[d] + self.noise_std * rng.normal());
-            }
+            data.extend(
+                center
+                    .data()
+                    .iter()
+                    .map(|&c| c + self.noise_std * rng.normal()),
+            );
             y.push(class);
         }
         Batch {
-            x: Tensor::from_vec([batch_size, self.dim], data),
+            x: Tensor::from_vec([n, self.dim], data),
             y,
         }
+    }
+
+    fn labels(&self, index: u64, range: Range<usize>) -> Vec<usize> {
+        // The class is each stream's first draw.
+        range
+            .map(|ex| self.stream(index, ex).below(self.classes as u64) as usize)
+            .collect()
     }
 }
 

@@ -13,18 +13,24 @@
 //! - [`TokenDataset`] — a deterministic Markov token stream (language
 //!   stand-in).
 //!
-//! All sampling is counter-based: batch `i` of a dataset is a pure function
-//! of `(seed, i)`, so every data-parallel worker — and every *recovered*
-//! worker replaying iteration `i` — sees exactly the same bytes (paper §6's
-//! determinism requirement, applied to the input pipeline).
+//! All sampling is counter-based, and the unit of generation is the
+//! example: example `e` of batch `i` is a pure function of `(seed, i, e)`,
+//! drawn from its own random stream. So every data-parallel worker — and
+//! every *recovered* worker replaying iteration `i` — sees exactly the same
+//! bytes (paper §6's determinism requirement, applied to the input
+//! pipeline), and a rank generates only the examples it consumes:
+//! [`Dataset::examples`] over a micro-batch's or a shard's [`part_range`]
+//! is bitwise equal to the same rows sliced from the whole batch.
 
 pub mod blobs;
 pub mod microbatch;
 pub mod tokens;
 
 pub use blobs::BlobsDataset;
-pub use microbatch::{shard_batch, split_microbatches, MicroBatch};
+pub use microbatch::{part_range, shard_batch, split_microbatches, MicroBatch};
 pub use tokens::TokenDataset;
+
+use std::ops::Range;
 
 use swift_tensor::Tensor;
 
@@ -50,8 +56,12 @@ impl Batch {
     }
 }
 
-/// A deterministic dataset: batch `index` is a pure function of the
-/// dataset's seed and the index.
+/// A deterministic dataset: example `e` of batch `index` is a pure
+/// function of the dataset's seed, `index` and `e`, and does not depend on
+/// how many examples are generated with it. Hence examples `r` of batch
+/// `index` are bitwise equal to rows `r` of `batch(index, n)` for every
+/// `n ≥ r.end`, and a rank that consumes one micro-batch or one shard
+/// generates exactly those examples and no others.
 pub trait Dataset: Send + Sync {
     /// Feature dimensionality of `x`.
     fn feature_dim(&self) -> usize;
@@ -59,8 +69,22 @@ pub trait Dataset: Send + Sync {
     /// Number of target classes.
     fn num_classes(&self) -> usize;
 
-    /// Materializes batch `index` with `batch_size` examples.
-    fn batch(&self, index: u64, batch_size: usize) -> Batch;
+    /// Materializes examples `range` of batch `index`, in order.
+    fn examples(&self, index: u64, range: Range<usize>) -> Batch;
+
+    /// The targets of examples `range` of batch `index`: always equal to
+    /// `self.examples(index, range).y`, which is what the default
+    /// computes. Datasets that can draw a target without its features
+    /// override it.
+    fn labels(&self, index: u64, range: Range<usize>) -> Vec<usize> {
+        self.examples(index, range).y
+    }
+
+    /// Materializes batch `index` with `batch_size` examples:
+    /// `examples(index, 0..batch_size)`.
+    fn batch(&self, index: u64, batch_size: usize) -> Batch {
+        self.examples(index, 0..batch_size)
+    }
 }
 
 #[cfg(test)]

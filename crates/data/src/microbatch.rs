@@ -4,10 +4,15 @@
 //! §2.1); data parallelism shards it across replicas. Both transforms must
 //! be deterministic and exhaustive — every example lands in exactly one
 //! shard/micro-batch — so a recovered worker replaying iteration `i`
-//! processes exactly the examples the failed worker did.
+//! processes exactly the examples the failed worker did. One rule,
+//! [`part_range`], says which examples each part holds; a consumer that
+//! needs only its own part generates just that range with
+//! [`Dataset::examples`](crate::Dataset::examples).
+
+use std::ops::Range;
 
 use crate::Batch;
-use swift_tensor::Tensor;
+use swift_tensor::{pool, Tensor};
 
 /// A micro-batch: a contiguous slice of a mini-batch, tagged with its
 /// position for replay ordering.
@@ -19,56 +24,111 @@ pub struct MicroBatch {
     pub batch: Batch,
 }
 
+/// The examples that part `part` of `parts` holds when an `n`-example
+/// batch is split in order into parts of (near-)equal size: part `p` holds
+/// `n / parts + (p < n % parts)` examples, so the first `n % parts` parts
+/// get one extra example.
+///
+/// # Panics
+/// Panics when `parts` is zero, `part ≥ parts`, or `parts` exceeds `n`
+/// (some part would be empty).
+pub fn part_range(n: usize, part: usize, parts: usize) -> Range<usize> {
+    assert!(parts >= 1 && part < parts, "part {part} of {parts}");
+    assert!(parts <= n, "more parts than examples");
+    let base = n / parts;
+    let extra = n % parts;
+    let start = part * base + part.min(extra);
+    start..start + base + usize::from(part < extra)
+}
+
 /// Splits a batch into `m` micro-batches of (near-)equal size, preserving
-/// example order. The first `len % m` micro-batches get one extra example.
+/// example order; micro-batch `p` holds [`part_range`]`(len, p, m)`.
 ///
 /// # Panics
 /// Panics when `m` is zero or exceeds the batch size.
 pub fn split_microbatches(batch: &Batch, m: usize) -> Vec<MicroBatch> {
     assert!(m >= 1, "need at least one micro-batch");
     assert!(m <= batch.len(), "more micro-batches than examples");
-    slice_batch(batch, m)
-        .into_iter()
-        .enumerate()
-        .map(|(index, batch)| MicroBatch { index, batch })
+    (0..m)
+        .map(|index| MicroBatch {
+            index,
+            batch: rows(batch, part_range(batch.len(), index, m)),
+        })
         .collect()
 }
 
 /// Shards a batch across `world` data-parallel replicas; `rank` receives
-/// the `rank`-th contiguous shard.
+/// the `rank`-th contiguous shard, [`part_range`]`(len, rank, world)`.
 pub fn shard_batch(batch: &Batch, rank: usize, world: usize) -> Batch {
     assert!(world >= 1 && rank < world);
     assert!(world <= batch.len(), "more replicas than examples");
-    slice_batch(batch, world).swap_remove(rank)
+    rows(batch, part_range(batch.len(), rank, world))
 }
 
-fn slice_batch(batch: &Batch, parts: usize) -> Vec<Batch> {
-    let n = batch.len();
+/// Examples `r` of `batch`, copied into a pooled buffer.
+fn rows(batch: &Batch, r: Range<usize>) -> Batch {
     let dim = batch.x.shape().dims()[1];
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    for p in 0..parts {
-        let size = base + usize::from(p < extra);
-        let x = Tensor::from_vec(
-            [size, dim],
-            batch.x.data()[start * dim..(start + size) * dim].to_vec(),
-        );
-        let y = batch.y[start..start + size].to_vec();
-        out.push(Batch { x, y });
-        start += size;
+    let data = pool::take_f32_copy(&batch.x.data()[r.start * dim..r.end * dim]);
+    Batch {
+        x: Tensor::from_vec([r.len(), dim], data),
+        y: batch.y[r].to_vec(),
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BlobsDataset, Dataset};
+    use crate::{BlobsDataset, Dataset, TokenDataset};
 
     fn sample(n: usize) -> Batch {
         BlobsDataset::new(1, 3, 2, 0.1).batch(0, n)
+    }
+
+    /// The split rule written out as a walk over the parts: part `p` holds
+    /// the next `n / parts + (p < n % parts)` examples.
+    fn walked_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+        let mut start = 0;
+        (0..parts)
+            .map(|p| {
+                let len = n / parts + usize::from(p < n % parts);
+                start += len;
+                start - len..start
+            })
+            .collect()
+    }
+
+    /// A rank that generates only its part gets the bits of that part of
+    /// the whole batch, from either dataset, at every split: as a
+    /// micro-batch, as a DP shard, and (labels alone) as the loss's
+    /// targets.
+    #[test]
+    fn examples_equal_the_matching_part_of_the_whole_batch() {
+        let blobs = BlobsDataset::new(4, 5, 3, 0.3);
+        let tokens = TokenDataset::new(9, 6, 3, 0.8);
+        for ds in [&blobs as &dyn Dataset, &tokens] {
+            for n in [1, 5, 8, 10, 32] {
+                let index = 3 + n as u64;
+                let whole = ds.batch(index, n);
+                for parts in 1..=n.min(5) {
+                    let mbs = split_microbatches(&whole, parts);
+                    for (p, r) in walked_ranges(n, parts).into_iter().enumerate() {
+                        assert_eq!(part_range(n, p, parts), r, "n {n}, part {p} of {parts}");
+                        let own = ds.examples(index, r.clone());
+                        for part in [&mbs[p].batch, &shard_batch(&whole, p, parts)] {
+                            assert!(own.x.bit_eq(&part.x), "n {n}, part {p} of {parts}");
+                            assert_eq!(own.y, part.y, "n {n}, part {p} of {parts}");
+                            assert_eq!(ds.labels(index, r.clone()), part.y);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more parts than examples")]
+    fn part_range_rejects_empty_parts() {
+        part_range(3, 0, 4);
     }
 
     #[test]

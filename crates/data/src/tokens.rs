@@ -1,7 +1,9 @@
 //! Deterministic Markov token stream (language-model stand-in).
 
+use std::ops::Range;
+
 use crate::{Batch, Dataset};
-use swift_tensor::{CounterRng, Tensor};
+use swift_tensor::{pool, CounterRng, Tensor};
 
 /// A synthetic next-token-prediction task over a small vocabulary.
 ///
@@ -52,19 +54,22 @@ impl TokenDataset {
         self.successor[t]
     }
 
-    /// Generates one example: a context window of token ids plus target.
-    fn example(&self, rng: &mut CounterRng) -> (Vec<usize>, usize) {
+    /// Walks example `ex` of batch `index` along the chain: calls
+    /// `visit(pos, token)` for each context position and returns the
+    /// target, the token after the window.
+    fn walk(&self, index: u64, ex: usize, mut visit: impl FnMut(usize, usize)) -> usize {
+        // Stream keyed by (batch index, example index): pure function.
+        let mut rng = CounterRng::new(self.seed, index.wrapping_mul(999_983) + ex as u64);
         let mut tok = rng.below(self.vocab as u64) as usize;
-        let mut window = Vec::with_capacity(self.context);
-        for _ in 0..self.context {
-            window.push(tok);
+        for pos in 0..self.context {
+            visit(pos, tok);
             tok = if rng.bernoulli(self.fidelity) {
                 self.successor[tok]
             } else {
                 rng.below(self.vocab as u64) as usize
             };
         }
-        (window, tok)
+        tok
     }
 }
 
@@ -77,22 +82,22 @@ impl Dataset for TokenDataset {
         self.vocab
     }
 
-    fn batch(&self, index: u64, batch_size: usize) -> Batch {
+    fn examples(&self, index: u64, range: Range<usize>) -> Batch {
         let dim = self.feature_dim();
-        let mut data = vec![0.0f32; batch_size * dim];
-        let mut y = Vec::with_capacity(batch_size);
-        for ex in 0..batch_size {
-            let mut rng = CounterRng::new(self.seed, index.wrapping_mul(999_983) + ex as u64);
-            let (window, target) = self.example(&mut rng);
-            for (pos, &tok) in window.iter().enumerate() {
-                data[ex * dim + pos * self.vocab + tok] = 1.0;
-            }
-            y.push(target);
+        let n = range.len();
+        let mut data = pool::take_f32(n * dim);
+        let mut y = Vec::with_capacity(n);
+        for (row, ex) in data.chunks_exact_mut(dim).zip(range) {
+            y.push(self.walk(index, ex, |pos, tok| row[pos * self.vocab + tok] = 1.0));
         }
         Batch {
-            x: Tensor::from_vec([batch_size, dim], data),
+            x: Tensor::from_vec([n, dim], data),
             y,
         }
+    }
+
+    fn labels(&self, index: u64, range: Range<usize>) -> Vec<usize> {
+        range.map(|ex| self.walk(index, ex, |_, _| {})).collect()
     }
 }
 
