@@ -170,32 +170,40 @@ fn bench_consistency_repair(c: &mut Criterion) {
         let x = Tensor::randn([8, 256], 0.0, 1.0, &mut CounterRng::new(0, 0));
         let y = model.forward(ctx, &x, Mode::Train);
         model.backward(ctx, &y.scale(0.01));
-        // One completed step so undo has something to revert.
+        // The cached gradients, taken once: every timed step and undo
+        // reads them. One completed step so undo has something to revert.
+        let grads = model.grads_snapshot();
         model.optimizer_step(opt.as_mut());
-        (model, opt)
+        (model, opt, grads)
     };
     g.bench_function("swift-undo", |b| {
-        let (mut model, mut opt) = build();
+        let (mut model, mut opt, grads) = build();
+        let every: Vec<usize> = (0..grads.len()).collect();
         b.iter(|| {
-            model.optimizer_step(opt.as_mut());
-            model.optimizer_undo(opt.as_mut()).unwrap();
+            model.apply_update_with(opt.as_mut(), &grads, 0, grads.len());
+            opt.finish_step();
+            model
+                .undo_update_with(opt.as_mut(), &grads, &every)
+                .unwrap();
+            opt.rollback_step();
         })
     });
     g.bench_function("snapshot-restore", |b| {
-        let (mut model, mut opt) = build();
+        let (mut model, mut opt, grads) = build();
         b.iter(|| {
             // The snapshot is taken every iteration (failure-free cost!);
             // restore happens on failure. We charge both here for the
             // repair-path comparison.
             let snap = model.state();
-            model.optimizer_step(opt.as_mut());
+            model.apply_update_with(opt.as_mut(), &grads, 0, grads.len());
+            opt.finish_step();
             model.load_state(&snap);
         })
     });
     // The failure-free side of the ablation: snapshotting costs a full
     // state copy per interval even when nothing fails; undo costs zero.
     g.bench_function("snapshot-only-failure-free-cost", |b| {
-        let (model, _) = build();
+        let (model, _, _) = build();
         b.iter(|| model.state())
     });
     g.finish();

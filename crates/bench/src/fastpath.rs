@@ -1,17 +1,17 @@
 //! Recovery fast-path microbenchmarks (the PR "bench gate").
 //!
-//! Four benchmarks cover the layers the fast path touches: the blocked
-//! matmul kernels, the bulk tensor wire format, the zero-copy WAL staging
-//! path, and data-parallel log replay. Each one times the current
-//! implementation against an *embedded re-implementation of the seed
-//! code* — the unblocked row loop, per-element `put_f32_le`/`get_f32_le`
-//! encode/decode through the `bytes` traits, clone-into-`LogRecord`
-//! logging with a fresh `BytesMut` per record, and single-threaded
-//! per-element replay — so the reported speedup is against a fixed
-//! algorithmic baseline rather than a previously built binary.
+//! Three benchmarks cover the layers the fast path touches: the blocked
+//! matmul kernels, the bulk tensor wire format and the zero-copy WAL
+//! staging path. Each one times the current implementation against an
+//! *embedded re-implementation of the seed code* — the unblocked row
+//! loop, per-element `put_f32_le`/`get_f32_le` encode/decode through the
+//! `bytes` traits, and clone-into-`LogRecord` logging with a fresh
+//! `BytesMut` per record — so the reported speedup is against a fixed
+//! algorithmic baseline rather than a previously built binary. A fourth
+//! checks that a disabled recorder costs the hot path nothing.
 //!
 //! Wherever the fast path promises bitwise-identical results (matmul,
-//! serialize, replay), the harness asserts `bit_eq` between the two
+//! serialize), the harness asserts `bit_eq` between the two
 //! implementations outside the timed region — a speedup over a
 //! *different* computation would be meaningless.
 //!
@@ -30,9 +30,7 @@ use swift_net::Topology;
 use swift_pipeline::MsgKind;
 use swift_store::BlobStore;
 use swift_tensor::{matmul, CounterRng, Tensor};
-use swift_wal::{
-    replay_iteration_parallel, GroupMap, LogMode, LogRecord, Logger, MsgKindCode, WalReader,
-};
+use swift_wal::{GroupMap, LogMode, LogRecord, Logger, MsgKindCode};
 
 /// One benchmark's outcome: fast-path and seed-baseline times plus the
 /// derived throughput of the fast path.
@@ -138,7 +136,8 @@ pub fn to_json(results: &[BenchResult]) -> String {
     s
 }
 
-/// Runs all four fast-path benchmarks. `quick` keeps the shapes (so
+/// Runs the four fast-path benchmarks: matmul, serialize, WAL flush and
+/// the disabled recorder. `quick` keeps the shapes (so
 /// numbers stay comparable with a committed full run) but lowers the
 /// repetition count — the mode CI's smoke gate uses.
 pub fn run(quick: bool) -> Vec<BenchResult> {
@@ -146,7 +145,6 @@ pub fn run(quick: bool) -> Vec<BenchResult> {
         bench_matmul(quick),
         bench_serialize(quick),
         bench_wal_flush(quick),
-        bench_replay(quick),
         bench_obs_disabled(quick),
     ]
 }
@@ -384,88 +382,6 @@ fn bench_wal_flush(quick: bool) -> BenchResult {
     BenchResult::new(
         "wal_flush",
         format!("{RECORDS}x{ELEMS}xf32"),
-        fast,
-        slow,
-        bytes,
-    )
-}
-
-// ---------------------------------------------------------------- replay
-
-/// The seed reader: fetch every record of the iteration in key order and
-/// decode it per element on one thread (what `records_for` compiled to
-/// before the bulk format and parallel replay existed).
-fn seed_replay(store: &BlobStore, iteration: u64) -> Vec<f32> {
-    let keys = store.list(&LogRecord::iter_prefix(iteration)).unwrap();
-    let mut out = Vec::with_capacity(keys.len());
-    for key in keys {
-        let mut payload = store.get(&key).unwrap();
-        // 33-byte metadata header, then the per-element tensor payload.
-        let _src = payload.get_u64_le();
-        let _dst = payload.get_u64_le();
-        let _it = payload.get_u64_le();
-        let _mb = payload.get_u64_le();
-        let _kind = payload.get_u8();
-        let tensor = seed_decode_tensor(&mut payload);
-        out.push(tensor.data().iter().fold(0.0f32, |a, &x| a + x));
-    }
-    out
-}
-
-fn bench_replay(quick: bool) -> BenchResult {
-    const MICROBATCHES: u64 = 8;
-    const ELEMS: usize = 262_144; // 1 MiB per record, act + grad per micro-batch
-    const ITERATION: u64 = 7;
-    let store = bench_store("bench-replay");
-    let mut logger = Logger::new(
-        LogMode::Sync,
-        Topology::uniform(2, 1),
-        GroupMap::singletons(2),
-        store.clone(),
-    );
-    for mb in 0..MICROBATCHES {
-        let act = randn(ELEMS, 100 + mb);
-        let grad = randn(ELEMS, 200 + mb);
-        let ctx = StepCtx::new(ITERATION, mb);
-        logger.log_send(0, 1, ctx, MsgKind::Activation, &act);
-        logger.log_send(1, 0, ctx, MsgKind::Gradient, &grad);
-    }
-    let reader = WalReader::new(store.clone());
-    let workers = 4;
-    let fold = |r: &LogRecord| r.tensor.data().iter().fold(0.0f32, |a, &x| a + x);
-    let parallel = replay_iteration_parallel(
-        &reader,
-        swift_obs::IterationId::new(ITERATION),
-        workers,
-        fold,
-    )
-    .unwrap();
-    let sequential = seed_replay(&store, ITERATION);
-    assert_eq!(
-        parallel.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        sequential.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        "parallel replay must fold to bitwise-identical state"
-    );
-    let iters = if quick { 2 } else { 4 };
-    let fast = best_ns(iters, || {
-        std::hint::black_box(
-            replay_iteration_parallel(
-                &reader,
-                swift_obs::IterationId::new(ITERATION),
-                workers,
-                fold,
-            )
-            .unwrap(),
-        );
-    });
-    let slow = best_ns(iters, || {
-        std::hint::black_box(seed_replay(&store, ITERATION));
-    });
-    let bytes = 2 * MICROBATCHES * LogRecord::encoded_len(&randn(ELEMS, 0), false) as u64;
-    let _ = store.destroy();
-    BenchResult::new(
-        "replay",
-        format!("{MICROBATCHES}mb x2x{ELEMS}xf32"),
         fast,
         slow,
         bytes,

@@ -308,6 +308,8 @@ fn bench_delta_ckpt_save(quick: bool) -> BenchResult {
     // (it actually writes ~1/8th — the 10% payload plus the manifest).
     let delta_bytes = delta_store.bytes_written() - delta_bytes_before;
     let full_bytes = full_store.bytes_written() - full_bytes_before;
+    let _ = full_store.destroy();
+    let _ = delta_store.destroy();
     assert!(
         full_bytes >= 3 * delta_bytes,
         "delta saves must write <= 1/3 the bytes of full saves, got {delta_bytes} vs {full_bytes}"

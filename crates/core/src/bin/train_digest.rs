@@ -11,7 +11,13 @@
 //!    and once with stage 0 killed inside a checkpoint interval, so that
 //!    it regenerates its inputs and replays from the log. Both runs must
 //!    end bitwise equal; the line is the digest of both stages' final
-//!    parameters.
+//!    parameters;
+//! 4. the same job and kill with parallel recovery (d = 2): stage 1
+//!    assists the replacement, each replays half the micro-batches and
+//!    the all-reduce folds their gradients. The run must end within 1e-6
+//!    of the failure-free one (parallel replay sums in a different order
+//!    than a sequential one, so it is not bitwise equal); the line is the
+//!    digest of its final parameters, which pins that order.
 //!
 //! CI's dispatch-determinism matrix runs this binary under every
 //! `SWIFT_SIMD` tier × `RAYON_NUM_THREADS` combination and asserts every
@@ -59,41 +65,53 @@ fn digest(rows: usize) -> u64 {
     fnv1a(&states[..1])
 }
 
-/// The digest of a two-stage pipeline job's final parameters after 6
-/// iterations, asserting first that killing stage 0 at iteration 3 (one
-/// iteration past the checkpoint at 2) ends on the same bits.
-fn pipeline_digest() -> u64 {
+/// The digests of a two-stage pipeline job's final parameters after 6
+/// iterations with stage 0 killed at iteration 3 (one iteration past the
+/// checkpoint at 2): replayed by the replacement alone, asserted bitwise
+/// equal to the failure-free run, then with parallel recovery (d = 2),
+/// asserted within 1e-6 of it.
+fn pipeline_digests() -> (u64, u64) {
     let (size, width, classes) = (8, 4, 4);
-    let job = SwiftJob::builder(
-        Arc::new(move || wide_resnet_tiny("digest-pp", size, width, classes, 17)),
-        OptimizerKind::Adam {
-            lr: 1e-3,
-            weight_decay: 0.01,
-        },
-        Arc::new(BlobsDataset::new(0xD16E57, 3 * size * size, classes, 0.3)),
-    )
-    .parallelism(Parallelism::Pipeline {
-        stages: 2,
-        microbatches: 4,
-    })
-    .batch_size(10)
-    .ckpt_interval(2)
-    .build()
-    .expect("valid pipeline job");
-    let clean = job.run(6, None);
-    let failed = job.run(
-        6,
-        Some(JobCrash {
-            machine: 0,
-            iteration: 3,
-            after_groups: 0,
-        }),
-    );
+    let job = |d: usize| {
+        SwiftJob::builder(
+            Arc::new(move || wide_resnet_tiny("digest-pp", size, width, classes, 17)),
+            OptimizerKind::Adam {
+                lr: 1e-3,
+                weight_decay: 0.01,
+            },
+            Arc::new(BlobsDataset::new(0xD16E57, 3 * size * size, classes, 0.3)),
+        )
+        .parallelism(Parallelism::Pipeline {
+            stages: 2,
+            microbatches: 4,
+        })
+        .batch_size(10)
+        .ckpt_interval(2)
+        .parallel_recovery(d)
+        .build()
+        .expect("valid pipeline job")
+    };
+    let crash = Some(JobCrash {
+        machine: 0,
+        iteration: 3,
+        after_groups: 0,
+    });
+    let clean = job(1).run(6, None);
+    let failed = job(1).run(6, crash);
     assert!(failed.recovered, "stage 0 was never killed");
     for (stage, (a, b)) in clean.states.iter().zip(&failed.states).enumerate() {
         assert!(a.bit_eq(b), "stage {stage} diverged after recovery");
     }
-    fnv1a(&clean.states)
+    let parallel = job(2).run(6, crash);
+    assert!(parallel.recovered, "stage 0 was never killed");
+    for (stage, (a, b)) in clean.states.iter().zip(&parallel.states).enumerate() {
+        let diff = a.max_abs_diff(b);
+        assert!(
+            diff < 1e-6,
+            "stage {stage} drifted {diff:e} after parallel recovery"
+        );
+    }
+    (fnv1a(&clean.states), fnv1a(&parallel.states))
 }
 
 /// FNV-1a over the states' parameter names and exact bit patterns, in
@@ -124,5 +142,7 @@ fn main() {
     for rows in [16, 4] {
         println!("{:016x}", digest(rows));
     }
-    println!("{:016x}", pipeline_digest());
+    let (sequential, parallel) = pipeline_digests();
+    println!("{sequential:016x}");
+    println!("{parallel:016x}");
 }

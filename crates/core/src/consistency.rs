@@ -7,15 +7,22 @@
 //! parallelism, stages update at different times; survivors agree on the
 //! *consensus pre-failure iteration* through the KV store, and workers
 //! ahead of it undo their whole last step: `pipeline_on_failure_survivor`.)
+//!
+//! Every undo runs through one function, [`undo_step`], with the gradients
+//! the step applied: the partial step [`repair_partial_update`] reverts
+//! (data parallelism's and FSDP's repair), and the pipeline's finished
+//! step past the consensus.
 
 use swift_dnn::Sequential;
 use swift_optim::{Optimizer, UndoError};
+use swift_tensor::Tensor;
 
-/// Tracks the progress of one layer-wise optimizer step.
+/// Tracks the progress of one layer-wise optimizer step. Reset it when the
+/// step finishes, so marks always describe a step that never reached
+/// `finish_step`.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateTracker {
     updated: Vec<usize>,
-    step_finished: bool,
 }
 
 impl UpdateTracker {
@@ -30,50 +37,50 @@ impl UpdateTracker {
         self.updated.push(group);
     }
 
-    /// Marks the whole step finished (`finish_step` was called).
-    pub fn finish(&mut self) {
-        self.step_finished = true;
-    }
-
     /// Groups updated so far in this step.
     pub fn updated(&self) -> &[usize] {
         &self.updated
     }
 
-    /// Whether the step completed.
-    pub fn finished(&self) -> bool {
-        self.step_finished
-    }
-
     /// Resets for the next step.
     pub fn reset(&mut self) {
         self.updated.clear();
-        self.step_finished = false;
-    }
-
-    /// Whether the state is mid-update (some but maybe not all groups
-    /// applied, step not finished).
-    pub fn is_partial(&self) -> bool {
-        !self.updated.is_empty() && !self.step_finished
     }
 }
 
-/// Undoes exactly the tracked partial update on a survivor, restoring the
-/// pre-step state (§4). No-op when nothing was applied. Leaves the
-/// optimizer's step counter where it was before the step.
+/// Undoes `groups` of the most recent optimizer step with `grads`, the
+/// gradients that step applied (§4), and puts the optimizer's step
+/// counter back where it was before the step. `finished` says whether the
+/// step reached `finish_step`; a step that did not still read the counter
+/// of the step in progress (Adam, AdamW and LAMB bias-correct with it), so
+/// the counter advances for the undo and rolls back with it.
+pub(crate) fn undo_step(
+    model: &mut Sequential,
+    opt: &mut dyn Optimizer,
+    grads: &[Tensor],
+    groups: &[usize],
+    finished: bool,
+) -> Result<(), UndoError> {
+    if !finished {
+        opt.finish_step();
+    }
+    model.undo_update_with(opt, grads, groups)?;
+    opt.rollback_step();
+    swift_obs::add(swift_obs::Counter::UndoneUpdates, groups.len() as u64);
+    Ok(())
+}
+
+/// Undoes exactly the tracked partial update on a survivor, with the
+/// gradients it applied, restoring the pre-step state (§4). No-op when
+/// nothing was applied.
 pub fn repair_partial_update(
     model: &mut Sequential,
     opt: &mut dyn Optimizer,
+    grads: &[Tensor],
     tracker: &mut UpdateTracker,
 ) -> Result<(), UndoError> {
     if !tracker.updated.is_empty() {
-        // The undo reads the counter of the step it reverts, which only
-        // `finish_step` advances.
-        if !tracker.step_finished {
-            opt.finish_step();
-        }
-        model.undo_update(opt, &tracker.updated)?;
-        opt.rollback_step();
+        undo_step(model, opt, grads, &tracker.updated, false)?;
     }
     tracker.reset();
     Ok(())
@@ -85,98 +92,134 @@ mod tests {
     use swift_dnn::models::mlp;
     use swift_dnn::{Mode, StepCtx};
     use swift_optim::OptimizerKind;
-    use swift_tensor::Tensor;
 
-    fn trained_model(seed: u64) -> (Sequential, Box<dyn Optimizer>) {
-        let mut m = mlp("m", &[4, 8, 2], seed);
-        let opt = OptimizerKind::SgdMomentum {
+    /// Fresh gradients of `m` at iteration `it`, globally ordered.
+    fn backprop(m: &mut Sequential, it: u64) -> Vec<Tensor> {
+        let ctx = StepCtx::new(it, 0);
+        m.zero_grads();
+        let x = Tensor::full([2, 4], 1.0 + it as f32);
+        let y = m.forward(ctx, &x, Mode::Train);
+        m.backward(ctx, &y.scale(0.1));
+        m.grads_snapshot()
+    }
+
+    /// Parameters and every optimizer slot, for comparing against the
+    /// pre-step state. LAMB's saved trust ratio is left out: it is the
+    /// ratio of the latest update, which the undo reads and leaves in
+    /// place, and the next update overwrites it before reading it.
+    fn snapshot(m: &Sequential, opt: &dyn Optimizer) -> Vec<Option<Tensor>> {
+        let mut all: Vec<Option<Tensor>> = m.params().cloned().map(Some).collect();
+        for (_, slots) in opt.slots() {
+            all.extend(slots.iter().cloned());
+        }
+        all
+    }
+
+    fn max_diff(a: &[Option<Tensor>], b: &[Option<Tensor>]) -> f32 {
+        assert_eq!(a.len(), b.len(), "slot layout changed");
+        a.iter()
+            .zip(b)
+            .map(|(a, b)| match (a, b) {
+                (Some(a), Some(b)) => a.max_abs_diff(b),
+                (None, None) => 0.0,
+                _ => f32::INFINITY,
+            })
+            .fold(0.0, f32::max)
+    }
+
+    #[test]
+    fn undo_restores_the_pre_step_state_for_every_optimizer() {
+        // Each row warms up with one finished step, so the step undone is
+        // the second: Adam, AdamW and LAMB bias-correct it with counter 2,
+        // which a partial step never advanced to. A partial step (2 of 4
+        // groups, no `finish_step`) is what a data-parallel survivor holds
+        // after a peer dies mid-drain; a finished step is what the
+        // pipeline's consensus undo reverts.
+        let kinds = [
+            OptimizerKind::SgdMomentum {
+                lr: 0.1,
+                weight_decay: 0.01,
+                momentum: 0.9,
+                dampening: 0.0,
+            },
+            OptimizerKind::Adam {
+                lr: 1e-2,
+                weight_decay: 0.01,
+            },
+            OptimizerKind::AdamW {
+                lr: 1e-2,
+                weight_decay: 0.05,
+            },
+            OptimizerKind::Lamb {
+                lr: 1e-2,
+                weight_decay: 0.01,
+            },
+        ];
+        let mut failures = Vec::new();
+        for kind in kinds {
+            for finished in [false, true] {
+                let mut m = mlp("m", &[4, 8, 2], 4);
+                let mut opt = kind.build();
+                let warmup = backprop(&mut m, 0);
+                m.apply_update_with(opt.as_mut(), &warmup, 0, 4);
+                opt.finish_step();
+                let before = snapshot(&m, opt.as_ref());
+                let grads = backprop(&mut m, 1);
+                let row = format!(
+                    "{} {}",
+                    opt.name(),
+                    if finished { "finished" } else { "partial" }
+                );
+                if finished {
+                    m.apply_update_with(opt.as_mut(), &grads, 0, 4);
+                    opt.finish_step();
+                    undo_step(&mut m, opt.as_mut(), &grads, &[0, 1, 2, 3], true).unwrap();
+                } else {
+                    let mut tracker = UpdateTracker::new();
+                    m.apply_update_with(opt.as_mut(), &grads, 0, 2);
+                    tracker.mark(0);
+                    tracker.mark(1);
+                    repair_partial_update(&mut m, opt.as_mut(), &grads, &mut tracker).unwrap();
+                    assert!(tracker.updated().is_empty(), "{row}: tracker not reset");
+                }
+                let diff = max_diff(&snapshot(&m, opt.as_ref()), &before);
+                if diff >= 1e-5 {
+                    failures.push(format!("{row}: state off by {diff:e}"));
+                }
+                if opt.iteration() != 1 {
+                    failures.push(format!("{row}: counter at {}", opt.iteration()));
+                }
+            }
+        }
+        assert!(failures.is_empty(), "undo failed: {failures:#?}");
+    }
+
+    #[test]
+    fn tracker_lifecycle() {
+        let mut t = UpdateTracker::new();
+        assert!(t.updated().is_empty());
+        t.mark(0);
+        t.mark(1);
+        assert_eq!(t.updated(), &[0, 1]);
+        t.reset();
+        assert!(t.updated().is_empty());
+    }
+
+    #[test]
+    fn repair_with_nothing_updated_is_noop() {
+        let mut m = mlp("m", &[4, 8, 2], 3);
+        let mut opt = OptimizerKind::SgdMomentum {
             lr: 0.1,
             weight_decay: 0.0,
             momentum: 0.9,
             dampening: 0.0,
         }
         .build();
-        let ctx = StepCtx::new(0, 0);
-        let y = m.forward(ctx, &Tensor::ones([2, 4]), Mode::Train);
-        m.backward(ctx, &y.scale(0.1));
-        (m, opt)
-    }
-
-    #[test]
-    fn tracker_lifecycle() {
-        let mut t = UpdateTracker::new();
-        assert!(!t.is_partial());
-        t.mark(0);
-        t.mark(1);
-        assert!(t.is_partial());
-        assert_eq!(t.updated(), &[0, 1]);
-        t.finish();
-        assert!(!t.is_partial());
-        t.reset();
-        assert!(t.updated().is_empty() && !t.finished());
-    }
-
-    #[test]
-    fn repair_restores_pre_step_state() {
-        let (mut m, mut opt) = trained_model(1);
+        let grads = backprop(&mut m, 0);
         let before = m.state();
         let mut tracker = UpdateTracker::new();
-        // Partial update: groups 0 and 1 of 4, then "crash".
-        for g in m.apply_update(opt.as_mut(), 0, 2) {
-            tracker.mark(g);
-        }
-        assert!(m.state().max_abs_diff(&before) > 0.0);
-        repair_partial_update(&mut m, opt.as_mut(), &mut tracker).unwrap();
-        assert!(m.state().max_abs_diff(&before) < 1e-5);
-        assert_eq!(opt.iteration(), 0);
-        assert!(tracker.updated().is_empty());
-    }
-
-    #[test]
-    fn repair_after_finished_step_rolls_back_counter() {
-        let (mut m, mut opt) = trained_model(2);
-        let before = m.state();
-        let mut tracker = UpdateTracker::new();
-        let n = m.num_param_groups();
-        for g in m.apply_update(opt.as_mut(), 0, n) {
-            tracker.mark(g);
-        }
-        opt.finish_step();
-        tracker.finish();
-        assert_eq!(opt.iteration(), 1);
-        repair_partial_update(&mut m, opt.as_mut(), &mut tracker).unwrap();
-        assert_eq!(opt.iteration(), 0);
-        assert!(m.state().max_abs_diff(&before) < 1e-5);
-    }
-
-    #[test]
-    fn repair_of_a_partial_adam_step_bias_corrects_for_that_step() {
-        // Adam bias-corrects with the counter of the step in progress,
-        // which a partial step never advanced; the undo must use it too.
-        let (mut m, _) = trained_model(4);
-        let mut opt = OptimizerKind::Adam {
-            lr: 1e-2,
-            weight_decay: 0.0,
-        }
-        .build();
-        m.optimizer_step(opt.as_mut());
-        let before = m.state();
-        let mut tracker = UpdateTracker::new();
-        for g in m.apply_update(opt.as_mut(), 0, 2) {
-            tracker.mark(g);
-        }
-        repair_partial_update(&mut m, opt.as_mut(), &mut tracker).unwrap();
-        let diff = m.state().max_abs_diff(&before);
-        assert!(diff < 1e-6, "partial Adam step not undone: {diff}");
-        assert_eq!(opt.iteration(), 1);
-    }
-
-    #[test]
-    fn repair_with_nothing_updated_is_noop() {
-        let (mut m, mut opt) = trained_model(3);
-        let before = m.state();
-        let mut tracker = UpdateTracker::new();
-        repair_partial_update(&mut m, opt.as_mut(), &mut tracker).unwrap();
+        repair_partial_update(&mut m, opt.as_mut(), &grads, &mut tracker).unwrap();
         assert!(m.state().bit_eq(&before));
+        assert_eq!(opt.iteration(), 0);
     }
 }

@@ -25,6 +25,7 @@ use swift_wal::{
     assign_microbatches, Endpoint, Logger, LoggingObserver, ReplayTransport, WalReader,
 };
 
+use crate::consistency::undo_step;
 use crate::supervisor::wait_cascade_aware;
 
 /// Static pipeline-job configuration shared by every worker.
@@ -213,18 +214,16 @@ pub fn pipeline_on_failure_survivor(
         )?;
         consensus = consensus.min(v.parse().expect("bad iteration in kv"));
     }
-    // Undo past the consensus (synchronous pipelines stay within 1).
+    // Undo past the consensus (synchronous pipelines stay within 1): the
+    // whole finished step, with the gradients it applied.
     assert!(
         w.iteration - consensus <= 1,
         "pipeline flush bounds the skew to one step"
     );
-    while w.iteration > consensus {
+    if w.iteration > consensus {
         let groups: Vec<usize> = (0..w.model.num_param_groups()).collect();
-        w.model
-            .undo_update_with(&mut *w.opt, &w.last_grads, &groups)
+        undo_step(&mut w.model, &mut *w.opt, &w.last_grads, &groups, true)
             .expect("pipeline recovery requires an invertible optimizer");
-        swift_obs::add(swift_obs::Counter::UndoneUpdates, groups.len() as u64);
-        w.opt.rollback_step();
         w.iteration -= 1;
     }
     Ok(consensus)

@@ -21,7 +21,7 @@ use swift_optim::Optimizer;
 use swift_tensor::Tensor;
 
 use crate::bucket::{fit_grad_buffers, BucketedAllreduce};
-use crate::consistency::UpdateTracker;
+use crate::consistency::{repair_partial_update, UpdateTracker};
 use crate::fence::recovery_fence;
 use crate::supervisor::{supervise, RecoveryReport};
 use crate::transfer::{transfer_replica, Landing, EVERY_GROUP};
@@ -205,7 +205,7 @@ pub(crate) fn train_step(
         for keep in applied {
             let (lo, hi) = (range.start.max(keep.start), range.end.min(keep.end));
             if lo < hi {
-                model.apply_update_range(&mut **opt, grads, lo, hi);
+                model.apply_update_with(&mut **opt, grads, lo, hi);
                 for idx in lo..hi {
                     tracker.mark(idx);
                 }
@@ -214,7 +214,6 @@ pub(crate) fn train_step(
         Ok(())
     })?;
     w.opt.finish_step();
-    w.tracker.finish();
     w.tracker.reset();
     w.iteration += 1;
     Ok(loss)
@@ -308,20 +307,10 @@ pub fn replication_recover_survivor(
 /// restart an abandoned recovery attempt from the top.
 pub(crate) fn repair_dp_consistency(w: &mut DpWorker) {
     w.model.clear_caches();
-    let undone = w.tracker.updated().len();
-    if undone > 0 {
-        // A partial step never reached `finish_step`, yet its updates
-        // read the counter of the step in progress (Adam and LAMB
-        // bias-correct with it): advance the counter for the undo, then
-        // roll it back. Disjoint field borrows read the cached gradients
-        // in place.
-        w.opt.finish_step();
-        w.model
-            .undo_update_with(&mut *w.opt, &w.last_grads, w.tracker.updated())
+    if !w.tracker.updated().is_empty() {
+        // Disjoint field borrows read the cached gradients in place.
+        repair_partial_update(&mut w.model, &mut *w.opt, &w.last_grads, &mut w.tracker)
             .expect("replication recovery requires an invertible optimizer");
-        w.opt.rollback_step();
-        swift_obs::add(swift_obs::Counter::UndoneUpdates, undone as u64);
-        w.tracker.reset();
         // The undo restores the pre-step state only up to floating-point
         // residue; until the next full synchronization this replica must
         // not be treated as bit-identical to its peers.
@@ -840,12 +829,9 @@ mod tests {
             let (_, g) = softmax_cross_entropy_scaled(&out, &shard.y, 0.125);
             w.model.backward(sctx, &g);
             w.last_grads = w.model.grads_snapshot();
-            for idx in w
-                .model
-                .apply_update_with(&mut *w.opt, &w.last_grads.clone(), 0, 2)
-            {
-                w.tracker.mark(idx);
-            }
+            w.model.apply_update_with(&mut *w.opt, &w.last_grads, 0, 2);
+            w.tracker.mark(0);
+            w.tracker.mark(1);
             assert!(w.model.state().max_abs_diff(&consistent) > 0.0);
             replication_recover_survivor(&mut ctx, &mut w, &[0, 1], &[0, 1]).unwrap();
             w.model.state().max_abs_diff(&consistent)

@@ -19,7 +19,7 @@ use swift_net::{
     KvStore, Rank, RetryPolicy, Topology, Trace, WorkerCtx,
 };
 use swift_obs::{Epoch, Phase};
-use swift_optim::OptimizerKind;
+use swift_optim::{Optimizer, OptimizerKind};
 use swift_store::{BlobStore, GlobalStore};
 use swift_tensor::Tensor;
 use swift_wal::{GroupMap, LogMode, LogPrecision, Logger, WalReader};
@@ -536,26 +536,29 @@ impl PipelineRunner {
                     // failure epoch.
                     let generation = failure_epoch(&ctx.kv);
                     let mut phases = PhaseTracker::new(ctx.rank(), generation);
-                    let survivors: Vec<Rank> = job
-                        .stage_ranks
-                        .iter()
-                        .copied()
-                        .filter(|&r| r != failed_rank)
-                        .collect();
+                    let survivors = self.survivors(failed_rank);
                     phases.enter(Phase::Undo);
                     let consensus =
                         pipeline_on_failure_survivor(&mut ctx, &mut w, &survivors).unwrap();
                     phases.close();
-                    let assistants: Vec<Rank> =
-                        survivors.iter().copied().take(self.d - 1).collect();
-                    if assistants.contains(&ctx.rank()) {
-                        self.assist_replay(
+                    // Parallel recovery (Fig. 6c): the lowest d − 1
+                    // survivors replay a share of the failed stage in a
+                    // separate model instance, leaving their own intact.
+                    let me = ctx.rank();
+                    let assistant = survivors.iter().take(self.d - 1).position(|&r| r == me);
+                    if let Some(i) = assistant {
+                        let mut model = self.stage(job.stage_of(failed_rank));
+                        let mut opt = self.opt.build();
+                        self.replay_failed_stage(
                             &mut ctx,
                             failed_rank,
-                            &assistants,
-                            consensus,
+                            1 + i,
+                            &mut model,
+                            &mut *opt,
                             &mut phases,
+                            |_| consensus,
                         );
+                        phases.close();
                     }
                     // Rendezvous with the replacement, then resume.
                     phases.enter(Phase::Resume);
@@ -567,136 +570,100 @@ impl PipelineRunner {
         }
     }
 
-    /// The replacement's recovery sequence before it trains: load the
-    /// latest checkpoint, adopt the survivors' consensus iteration, fence
-    /// with the replay group, replay the log, and pass the resume fence.
-    /// Returns with `w` positioned at the consensus iteration.
-    fn recover(&self, rctx: &mut WorkerCtx, w: &mut PipelineWorker) {
-        let job = &self.job;
-        let mach = rctx.rank();
-        let stages = job.num_stages();
-        let survivors: Vec<Rank> = job
-            .stage_ranks
-            .iter()
-            .copied()
-            .filter(|&r| r != mach)
-            .collect();
-        // Load the latest checkpoint from the global store.
-        let (from, consensus) = {
-            let ckpt = w.ckpt.load_latest().unwrap();
-            let from = match ckpt {
-                Some(c) => {
-                    w.model.load_state(&c.model);
-                    w.opt.load_state(&c.optim);
-                    c.iteration
-                }
-                None => 0,
-            };
-            // Consensus published by the survivors.
-            let generation = failure_epoch(&rctx.kv);
-            let mut consensus = u64::MAX;
-            for &r in &survivors {
-                let v = rctx
-                    .kv
-                    .wait_for(&format!("consensus/{generation}/{r}"), RENDEZVOUS_DEADLINE)
-                    .expect("no consensus");
-                consensus = consensus.min(v.parse().unwrap());
-            }
-            (from, consensus)
-        };
-        w.iteration = from;
-        let generation = failure_epoch(&rctx.kv);
+    /// Every stage rank but the failed one, in stage order.
+    fn survivors(&self, failed_rank: Rank) -> Vec<Rank> {
+        let ranks = self.job.stage_ranks.iter().copied();
+        ranks.filter(|&r| r != failed_rank).collect()
+    }
+
+    /// The replacement's recovery sequence before it trains: replay its
+    /// stage as replica 0, adopting the consensus iteration the survivors
+    /// published, then pass the resume fence. Returns with `w` positioned
+    /// at the consensus iteration.
+    fn recover(&self, ctx: &mut WorkerCtx, w: &mut PipelineWorker) {
+        let mach = ctx.rank();
+        let generation = failure_epoch(&ctx.kv);
         let mut phases = PhaseTracker::new(mach, generation);
-        let replay_ranks = replay_participants(mach, &survivors, self.d);
-        // Fence phase: the replay-group rendezvous. Recorded even when
-        // the replacement replays alone (d = 1) so the per-incident
-        // breakdown always carries a (possibly empty) fence segment.
-        phases.enter(Phase::Fence);
-        if replay_ranks.len() > 1 {
-            recovery_fence(rctx, generation.fence_channel(1), &replay_ranks).unwrap();
-        }
-        phases.close();
-        let reader = WalReader::new(w.global.blob().clone());
-        let role = RecoveryRole {
-            stage: job.stage_of(mach),
-            recovered_stages: vec![job.stage_of(mach)],
-            group_ranks: vec![mach],
-            replica: 0,
-            num_replicas: self.d,
-            allreduce_peers: replay_ranks.clone(),
+        let survivors = self.survivors(mach);
+        let consensus = |ctx: &WorkerCtx| {
+            survivors
+                .iter()
+                .map(|&r| {
+                    let key = format!("consensus/{generation}/{r}");
+                    let v = ctx.kv.wait_for(&key, RENDEZVOUS_DEADLINE);
+                    v.expect("no consensus").parse::<u64>().unwrap()
+                })
+                .fold(u64::MAX, u64::min)
         };
-        phases.enter(Phase::Replay);
-        pipeline_replay(
-            rctx,
-            job,
-            &role,
+        w.iteration = self.replay_failed_stage(
+            ctx,
+            mach,
+            0,
             &mut w.model,
             &mut *w.opt,
-            &reader,
-            &self.data,
-            from,
+            &mut phases,
             consensus,
-        )
-        .unwrap();
-        w.iteration = consensus;
+        );
         phases.enter(Phase::Resume);
-        recovery_fence(
-            rctx,
-            generation.fence_channel(2),
-            &(0..stages).collect::<Vec<_>>(),
-        )
-        .unwrap();
+        recovery_fence(ctx, generation.fence_channel(2), &self.job.stage_ranks).unwrap();
         phases.close();
     }
 
-    /// An assisting survivor's side of parallel recovery (Fig. 6c):
-    /// adopt the failed stage's checkpoint in a separate model instance,
-    /// leaving its own state intact, and replay its share of
-    /// micro-batches.
-    fn assist_replay(
+    /// Replays the stage of `failed_rank` from its latest checkpoint up to
+    /// the consensus iteration as replica `replica` of the replay group
+    /// (Fig. 6b step 5 / Fig. 6c steps 6–7; the replacement is replica 0,
+    /// the assisting survivors follow in rank order): load the checkpoint
+    /// into `model` and `opt` (before the first one, the initial state at
+    /// iteration 0), learn the consensus, fence the replay group on
+    /// channel 1, replay. The Fence span is recorded even when the
+    /// replacement replays alone (d = 1), so the per-incident breakdown
+    /// always carries a (possibly empty) fence segment; the Replay span is
+    /// left open. Returns the consensus iteration.
+    #[allow(clippy::too_many_arguments)]
+    fn replay_failed_stage(
         &self,
         ctx: &mut WorkerCtx,
         failed_rank: Rank,
-        assistants: &[Rank],
-        consensus: u64,
+        replica: usize,
+        model: &mut Sequential,
+        opt: &mut dyn Optimizer,
         phases: &mut PhaseTracker,
-    ) {
+        consensus: impl FnOnce(&WorkerCtx) -> u64,
+    ) -> u64 {
         let job = &self.job;
-        let failed_stage = job.stage_of(failed_rank);
-        let mut model = self.stage(failed_stage);
-        let mut opt = self.opt.build();
-        let ckpt_mgr = CheckpointManager::new(self.global.blob().clone(), failed_rank);
-        // No checkpoint yet (failure before the first interval): start from
-        // the deterministic initial state at iteration 0.
-        let from = match ckpt_mgr.load_latest().expect("ckpt io") {
-            Some(ckpt) => {
-                model.load_state(&ckpt.model);
-                opt.load_state(&ckpt.optim);
-                ckpt.iteration
+        let ckpt = CheckpointManager::new(self.global.blob().clone(), failed_rank);
+        let from = match ckpt.load_latest().expect("checkpoint read") {
+            Some(c) => {
+                model.load_state(&c.model);
+                opt.load_state(&c.optim);
+                c.iteration
             }
             None => 0,
         };
-        let survivors_sorted = replay_participants(failed_rank, assistants, self.d);
+        let consensus = consensus(ctx);
+        let replay_ranks = replay_participants(failed_rank, &self.survivors(failed_rank), self.d);
         phases.enter(Phase::Fence);
-        recovery_fence(ctx, phases.epoch().fence_channel(1), &survivors_sorted)
-            .expect("replay-group fence");
+        if replay_ranks.len() > 1 {
+            recovery_fence(ctx, phases.epoch().fence_channel(1), &replay_ranks)
+                .expect("replay-group fence");
+        }
         phases.close();
-        let my_replica = 1 + assistants.iter().position(|&r| r == ctx.rank()).unwrap();
-        let reader = WalReader::new(self.global.blob().clone());
+        let stage = job.stage_of(failed_rank);
         let role = RecoveryRole {
-            stage: failed_stage,
-            recovered_stages: vec![failed_stage],
+            stage,
+            recovered_stages: vec![stage],
             group_ranks: vec![ctx.rank()],
-            replica: my_replica,
+            replica,
             num_replicas: self.d,
-            allreduce_peers: survivors_sorted.clone(),
+            allreduce_peers: replay_ranks,
         };
+        let reader = WalReader::new(self.global.blob().clone());
         phases.enter(Phase::Replay);
         pipeline_replay(
-            ctx, job, &role, &mut model, &mut *opt, &reader, &self.data, from, consensus,
+            ctx, job, &role, model, opt, &reader, &self.data, from, consensus,
         )
         .unwrap();
-        phases.close();
+        consensus
     }
 }
 

@@ -118,10 +118,6 @@ impl Layer for Activation {
         &mut []
     }
 
-    fn params_and_grads_mut(&mut self) -> (&mut [Tensor], &[Tensor]) {
-        (&mut [], &[])
-    }
-
     fn clear_cache(&mut self) {
         self.cache.clear();
     }

@@ -293,10 +293,6 @@ impl Layer for SelfAttention {
         &mut self.grads
     }
 
-    fn params_and_grads_mut(&mut self) -> (&mut [Tensor], &[Tensor]) {
-        (&mut self.params, &self.grads)
-    }
-
     fn clear_cache(&mut self) {
         self.cache.clear();
     }

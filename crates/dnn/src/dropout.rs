@@ -94,10 +94,6 @@ impl Layer for Dropout {
         &mut []
     }
 
-    fn params_and_grads_mut(&mut self) -> (&mut [Tensor], &[Tensor]) {
-        (&mut [], &[])
-    }
-
     fn clear_cache(&mut self) {
         self.cache_mask.clear();
     }

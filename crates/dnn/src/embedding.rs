@@ -114,10 +114,6 @@ impl Layer for Embedding {
         &mut self.grads
     }
 
-    fn params_and_grads_mut(&mut self) -> (&mut [Tensor], &[Tensor]) {
-        (&mut self.params, &self.grads)
-    }
-
     fn clear_cache(&mut self) {
         self.cache_ids.clear();
     }

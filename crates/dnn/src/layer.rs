@@ -5,6 +5,13 @@
 //! stage, so a layer caches its forward activations *per micro-batch tag*
 //! and `backward` consumes the matching cache. Gradients accumulate across
 //! micro-batches until [`Layer::zero_grads`].
+//!
+//! The optimizer never reads a layer's gradients in place: `Sequential`
+//! updates and undoes parameters from a gradient set the caller holds —
+//! the cached `g_t` of paper §4, copied out with
+//! [`grads_snapshot`](crate::Sequential::grads_snapshot) or reduced straight
+//! into a caller's buffers — so the undo reads exactly what the update
+//! read.
 
 use std::collections::HashMap;
 
@@ -72,14 +79,6 @@ pub trait Layer: Send {
 
     /// Mutable gradient access, aligned with [`Layer::params`].
     fn grads_mut(&mut self) -> &mut [Tensor];
-
-    /// Split borrow of mutable parameters alongside shared gradients —
-    /// the optimizer-step path ([`Sequential::apply_update`]) reads each
-    /// gradient while updating the matching parameter, and this accessor
-    /// lets it do so without cloning the gradients first.
-    ///
-    /// [`Sequential::apply_update`]: crate::sequential::Sequential::apply_update
-    fn params_and_grads_mut(&mut self) -> (&mut [Tensor], &[Tensor]);
 
     /// Clears accumulated gradients to +0.0 — overwritten, not scaled, so
     /// a NaN or ±∞ left by an aborted backward is cleared too.

@@ -10,8 +10,9 @@
 //!
 //! - [`Sequential`] — models with flat parameter-group indexing matching
 //!   the layer-wise wait-free update of mainstream frameworks (paper
-//!   Fig. 4), plus the `apply_update` / `undo_update` hooks SWIFT's
-//!   update-undo rides on;
+//!   Fig. 4), plus the `apply_update_with` / `undo_update_with` hooks
+//!   SWIFT's update-undo rides on: both read a gradient set the caller
+//!   keeps (the cached `g_t` of §4), never the layers' own buffers;
 //! - [`models`] — structural miniatures of the paper's Table 2 benchmarks
 //!   and [`models::split_stages`] for pipeline partitioning;
 //! - [`profile`] — performance profiles of the *full-scale* paper models

@@ -78,10 +78,6 @@ impl Layer for TokenLinear {
         self.inner.grads_mut()
     }
 
-    fn params_and_grads_mut(&mut self) -> (&mut [Tensor], &[Tensor]) {
-        self.inner.params_and_grads_mut()
-    }
-
     fn clear_cache(&mut self) {
         self.inner.clear_cache();
     }

@@ -137,10 +137,6 @@ impl Layer for LayerNorm {
         &mut self.grads
     }
 
-    fn params_and_grads_mut(&mut self) -> (&mut [Tensor], &[Tensor]) {
-        (&mut self.params, &self.grads)
-    }
-
     fn clear_cache(&mut self) {
         self.cache_xhat.clear();
         self.cache_inv_std.clear();

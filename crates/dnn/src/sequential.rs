@@ -189,75 +189,13 @@ impl Sequential {
     }
 
     /// Applies the optimizer update to parameter groups
-    /// `[from_group, to_group)` in global order (layer-wise wait-free
-    /// update). Call `opt.finish_step()` after updating every group.
-    ///
-    /// Returns the global indices of the groups updated — the "marked
-    /// updated" set the paper's update-undo consults after a crash.
-    pub fn apply_update(
-        &mut self,
-        opt: &mut dyn Optimizer,
-        from_group: usize,
-        to_group: usize,
-    ) -> Vec<usize> {
-        let mut updated = Vec::new();
-        let mut idx = 0usize;
-        for layer in &mut self.layers {
-            // Split borrow: mutate each parameter while reading its
-            // gradient in place — no per-layer gradient clones.
-            let (params, grads) = layer.params_and_grads_mut();
-            for (p, g) in params.iter_mut().zip(grads.iter()) {
-                if idx >= from_group && idx < to_group {
-                    opt.step_one(idx, p, g);
-                    updated.push(idx);
-                }
-                idx += 1;
-            }
-        }
-        updated
-    }
-
-    /// Undoes the most recent update of exactly the given global parameter
-    /// groups (the crash-consistency repair of paper §4).
-    pub fn undo_update(
-        &mut self,
-        opt: &mut dyn Optimizer,
-        groups: &[usize],
-    ) -> Result<(), UndoError> {
-        let set: std::collections::HashSet<usize> = groups.iter().copied().collect();
-        let mut idx = 0usize;
-        for layer in &mut self.layers {
-            let (params, grads) = layer.params_and_grads_mut();
-            for (p, g) in params.iter_mut().zip(grads.iter()) {
-                if set.contains(&idx) {
-                    opt.undo_one(idx, p, g)?;
-                }
-                idx += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Like [`apply_update`](Self::apply_update) but with externally
-    /// supplied gradients (e.g. all-reduced ones in data parallelism),
-    /// globally indexed like [`grads_snapshot`](Self::grads_snapshot).
+    /// `[from_group, to_group)` in global order (the layer-wise wait-free
+    /// update), reading `grads` — globally indexed like
+    /// [`grads_snapshot`](Self::grads_snapshot), e.g. a snapshot or the
+    /// all-reduced gradients of data parallelism. Call `opt.finish_step()`
+    /// after updating every group. The caller keeps `grads`: they are the
+    /// cached `g_t` an undo of this update must read (paper §4).
     pub fn apply_update_with(
-        &mut self,
-        opt: &mut dyn Optimizer,
-        grads: &[Tensor],
-        from_group: usize,
-        to_group: usize,
-    ) -> Vec<usize> {
-        let mut updated = Vec::new(); // lint:alloc-ok (diagnostic return, hot callers use apply_update_range)
-        self.apply_update_range(opt, grads, from_group, to_group);
-        updated.extend(from_group..to_group.min(self.num_param_groups()));
-        updated
-    }
-
-    /// [`apply_update_with`](Self::apply_update_with) without
-    /// materializing the updated-group list — the steady-state
-    /// bucket-drain path, which already knows the range it applied.
-    pub fn apply_update_range(
         &mut self,
         opt: &mut dyn Optimizer,
         grads: &[Tensor],
@@ -276,8 +214,9 @@ impl Sequential {
         }
     }
 
-    /// Like [`undo_update`](Self::undo_update) but with externally
-    /// supplied gradients (must be the same ones the update used).
+    /// Undoes the most recent update of exactly the given global parameter
+    /// groups (the crash-consistency repair of paper §4), reading the
+    /// gradients that update read.
     pub fn undo_update_with(
         &mut self,
         opt: &mut dyn Optimizer,
@@ -298,19 +237,12 @@ impl Sequential {
         Ok(())
     }
 
-    /// Convenience: full update of every group plus `finish_step`.
+    /// Convenience: a full step from the accumulated gradients — snapshot
+    /// them, update every group, `finish_step`.
     pub fn optimizer_step(&mut self, opt: &mut dyn Optimizer) {
-        let n = self.num_param_groups();
-        self.apply_update(opt, 0, n);
+        let grads = self.grads_snapshot();
+        self.apply_update_with(opt, &grads, 0, self.num_param_groups());
         opt.finish_step();
-    }
-
-    /// Convenience: undo every group plus `rollback_step`.
-    pub fn optimizer_undo(&mut self, opt: &mut dyn Optimizer) -> Result<(), UndoError> {
-        let groups: Vec<usize> = (0..self.num_param_groups()).collect();
-        self.undo_update(opt, &groups)?;
-        opt.rollback_step();
-        Ok(())
     }
 
     /// Decomposes the model into its name and layer stack.
@@ -494,9 +426,13 @@ mod tests {
         let y = m.forward(ctx, &x, Mode::Train);
         m.backward(ctx, &y.scale(0.1));
         let before = m.state();
-        m.optimizer_step(opt.as_mut());
+        let grads = m.grads_snapshot();
+        let every: Vec<usize> = (0..m.num_param_groups()).collect();
+        m.apply_update_with(opt.as_mut(), &grads, 0, every.len());
+        opt.finish_step();
         assert!(m.state().max_abs_diff(&before) > 0.0);
-        m.optimizer_undo(opt.as_mut()).unwrap();
+        m.undo_update_with(opt.as_mut(), &grads, &every).unwrap();
+        opt.rollback_step();
         assert!(m.state().max_abs_diff(&before) < 1e-5);
     }
 
@@ -514,10 +450,10 @@ mod tests {
         let y = m.forward(ctx, &x, Mode::Train);
         m.backward(ctx, &y.scale(0.1));
         let before = m.state();
-        let updated = m.apply_update(opt.as_mut(), 0, 2);
-        assert_eq!(updated, vec![0, 1]);
-        // groups 2,3 untouched; undo exactly the marked ones.
-        m.undo_update(opt.as_mut(), &updated).unwrap();
+        let grads = m.grads_snapshot();
+        m.apply_update_with(opt.as_mut(), &grads, 0, 2);
+        // groups 2,3 untouched; undo exactly the updated ones.
+        m.undo_update_with(opt.as_mut(), &grads, &[0, 1]).unwrap();
         assert!(m.state().max_abs_diff(&before) < 1e-5);
     }
 

@@ -25,7 +25,5 @@ pub mod usecase;
 pub use grouping::{plan_groups, sweep_storage_caps, GroupMap, Plan, PlannerInput};
 pub use logger::{LogMode, LogPrecision, LogStats, Logger, LoggingObserver};
 pub use record::{LogRecord, LogStamp, MsgKindCode, WalError};
-pub use replay::{
-    assign_microbatches, replay_iteration_parallel, Endpoint, LogAudit, ReplayTransport, WalReader,
-};
+pub use replay::{assign_microbatches, Endpoint, LogAudit, ReplayTransport, WalReader};
 pub use usecase::{cnn_pipeline_profile, evaluate as evaluate_usecase, UseCaseReport};

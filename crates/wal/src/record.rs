@@ -174,13 +174,6 @@ impl LogRecord {
         .expect("string formatting is infallible");
     }
 
-    /// Micro-batch parsed back out of a store key produced by
-    /// [`LogRecord::key_for`], or `None` for foreign keys.
-    pub fn microbatch_of_key(key: &str) -> Option<u64> {
-        let (_, rest) = key.split_once("/mb")?;
-        rest.get(0..6)?.parse().ok()
-    }
-
     /// Prefix of every record of iteration `it`.
     pub fn iter_prefix(it: u64) -> String {
         format!("wal/it{it:012}/")
@@ -354,14 +347,12 @@ mod tests {
     }
 
     #[test]
-    fn key_for_matches_record_key_and_parses_back() {
+    fn key_for_matches_record_key() {
         let r = rec(5, 17, MsgKind::Gradient);
         assert_eq!(
             r.key(),
             LogRecord::key_for(3, 4, 5, 17, MsgKindCode::Gradient)
         );
-        assert_eq!(LogRecord::microbatch_of_key(&r.key()), Some(17));
-        assert_eq!(LogRecord::microbatch_of_key("ckpt/model.bin"), None);
     }
 
     #[test]

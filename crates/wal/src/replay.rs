@@ -294,100 +294,6 @@ pub fn assign_microbatches(m: usize, d: usize, replica: usize) -> Vec<usize> {
     (0..m).filter(|mb| mb % d == replica).collect()
 }
 
-/// Data-parallel replay of one iteration's log across `workers` recovery
-/// replicas (§5.2).
-///
-/// Each replica fetches, decodes, and processes the micro-batches assigned
-/// to it by the paper's `mb mod d` rule ([`assign_microbatches`]), in
-/// ascending micro-batch order; within a micro-batch, records are handled
-/// in store-key order (which sorts activations before gradients, matching
-/// [`WalReader::records_for`]'s timestamp order). The per-replica results
-/// are then merged in ascending micro-batch order, **not** completion
-/// order — so the returned sequence, and any state folded over it, is
-/// bitwise identical to a sequential replay (`workers == 1`).
-pub fn replay_iteration_parallel<T, F>(
-    reader: &WalReader,
-    iteration: IterationId,
-    workers: usize,
-    process: F,
-) -> std::io::Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(&LogRecord) -> T + Sync,
-{
-    assert!(workers >= 1, "need at least one recovery replica");
-    let keys = reader
-        .store
-        .list(&LogRecord::iter_prefix(iteration.get()))?;
-    // Group keys by micro-batch; `list` returns keys sorted, so each
-    // group is already in replay order.
-    let mut by_mb: std::collections::BTreeMap<u64, Vec<String>> = std::collections::BTreeMap::new();
-    for key in keys {
-        let mb = LogRecord::microbatch_of_key(&key).ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("foreign key in wal namespace: {key}"),
-            )
-        })?;
-        by_mb.entry(mb).or_default().push(key);
-    }
-    let groups: Vec<(u64, Vec<String>)> = by_mb.into_iter().collect();
-    let d = workers.min(groups.len()).max(1);
-
-    // One replica's share: decode + process its micro-batches in ascending
-    // order, tagged with the group index for the ordered merge.
-    let run_replica = |replica: usize| -> std::io::Result<Vec<(usize, Vec<T>)>> {
-        let mut out = Vec::new();
-        for (gi, (_, keys)) in groups.iter().enumerate() {
-            if gi % d != replica {
-                continue;
-            }
-            let mut items = Vec::with_capacity(keys.len());
-            for key in keys {
-                match LogRecord::decode(reader.store.get(key)?) {
-                    Ok(rec) => items.push(process(&rec)),
-                    // Torn tail write: skip-and-report, keep replaying
-                    // the intact records. The pre-flight audit decides
-                    // whether the gap forces a checkpoint fallback.
-                    Err(e) if e.is_truncation() => {
-                        swift_obs::add(swift_obs::Counter::TornWalRecords, 1);
-                    }
-                    Err(e) => {
-                        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e));
-                    }
-                }
-            }
-            out.push((gi, items));
-        }
-        Ok(out)
-    };
-
-    let mut parts: Vec<(usize, Vec<T>)> = if d == 1 {
-        run_replica(0)?
-    } else {
-        let run = &run_replica;
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..d)
-                .map(|replica| scope.spawn(move || run(replica)))
-                .collect();
-            let mut results = vec![run(0)];
-            for h in handles {
-                results.push(h.join().expect("replay replica panicked"));
-            }
-            results
-        });
-        let mut parts = Vec::new();
-        for r in results {
-            parts.extend(r?);
-        }
-        parts
-    };
-    // Deterministic merge: micro-batch order, regardless of which replica
-    // finished first.
-    parts.sort_by_key(|(gi, _)| *gi);
-    Ok(parts.into_iter().flat_map(|(_, items)| items).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,60 +382,6 @@ mod tests {
         WalReader::new(store)
     }
 
-    #[test]
-    fn parallel_replay_bitwise_matches_sequential() {
-        let reader = populated_reader(8);
-        let seq = replay_iteration_parallel(&reader, IterationId::new(0), 1, |r| {
-            (r.key(), r.tensor.clone())
-        })
-        .unwrap();
-        // The sequential engine agrees with the reference reader order.
-        let reference = reader.records_for(IterationId::new(0)).unwrap();
-        assert_eq!(seq.len(), reference.len());
-        for ((key, t), r) in seq.iter().zip(&reference) {
-            assert_eq!(key, &r.key());
-            assert!(t.bit_eq(&r.tensor));
-        }
-        // Any worker count yields the identical sequence — same keys, same
-        // bits, same order.
-        for workers in [2usize, 3, 5, 8, 16] {
-            let par = replay_iteration_parallel(&reader, IterationId::new(0), workers, |r| {
-                (r.key(), r.tensor.clone())
-            })
-            .unwrap();
-            assert_eq!(par.len(), seq.len(), "workers={workers}");
-            for ((ka, ta), (kb, tb)) in par.iter().zip(&seq) {
-                assert_eq!(ka, kb, "workers={workers}");
-                assert!(ta.bit_eq(tb), "workers={workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_replay_folded_state_is_bitwise_deterministic() {
-        // Fold a running f32 sum over the replayed tensors — the kind of
-        // state a recovery accumulates. Order equality ⇒ bit equality.
-        let reader = populated_reader(6);
-        let fold = |workers: usize| -> u32 {
-            let parts = replay_iteration_parallel(&reader, IterationId::new(0), workers, |r| {
-                r.tensor.sum()
-            })
-            .unwrap();
-            parts.into_iter().fold(0.0f32, |acc, s| acc + s).to_bits()
-        };
-        let expect = fold(1);
-        for workers in [2usize, 4, 6] {
-            assert_eq!(fold(workers), expect, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_replay_empty_iteration_is_empty() {
-        let reader = populated_reader(2);
-        let out = replay_iteration_parallel(&reader, IterationId::new(99), 4, |r| r.stamp).unwrap();
-        assert!(out.is_empty());
-    }
-
     /// Overwrites one record with a strict byte prefix of its encoding —
     /// exactly what a crash mid-flush leaves behind.
     fn tear_record(reader: &WalReader, rec: &LogRecord, keep: usize) {
@@ -554,19 +406,6 @@ mod tests {
         assert_eq!(torn, vec![victim.key()]);
         assert_eq!(recs.len(), 7, "the 7 intact records survive");
         assert!(recs.iter().all(|r| r.key() != victim.key()));
-        // Parallel replay over the torn log matches a sequential replay
-        // of the surviving records, bitwise.
-        for workers in [1usize, 2, 4] {
-            let out = replay_iteration_parallel(&reader, IterationId::new(0), workers, |r| {
-                (r.key(), r.tensor.clone())
-            })
-            .unwrap();
-            assert_eq!(out.len(), recs.len(), "workers={workers}");
-            for ((k, t), r) in out.iter().zip(&recs) {
-                assert_eq!(k, &r.key());
-                assert!(t.bit_eq(&r.tensor));
-            }
-        }
     }
 
     #[test]

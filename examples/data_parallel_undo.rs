@@ -100,8 +100,11 @@ fn main() {
     model.backward(ctx, &y.scale(0.05));
     let consistent = model.state();
 
+    // The cached gradients g_t: the update reads them, and so does the undo.
+    let grads = model.grads_snapshot();
     let mut tracker = UpdateTracker::new();
-    for group in model.apply_update(opt.as_mut(), 0, 2) {
+    for group in 0..2 {
+        model.apply_update_with(opt.as_mut(), &grads, group, group + 1);
         tracker.mark(group); // …crash happens here, groups 2..4 never run
     }
     println!(
@@ -109,7 +112,7 @@ fn main() {
         tracker.updated(),
         model.state().max_abs_diff(&consistent)
     );
-    repair_partial_update(&mut model, opt.as_mut(), &mut tracker).unwrap();
+    repair_partial_update(&mut model, opt.as_mut(), &grads, &mut tracker).unwrap();
     println!(
         "after update-undo: drift {:.2e} (consistent again, no snapshot needed)",
         model.state().max_abs_diff(&consistent)
