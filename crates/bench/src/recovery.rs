@@ -1,30 +1,21 @@
-//! Recovery critical-path benchmarks (`BENCH_pr10.json`).
+//! Recovery critical-path benchmark (`BENCH_pr10.json`).
 //!
-//! Two groups cover the recovery critical path's byte-bound legs:
-//!
-//! - `state_transfer` times getting a replacement its state over the
-//!   *socket* transport (the backend real processes use, where bytes are
-//!   actually copied): the sharded multi-source scatter — every survivor
-//!   streams a disjoint shard concurrently — against the single-root
-//!   chunked broadcast the join previously used, which pushes the full
-//!   payload to every participant through one sender. The replacement's
-//!   received bytes are asserted bitwise identical between the two paths
-//!   outside the timed region, and the speedup is gated at ≥ 2× when the
-//!   committed baseline is (re)generated.
-//!
-//! - `delta_ckpt_save` times an incremental checkpoint save at 10% dirty
-//!   tensors against a full save of the same state. The delta chain is
-//!   loaded back and asserted equal (bitwise on the model) to what the
-//!   full checkpoint restores, a delta save must persist ≤ 1/3 the bytes
-//!   of a full save (deterministic, asserted in every mode), and the
-//!   wall-clock speedup is gated at ≥ 3× when the committed baseline is
-//!   (re)generated.
+//! `state_transfer` times the recovery critical path's byte-bound leg:
+//! getting a replacement its state over the *socket* transport (the
+//! backend real processes use, where bytes are actually copied). It runs
+//! the sharded multi-source scatter — every survivor streams a disjoint
+//! shard concurrently — against the single-root chunked broadcast the
+//! join previously used, which pushes the full payload to every
+//! participant through one sender. The replacement's received bytes are
+//! asserted bitwise identical between the two paths outside the timed
+//! region, and the speedup is gated at ≥ 2× when the committed baseline
+//! is (re)generated.
 //!
 //! Quick runs — CI's smoke gate on a shared single-vCPU host, where
-//! wall-clock ratios swing with scheduling — enforce the deterministic
-//! asserts plus `cargo xtask bench --quick`'s ≤ 2× regression check of
-//! every row against the committed baseline; the absolute speedup gates
-//! run with the full repetition counts that produced that baseline.
+//! wall-clock ratios swing with scheduling — enforce the bitwise assert
+//! plus `cargo xtask bench --quick`'s ≤ 2× regression check against the
+//! committed baseline; the absolute speedup gate runs with the full
+//! repetition count that produced that baseline.
 //!
 //! MTTR itself, and its detect → undo → fence → transfer/replay → resume
 //! breakdown, is measured as distributions by the repository benchmark
@@ -35,22 +26,18 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use swift_ckpt::{Checkpoint, CheckpointManager, DeltaSession, IncrementalSave};
-use swift_dnn::ModelState;
 use swift_net::{
     default_chunk_bytes, default_shard_bytes, Comm, FailureController, KvStore, Rank, RetryPolicy,
     SocketTransport, Topology,
 };
-use swift_optim::OptimState;
-use swift_tensor::{CounterRng, Tensor};
 
 use crate::fastpath::BenchResult;
 
-/// Runs the recovery-path benchmarks. `quick` keeps the problem shapes
+/// Runs the recovery-path benchmark. `quick` keeps the problem shapes
 /// (numbers stay comparable with the committed full run) but lowers the
 /// repetition count — the mode CI's smoke gate uses.
 pub fn run(quick: bool) -> Vec<BenchResult> {
-    vec![bench_state_transfer(quick), bench_delta_ckpt_save(quick)]
+    vec![bench_state_transfer(quick)]
 }
 
 // ------------------------------------------------------- state_transfer
@@ -183,174 +170,4 @@ fn bench_state_transfer(quick: bool) -> BenchResult {
         );
     }
     r
-}
-
-// ------------------------------------------------------ delta_ckpt_save
-
-/// A checkpoint with `n` model tensors and a momentum slot per tensor —
-/// ~10 MiB of state, the scale where encode/write costs dominate.
-fn ckpt_fixture(n: usize, numel: usize, seed: u64) -> Checkpoint {
-    let mut rng = CounterRng::new(seed, 0);
-    let entries: Vec<(String, Tensor)> = (0..n)
-        .map(|i| {
-            (
-                format!("p{i:03}"),
-                Tensor::randn([numel], 0.0, 1.0, &mut rng),
-            )
-        })
-        .collect();
-    let slots: Vec<Option<Tensor>> = (0..n)
-        .map(|_| Some(Tensor::randn([numel], 0.0, 1.0, &mut rng)))
-        .collect();
-    Checkpoint {
-        iteration: 0,
-        model: ModelState { entries },
-        optim: OptimState {
-            name: "SGD-momentum".into(),
-            t: 0,
-            last_lr: 0.05,
-            scalars: vec![("lr".into(), vec![0.05])],
-            slots: vec![("m".into(), slots)],
-        },
-    }
-}
-
-/// Touches 10% of the tensors (model + slots), the dirty fraction the
-/// gate is specified at.
-fn dirty_tenth(ckpt: &mut Checkpoint, round: u64) {
-    let n = ckpt.model.entries.len();
-    let step = 10;
-    for i in (0..n).step_by(step) {
-        let idx = (i + round as usize) % n;
-        let t = &mut ckpt.model.entries[idx].1;
-        let mut vals = t.data().to_vec();
-        vals[0] += 1.0 + round as f32;
-        *t = Tensor::from_vec(*t.shape(), vals);
-        if let Some(s) = &mut ckpt.optim.slots[0].1[idx] {
-            let mut vals = s.data().to_vec();
-            vals[1] -= 0.5;
-            *s = Tensor::from_vec(*s.shape(), vals);
-        }
-    }
-}
-
-fn bench_delta_ckpt_save(quick: bool) -> BenchResult {
-    const TENSORS: usize = 40;
-    const NUMEL: usize = 1 << 15; // 128 KiB per tensor, ~10 MiB total
-    let iters = if quick { 5 } else { 8 };
-    let mut ckpt = ckpt_fixture(TENSORS, NUMEL, 31);
-
-    let full_store = crate::fastpath::bench_store("ckpt-full");
-    let delta_store = crate::fastpath::bench_store("ckpt-delta");
-    // The stores count bytes through shared handles, so clones kept here
-    // still observe what the managers write.
-    let full_mgr = CheckpointManager::new(full_store.clone(), 0);
-    let delta_mgr = CheckpointManager::new(delta_store.clone(), 0);
-
-    // Seed the delta session with the base checkpoint (a full save), then
-    // verify: after a 10%-dirty delta save, the chain restores exactly
-    // what a full checkpoint of the same state restores.
-    let mut session = DeltaSession::new();
-    assert!(matches!(
-        delta_mgr.save_incremental(&ckpt, &mut session).unwrap(),
-        IncrementalSave::Full { .. }
-    ));
-    ckpt.iteration = 1;
-    dirty_tenth(&mut ckpt, 0);
-    let save = delta_mgr.save_incremental(&ckpt, &mut session).unwrap();
-    assert!(
-        matches!(save, IncrementalSave::Delta { .. }),
-        "10% dirty must produce a delta, got {save:?}"
-    );
-    full_mgr.save(&ckpt).unwrap();
-    let via_delta = delta_mgr.load_latest().unwrap().unwrap();
-    let via_full = full_mgr.load_latest().unwrap().unwrap();
-    assert_eq!(via_delta, via_full);
-    assert!(
-        via_delta.model.bit_eq(&ckpt.model),
-        "delta chain must restore the model bitwise"
-    );
-
-    // Timed: save cost only. The 10%-dirty states are materialized up
-    // front (a training loop mutates in place between saves; that work
-    // is not checkpoint cost), one per iteration so every timed delta
-    // diffs against genuinely different content. The rebase interval is
-    // far above `iters`, so every timed save is a delta. The two paths
-    // are timed back to back within each round — on a contended host a
-    // throttling phase then hits both sides of the ratio instead of
-    // skewing whichever path happened to run during it — and the best
-    // round of each is reported.
-    let states: Vec<Checkpoint> = (0..iters as u64 + 1)
-        .map(|round| {
-            ckpt.iteration = 2 + round;
-            dirty_tenth(&mut ckpt, 1 + round);
-            ckpt.clone()
-        })
-        .collect();
-    delta_mgr
-        .save_incremental(&states[0], &mut session)
-        .unwrap();
-    full_mgr.save(&states[0]).unwrap();
-    let delta_bytes_before = delta_store.bytes_written();
-    let full_bytes_before = full_store.bytes_written();
-    let mut fast = u64::MAX;
-    let mut slow = u64::MAX;
-    for state in &states[1..] {
-        let t0 = Instant::now();
-        delta_mgr.save_incremental(state, &mut session).unwrap();
-        fast = fast.min(t0.elapsed().as_nanos() as u64);
-        let t0 = Instant::now();
-        full_mgr.save(state).unwrap();
-        slow = slow.min(t0.elapsed().as_nanos() as u64);
-    }
-    // Deterministic gate, asserted in every mode: at 10% dirty each
-    // delta save must persist at most a third of what a full save does
-    // (it actually writes ~1/8th — the 10% payload plus the manifest).
-    let delta_bytes = delta_store.bytes_written() - delta_bytes_before;
-    let full_bytes = full_store.bytes_written() - full_bytes_before;
-    let _ = full_store.destroy();
-    let _ = delta_store.destroy();
-    assert!(
-        full_bytes >= 3 * delta_bytes,
-        "delta saves must write <= 1/3 the bytes of full saves, got {delta_bytes} vs {full_bytes}"
-    );
-    let bytes = ckpt.byte_size() as u64;
-    let r = BenchResult::new(
-        "delta_ckpt_save",
-        format!("{TENSORS}x{NUMEL}xf32 10% dirty"),
-        fast,
-        slow,
-        bytes,
-    );
-    // Wall-clock gate for the committed baseline, as for state_transfer:
-    // on the shared quick-CI host the byte-ratio assert above and the
-    // regression check against the committed run stand in for it.
-    if !quick {
-        assert!(
-            r.speedup >= 3.0,
-            "delta save at 10% dirty must be >= 3x a full save, got {:.2}x",
-            r.speedup
-        );
-    }
-    r
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn delta_ckpt_fixture_round_trips() {
-        // Small-scale version of the bench's bit-equality contract.
-        let mut ckpt = ckpt_fixture(10, 64, 5);
-        let store = swift_store::BlobStore::new_temp("bench-delta-test").unwrap();
-        let mgr = CheckpointManager::new(store, 0);
-        let mut session = DeltaSession::new();
-        mgr.save_incremental(&ckpt, &mut session).unwrap();
-        ckpt.iteration = 1;
-        dirty_tenth(&mut ckpt, 0);
-        let save = mgr.save_incremental(&ckpt, &mut session).unwrap();
-        assert!(matches!(save, IncrementalSave::Delta { .. }));
-        assert_eq!(mgr.load_latest().unwrap().unwrap(), ckpt);
-    }
 }

@@ -1,6 +1,3 @@
-// The delta proptest expands past the default macro recursion depth.
-#![recursion_limit = "256"]
-
 //! # swift-ckpt
 //!
 //! Checkpointing for the SWIFT reproduction: the periodic global
@@ -11,15 +8,10 @@
 //! 12, 13 and Table 5.
 //!
 //! [`Checkpoint`] bundles `(iteration, model state, optimizer state)` with
-//! a stable binary encoding; [`CheckpointManager`] owns the on-disk layout
-//! with an atomically-flipped `latest` pointer. Incremental saves
-//! ([`CheckpointManager::save_incremental`] with a [`DeltaSession`])
-//! persist only the tensors whose content digest changed since the
-//! previous save; `load_latest` resolves the resulting delta chain and
-//! GC keeps it live (see [`delta`]).
+//! a stable binary encoding; [`CheckpointManager`] writes each one as a
+//! full payload and then moves an atomically-flipped `latest` pointer to
+//! it.
 
 pub mod checkpoint;
-pub mod delta;
 
 pub use checkpoint::{Checkpoint, CheckpointManager};
-pub use delta::{tensor_digest, DeltaSession, IncrementalSave};

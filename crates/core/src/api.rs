@@ -237,7 +237,8 @@ impl SwiftJobBuilder {
         self
     }
 
-    /// Sets the backstop checkpoint interval.
+    /// Sets the backstop checkpoint interval (pipeline jobs; a DP job
+    /// keeps no checkpoint, its replicas are its backstop).
     pub fn ckpt_interval(mut self, i: u64) -> Self {
         self.job.ckpt_interval = i;
         self

@@ -8,8 +8,9 @@
 //!    **logging-based recovery**;
 //! 3. else → **global checkpointing only**.
 //!
-//! Global checkpointing runs periodically in every case as the
-//! catastrophic-failure backstop.
+//! Pipeline jobs also save a global checkpoint periodically as the
+//! catastrophic-failure backstop. DP jobs keep none: their replicas are
+//! the only backstop, so losing every replica is unrecoverable.
 
 /// The recovery strategy SWIFT runs with.
 #[derive(Debug, Clone, PartialEq)]

@@ -7,7 +7,8 @@
 //! `swift-worker` runs the same runner for its one rank.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -263,8 +264,8 @@ pub(crate) fn run_job(job: &SwiftJob, iters: u64, crash: Option<JobCrash>) -> Sc
 /// The runner of `job`'s layout, training to `iters`. `stores` is a
 /// pipeline's global store and this rank's machine-local log store when
 /// both must outlive the process (a `swift-worker`'s run directory);
-/// without it the run gets a fresh temporary global store and each
-/// worker a fresh temporary log store.
+/// without it the run gets a [`RunDir`] holding a fresh global store and
+/// a fresh log store per worker, removed with the runner.
 pub(crate) fn runner(
     job: &SwiftJob,
     iters: u64,
@@ -293,9 +294,15 @@ pub(crate) fn runner(
             stages,
             microbatches,
         } => {
-            let (global, local_log) = match stores {
-                Some((global, local_log)) => (global, Some(local_log)),
-                None => (GlobalStore::new_temp().expect("global store"), None),
+            let (global, local_logs) = match stores {
+                Some((global, local_log)) => (global, LocalLogs::Kept(local_log)),
+                None => {
+                    let run = RunDir::new();
+                    (
+                        GlobalStore::from_blob(run.store("global")),
+                        LocalLogs::Fresh(run),
+                    )
+                }
             };
             Arc::new(PipelineRunner {
                 job: PipelineJob {
@@ -313,7 +320,7 @@ pub(crate) fn runner(
                     microbatches,
                 },
                 global,
-                local_log,
+                local_logs,
                 log_mode: job.log_mode,
                 log_precision: job.log_precision,
                 iters,
@@ -446,6 +453,47 @@ fn dataset_shard(
     (s.x, s.y)
 }
 
+/// Where a pipeline runner's workers keep their machine-local logs.
+enum LocalLogs {
+    /// This rank's store, which must outlive the process.
+    Kept(BlobStore),
+    /// A fresh store per worker, the replacement included.
+    Fresh(RunDir),
+}
+
+/// The temporary directory of one in-process pipeline run: its global
+/// store and every worker's log store live under it, and dropping it
+/// (with the runner, once [`drive`] has joined every worker) removes
+/// them all.
+struct RunDir {
+    root: PathBuf,
+    stores: AtomicUsize,
+}
+
+impl RunDir {
+    fn new() -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        RunDir {
+            root: std::env::temp_dir().join(format!("swift-run-{}-{n}", std::process::id())),
+            stores: AtomicUsize::new(0),
+        }
+    }
+
+    /// A fresh, empty store in the run directory.
+    fn store(&self, label: &str) -> BlobStore {
+        let n = self.stores.fetch_add(1, Ordering::Relaxed);
+        BlobStore::open(self.root.join(format!("{label}-{n}"))).expect("run-directory store")
+    }
+}
+
+impl Drop for RunDir {
+    fn drop(&mut self) {
+        // Leftover stores waste disk, not correctness: no panic in drop.
+        let _ = std::fs::remove_dir_all(&self.root);
+    }
+}
+
 /// Logging recovery (§5): one pipeline stage per machine.
 struct PipelineRunner {
     job: PipelineJob,
@@ -453,9 +501,7 @@ struct PipelineRunner {
     opt: OptimizerKind,
     data: DatasetSource,
     global: GlobalStore,
-    /// This rank's machine-local log store, when it must outlive the
-    /// process; `None` gives every worker a fresh temporary one.
-    local_log: Option<BlobStore>,
+    local_logs: LocalLogs,
     log_mode: LogMode,
     log_precision: LogPrecision,
     iters: u64,
@@ -476,10 +522,9 @@ impl PipelineRunner {
     /// stage is the rank).
     fn worker(&self, ctx: &WorkerCtx) -> PipelineWorker {
         let (rank, topo) = (ctx.rank(), &ctx.topology);
-        let store = match &self.local_log {
-            Some(store) => store.clone(),
-            None => BlobStore::new_temp(&format!("scen-m{}", topo.machine_of(rank)))
-                .expect("machine-local log store"),
+        let store = match &self.local_logs {
+            LocalLogs::Kept(store) => store.clone(),
+            LocalLogs::Fresh(run) => run.store(&format!("m{}", topo.machine_of(rank))),
         };
         PipelineWorker {
             stage: rank,

@@ -104,14 +104,11 @@ pub enum Counter {
     PoolMisses,
     /// Bytes of buffer capacity returned to the pool for reuse.
     BytesPooled,
-    /// Bytes written by *delta* (incremental) checkpoint saves — only the
-    /// tensors that changed since the base checkpoint (PR 10).
-    DeltaCheckpointBytes,
 }
 
 impl Counter {
     /// All counters, index-aligned with the recorder's storage.
-    pub const ALL: [Counter; 12] = [
+    pub const ALL: [Counter; 11] = [
         Counter::BytesLogged,
         Counter::BubbleBytes,
         Counter::Retransmits,
@@ -123,7 +120,6 @@ impl Counter {
         Counter::PoolHits,
         Counter::PoolMisses,
         Counter::BytesPooled,
-        Counter::DeltaCheckpointBytes,
     ];
 
     /// Stable snake_case name (used in JSON renderings).
@@ -140,7 +136,6 @@ impl Counter {
             Counter::PoolHits => "pool_hits",
             Counter::PoolMisses => "pool_misses",
             Counter::BytesPooled => "bytes_pooled",
-            Counter::DeltaCheckpointBytes => "delta_checkpoint_bytes",
         }
     }
 
@@ -157,7 +152,6 @@ impl Counter {
             Counter::PoolHits => 8,
             Counter::PoolMisses => 9,
             Counter::BytesPooled => 10,
-            Counter::DeltaCheckpointBytes => 11,
         }
     }
 }

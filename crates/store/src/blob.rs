@@ -142,8 +142,8 @@ impl BlobStore {
     ///
     /// Every put writes its own temp file beside the key — the key's full
     /// file name, the process id and a process-wide counter, then `.tmp`
-    /// (`iter3.bin.4711.9.tmp`) — and renames it over the key. So
-    /// `iter3.bin` and `iter3.delta` never share a temp file, and
+    /// (`iter3.bin.4711.9.tmp`) — and renames it over the key. So keys
+    /// that differ only in extension never share a temp file, and
     /// concurrent puts of one key each rename a complete payload: the last
     /// rename wins. [`BlobStore::list`] hides `*.tmp`, and
     /// [`BlobStore::open`] removes those whose writer has exited.

@@ -32,8 +32,6 @@ pub use half::{
 };
 pub use matmul::{matmul, matmul_a_bt, matmul_at_b_acc, matmul_into};
 pub use rng::{stream_id, CounterRng};
-#[cfg(target_endian = "little")]
-pub use serialize::f32_le_bytes;
 pub use serialize::{
     decode, decode_from, decode_slice, encode, encode_f16, encode_f16_into, encode_into,
     encoded_f16_size, encoded_size, DecodeError,

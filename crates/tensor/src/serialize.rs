@@ -73,18 +73,6 @@ impl std::error::Error for DecodeError {}
 
 // ------------------------------------------------------------- bulk payload
 
-/// The raw bytes of an `f32` slice, which on a little-endian target are
-/// already the wire layout. Lets byte-oriented consumers (content
-/// digests, bulk copies) stream tensor data without a conversion pass.
-/// Only exists on LE targets so callers are forced to keep a portable
-/// per-element fallback.
-#[cfg(target_endian = "little")]
-pub fn f32_le_bytes(data: &[f32]) -> &[u8] {
-    // SAFETY: `f32` has no padding and every bit pattern is valid for
-    // `u8`; the view covers exactly `data.len() * 4` initialized bytes.
-    unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), data.len() * 4) }
-}
-
 /// Appends `data` as little-endian `f32`s: a single `memcpy` on LE targets.
 fn put_f32s(buf: &mut impl BufMut, data: &[f32]) {
     #[cfg(target_endian = "little")]

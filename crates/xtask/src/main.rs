@@ -307,8 +307,7 @@ fn verify() -> ExitCode {
 /// The benchmark suites and the committed baseline each quick run gates
 /// against: the recovery fast path (PR 3), the collective/WAL overlap
 /// layer (PR 5), the SIMD dispatch + zero-alloc layer (PR 8), and the
-/// recovery critical path (`BENCH_pr10.json`): sharded state transfer
-/// and delta checkpoints.
+/// recovery critical path (`BENCH_pr10.json`): sharded state transfer.
 const BENCH_SUITES: &[(&str, &str)] = &[
     ("fastpath", "BENCH_pr3.json"),
     ("overlap", "BENCH_pr5.json"),

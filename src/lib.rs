@@ -14,7 +14,7 @@
 //! | [`net`] | `swift-net` | in-process cluster with fail-stop injection |
 //! | [`store`] | `swift-store` | local-disk + global-store tiers |
 //! | [`pipeline`] | `swift-pipeline` | 1F1B/GPipe schedules + executor |
-//! | [`ckpt`] | `swift-ckpt` | the global checkpoint and its delta chains |
+//! | [`ckpt`] | `swift-ckpt` | the global checkpoint and its `latest` pointer |
 //! | [`wal`] | `swift-wal` | logging, selective logging, replay (§5) |
 //! | [`core`] | `swift-core` | the SWIFT runtime: strategies + recovery |
 //! | [`sim`] | `swift-sim` | testbed-scale performance model (§7) |
