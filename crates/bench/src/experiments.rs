@@ -6,7 +6,7 @@ use std::sync::Arc;
 use swift_core::{JobCrash, Parallelism, SwiftJob};
 use swift_data::BlobsDataset;
 use swift_dnn::profile::{bert_128, vit_128_32, wide_resnet_50, PaperModel, TESTBED};
-use swift_optim::OptimizerKind;
+use swift_optim::{OpKind, OptimizerKind};
 use swift_sim::{
     iteration_times, logging_recovery_event_s, mean_throughput, recovery_time_s, recovery_timeline,
     simulate_mean, sweep_ckpt_interval, sweep_mtbf, CostModel, Method,
@@ -138,21 +138,21 @@ pub fn fig03_throughput_timeline() -> String {
     out
 }
 
-/// Table 1: operator inventory and invertibility per optimizer, generated
-/// from the implementations.
+/// Table 1: operator inventory and undoability per optimizer, from
+/// [`OptimizerKind::operators`] and [`OptimizerKind::check_undoable`].
 pub fn table1_operators() -> String {
-    let profiles = swift_optim::table1();
-    let ops = swift_optim::OpKind::all();
+    let columns = OptimizerKind::TABLE1;
     let mut out = String::from("Table 1 — operators used in five representative optimizers\n");
     let _ = write!(out, "{:<12}", "operator");
-    for p in &profiles {
-        let _ = write!(out, "{:>9}", p.optimizer);
+    for k in &columns {
+        let _ = write!(out, "{:>9}", k.name());
     }
     out.push('\n');
-    for &op in ops {
+    for &op in OpKind::all() {
         let _ = write!(out, "{:<12}", op.name());
-        for p in &profiles {
-            let _ = write!(out, "{:>9}", if p.ops.contains(&op) { "x" } else { "" });
+        for k in &columns {
+            let used = k.operators().contains(&op);
+            let _ = write!(out, "{:>9}", if used { "x" } else { "" });
         }
         let _ = writeln!(
             out,
@@ -165,8 +165,9 @@ pub fn table1_operators() -> String {
         );
     }
     let _ = write!(out, "{:<12}", "undoable?");
-    for p in &profiles {
-        let _ = write!(out, "{:>9}", if p.undoable() { "yes" } else { "no" });
+    for k in &columns {
+        let undoable = k.check_undoable().is_ok();
+        let _ = write!(out, "{:>9}", if undoable { "yes" } else { "no" });
     }
     out.push('\n');
     out
@@ -987,4 +988,26 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("table7_grouping_vit", table7_grouping_vit),
         ("ablation_log_modes", ablation_log_modes),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    /// The Table-1 report whole: the five paper columns, which operators
+    /// each update uses, and the undoability verdicts.
+    #[test]
+    fn table1_report_is_pinned() {
+        let want = "\
+Table 1 — operators used in five representative optimizers
+operator          SGD     Adam    AdamW     LAMB  AMSGrad
+EW add              x        x        x        x        x   (invertible)
+scalar mul          x        x        x        x        x   (invertible)
+EW mul                       x        x        x        x   (invertible)
+EW sqrt                      x        x        x        x   (invertible)
+EW div                       x        x        x        x   (invertible)
+EW-max                                                  x   (NOT invertible)
+sum                                            x            (NOT invertible)
+undoable?         yes      yes      yes      yes       no
+";
+        assert_eq!(super::table1_operators(), want);
+    }
 }

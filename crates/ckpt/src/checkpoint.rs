@@ -131,16 +131,23 @@ impl CheckpointManager {
     /// Deletes every checkpoint but the one the `latest` pointer names;
     /// returns the count removed.
     ///
-    /// An unreadable or non-UTF-8 `latest` pointer is an error — GC
-    /// refuses to run rather than guess which checkpoint is live.
+    /// An unreadable or non-UTF-8 `latest` pointer, or one naming a
+    /// payload the store does not hold, is an error — GC refuses to run
+    /// rather than guess which checkpoint is live.
     pub fn gc(&self) -> std::io::Result<usize> {
         if !self.store.contains(&self.latest_key()) {
             return Ok(0);
         }
         // A corrupt pointer surfaces as `StoreError::Corrupt` (→
-        // `InvalidData`) here instead of silently matching nothing and
-        // deleting every checkpoint.
+        // `InvalidData`) here, and a dangling one as `NotFound` below,
+        // instead of matching nothing and deleting every checkpoint.
         let live = self.store.get_utf8(&self.latest_key())?;
+        if !self.store.contains(&live) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("`latest` names {live}, which the store does not hold"),
+            ));
+        }
         let mut removed = 0;
         for key in self.store.list(&format!("ckpt/rank{}/", self.rank))? {
             if key.ends_with(".bin") && key != live {
@@ -195,23 +202,25 @@ mod tests {
     #[test]
     fn manager_save_load_latest() {
         let store = BlobStore::new_temp("ckpt1").unwrap();
-        let mgr = CheckpointManager::new(store, 3);
+        let mgr = CheckpointManager::new(store.clone(), 3);
         assert!(mgr.load_latest().unwrap().is_none());
         mgr.save(&sample_ckpt(100)).unwrap();
         mgr.save(&sample_ckpt(200)).unwrap();
         let latest = mgr.load_latest().unwrap().unwrap();
         assert_eq!(latest.iteration, 200);
+        store.destroy().unwrap();
     }
 
     #[test]
     fn manager_gc_keeps_latest_only() {
         let store = BlobStore::new_temp("ckpt2").unwrap();
-        let mgr = CheckpointManager::new(store, 0);
+        let mgr = CheckpointManager::new(store.clone(), 0);
         for it in [10, 20, 30] {
             mgr.save(&sample_ckpt(it)).unwrap();
         }
         assert_eq!(mgr.gc().unwrap(), 2);
         assert_eq!(mgr.load_latest().unwrap().unwrap().iteration, 30);
+        store.destroy().unwrap();
     }
 
     #[test]
@@ -232,7 +241,7 @@ mod tests {
                 "missing payload",
                 b"ckpt/rank0/iter000000000099.bin",
                 ErrorKind::NotFound,
-                false,
+                true,
             ),
             // Decayed to "", the pointer would name no payload and GC
             // would delete every checkpoint.
@@ -285,8 +294,9 @@ mod tests {
     fn per_rank_isolation() {
         let store = BlobStore::new_temp("ckpt3").unwrap();
         let m0 = CheckpointManager::new(store.clone(), 0);
-        let m1 = CheckpointManager::new(store, 1);
+        let m1 = CheckpointManager::new(store.clone(), 1);
         m0.save(&sample_ckpt(5)).unwrap();
         assert!(m1.load_latest().unwrap().is_none());
+        store.destroy().unwrap();
     }
 }

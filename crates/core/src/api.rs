@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use swift_data::Dataset;
 use swift_net::{FaultPlan, Rank};
-use swift_optim::{chain_for, ChainError, OptimizerKind};
+use swift_optim::{NotUndoable, OptimizerKind};
 use swift_pipeline::ScheduleKind;
 use swift_wal::{LogMode, LogPrecision};
 
@@ -62,12 +62,11 @@ impl Parallelism {
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
     /// SWIFT's crash-consistency repair relies on update-undo (§4); an
-    /// optimizer whose update chain cannot be inverted symbolically would
-    /// fail at the *first* recovery, so it is rejected before training
-    /// starts.
+    /// optimizer whose update cannot be undone would fail at the *first*
+    /// recovery, so it is rejected before training starts.
     NonInvertibleOptimizer {
-        /// What exactly cannot be inverted, from the symbolic derivation.
-        error: ChainError,
+        /// Which operator cannot be undone, and why.
+        error: NotUndoable,
     },
     /// The layout leaves no replica or pipeline peer on another machine,
     /// so the only strategy is global checkpointing (§3), which
@@ -297,20 +296,20 @@ impl SwiftJobBuilder {
 
     /// Finalizes the job, statically validating the plan:
     ///
-    /// - the optimizer's update chain must be symbolically invertible
-    ///   (undo derivable for every op under its hyperparameters), because
-    ///   every recovery strategy leans on update-undo for crash
-    ///   consistency (§4). AMSGrad (running max) and AdamW with `η·λ ≥ 1`
-    ///   are rejected here, before training starts, instead of failing at
-    ///   first undo;
+    /// - the optimizer's update must be undoable
+    ///   ([`OptimizerKind::check_undoable`]), because every recovery
+    ///   strategy leans on update-undo for crash consistency (§4).
+    ///   AMSGrad (running max), SGD and AdamW with `η·λ ≥ 1`, and
+    ///   SGD-momentum with `μ` outside `[0, 1)` are rejected here, before
+    ///   training starts, instead of failing at first undo;
     /// - the layout must leave a peer on another machine to recover from;
     /// - parallel recovery may use at most one replica per stage;
     /// - the batch must hold at least one example per micro-batch (for
     ///   pipelines) or per machine (for DP).
     pub fn build(self) -> Result<SwiftJob, PlanError> {
         let job = self.job;
-        chain_for(&job.opt)
-            .derive_undo()
+        job.opt
+            .check_undoable()
             .map_err(|error| PlanError::NonInvertibleOptimizer { error })?;
         if job.strategy() == Strategy::GlobalCheckpointOnly {
             return Err(PlanError::CheckpointOnly {

@@ -14,7 +14,7 @@
 
 use swift_tensor::Tensor;
 
-use crate::ops::{fused, OpKind};
+use crate::ops::fused;
 use crate::optimizer::{slot, OptimState, Optimizer, UndoError};
 
 /// Shared Adam-family hyperparameters.
@@ -174,20 +174,6 @@ impl Optimizer for Adam {
         "Adam"
     }
 
-    fn operators(&self) -> &'static [OpKind] {
-        &[
-            OpKind::EwAdd,
-            OpKind::ScalarMul,
-            OpKind::EwMul,
-            OpKind::EwSqrt,
-            OpKind::EwDiv,
-        ]
-    }
-
-    fn invertible(&self) -> bool {
-        true
-    }
-
     fn lr(&self) -> f32 {
         self.params.lr
     }
@@ -299,20 +285,6 @@ impl Optimizer for AdamW {
         "AdamW"
     }
 
-    fn operators(&self) -> &'static [OpKind] {
-        &[
-            OpKind::EwAdd,
-            OpKind::ScalarMul,
-            OpKind::EwMul,
-            OpKind::EwSqrt,
-            OpKind::EwDiv,
-        ]
-    }
-
-    fn invertible(&self) -> bool {
-        true
-    }
-
     fn lr(&self) -> f32 {
         self.params.lr
     }
@@ -419,21 +391,6 @@ impl AmsGrad {
 impl Optimizer for AmsGrad {
     fn name(&self) -> &'static str {
         "AMSGrad"
-    }
-
-    fn operators(&self) -> &'static [OpKind] {
-        &[
-            OpKind::EwAdd,
-            OpKind::ScalarMul,
-            OpKind::EwMul,
-            OpKind::EwSqrt,
-            OpKind::EwDiv,
-            OpKind::EwMax,
-        ]
-    }
-
-    fn invertible(&self) -> bool {
-        false
     }
 
     fn lr(&self) -> f32 {
@@ -644,7 +601,6 @@ mod tests {
             opt.undo_one(0, &mut p, &g),
             Err(UndoError::NotInvertible("AMSGrad"))
         );
-        assert!(!opt.invertible());
     }
 
     #[test]

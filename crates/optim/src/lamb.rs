@@ -16,7 +16,7 @@
 use swift_tensor::Tensor;
 
 use crate::adam::{advance_moments, revert_moments, AdamParams};
-use crate::ops::{fused, OpKind};
+use crate::ops::fused;
 use crate::optimizer::{slot, OptimState, Optimizer, UndoError};
 
 /// The LAMB optimizer (You et al., ICLR'20) with saved-scalar undo.
@@ -86,21 +86,6 @@ impl LambValidate for AdamParams {
 impl Optimizer for Lamb {
     fn name(&self) -> &'static str {
         "LAMB"
-    }
-
-    fn operators(&self) -> &'static [OpKind] {
-        &[
-            OpKind::EwAdd,
-            OpKind::ScalarMul,
-            OpKind::EwMul,
-            OpKind::EwSqrt,
-            OpKind::EwDiv,
-            OpKind::Sum,
-        ]
-    }
-
-    fn invertible(&self) -> bool {
-        true // via the saved trust-ratio scalar
     }
 
     fn lr(&self) -> f32 {

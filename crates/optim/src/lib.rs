@@ -15,12 +15,14 @@
 //!   (LAMB via a saved trust-ratio scalar),
 //! - [`AmsGrad`] — not invertible (element-wise max), returns
 //!   [`UndoError::NotInvertible`],
-//! - [`ops::table1`]: the paper's Table 1 generated from the
-//!   implementations,
+//! - [`OptimizerKind`]: which optimizer to build. Its
+//!   [`operators`](OptimizerKind::operators) and
+//!   [`check_undoable`](OptimizerKind::check_undoable) state the paper's
+//!   Table 1 once; the job builder, `swift-verify` and the Table-1 report
+//!   all read them,
 //! - [`OptimState`]: binary-serializable optimizer state for checkpoints.
 
 pub mod adam;
-pub mod chain;
 pub mod lamb;
 pub mod ops;
 pub mod optimizer;
@@ -28,9 +30,8 @@ pub mod schedule;
 pub mod sgd;
 
 pub use adam::{Adam, AdamParams, AdamW, AmsGrad};
-pub use chain::{chain_for, ChainError, ChainOp, ChainState, UpdateChain};
 pub use lamb::Lamb;
-pub use ops::{table1, OpKind, OperatorProfile};
+pub use ops::OpKind;
 pub use optimizer::{OptimState, Optimizer, UndoError};
 pub use schedule::LrSchedule;
 pub use sgd::{Sgd, SgdMomentum};
@@ -91,7 +92,140 @@ impl OptimizerKind {
             })),
         }
     }
+
+    /// The five optimizers of the paper's Table 1, in its column order;
+    /// every one but AMSGrad at hyperparameters its update can be undone
+    /// under.
+    pub const TABLE1: [OptimizerKind; 5] = [
+        OptimizerKind::Sgd {
+            lr: 0.1,
+            weight_decay: 0.0,
+        },
+        OptimizerKind::Adam {
+            lr: 1e-3,
+            weight_decay: 0.0,
+        },
+        OptimizerKind::AdamW {
+            lr: 1e-3,
+            weight_decay: 0.01,
+        },
+        OptimizerKind::Lamb {
+            lr: 1e-3,
+            weight_decay: 0.01,
+        },
+        OptimizerKind::AmsGrad {
+            lr: 1e-3,
+            weight_decay: 0.0,
+        },
+    ];
+
+    /// The optimizer's name, as the built optimizer's [`Optimizer::name`]
+    /// reports it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            OptimizerKind::Sgd { .. } => "SGD",
+            OptimizerKind::SgdMomentum { .. } => "SGD-momentum",
+            OptimizerKind::Adam { .. } => "Adam",
+            OptimizerKind::AdamW { .. } => "AdamW",
+            OptimizerKind::Lamb { .. } => "LAMB",
+            OptimizerKind::AmsGrad { .. } => "AMSGrad",
+        }
+    }
+
+    /// The paper's Table-1 operators the update uses.
+    pub fn operators(&self) -> &'static [OpKind] {
+        use OpKind::*;
+        match self {
+            OptimizerKind::Sgd { .. } | OptimizerKind::SgdMomentum { .. } => &[EwAdd, ScalarMul],
+            OptimizerKind::Adam { .. } | OptimizerKind::AdamW { .. } => {
+                &[EwAdd, ScalarMul, EwMul, EwSqrt, EwDiv]
+            }
+            OptimizerKind::Lamb { .. } => &[EwAdd, ScalarMul, EwMul, EwSqrt, EwDiv, Sum],
+            OptimizerKind::AmsGrad { .. } => &[EwAdd, ScalarMul, EwMul, EwSqrt, EwDiv, EwMax],
+        }
+    }
+
+    /// Whether a partially applied update can be undone (§4), which every
+    /// recovery strategy's crash-consistency repair relies on.
+    ///
+    /// Every operator but EW-max has an inverse or, like LAMB's norm, a
+    /// saved scalar, so the verdict turns on EW-max and on the factors an
+    /// undo divides by: SGD's and AdamW's decay `1 − η·λ` and
+    /// SGD-momentum's `μ`. Adam folds its decay into the gradient, so its
+    /// undo divides by no such factor. LAMB's undo divides by
+    /// `1 − η·r·λ`, whose trust ratio `r` exists only inside a step; LAMB
+    /// is accepted at every `η·λ`, and nothing checks that factor.
+    pub fn check_undoable(&self) -> Result<(), NotUndoable> {
+        let reject = |op, reason| {
+            Err(NotUndoable {
+                optimizer: self.name(),
+                op,
+                reason,
+            })
+        };
+        if self.operators().contains(&OpKind::EwMax) {
+            return reject(
+                OpKind::EwMax,
+                "the running max(v_max, v̂) discards the smaller operand, and no \
+                 saved scalar can recover it (paper Table 1)"
+                    .into(),
+            );
+        }
+        match *self {
+            OptimizerKind::Sgd { lr, weight_decay } | OptimizerKind::AdamW { lr, weight_decay } => {
+                let decay = 1.0 - lr * weight_decay;
+                if decay > 0.0 {
+                    Ok(())
+                } else {
+                    reject(
+                        OpKind::ScalarMul,
+                        format!(
+                            "the decay factor 1 − η·λ = 1 − {lr}·{weight_decay} = {decay} ≤ 0 \
+                             destroys or flips the parameter; require η·λ < 1"
+                        ),
+                    )
+                }
+            }
+            OptimizerKind::SgdMomentum { momentum, .. } => {
+                if (0.0..1.0).contains(&momentum) {
+                    Ok(())
+                } else {
+                    reject(
+                        OpKind::ScalarMul,
+                        format!("the momentum μ = {momentum} must lie in [0, 1)"),
+                    )
+                }
+            }
+            _ => Ok(()),
+        }
+    }
 }
+
+/// Why an optimizer configuration's update cannot be undone
+/// ([`OptimizerKind::check_undoable`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct NotUndoable {
+    /// The optimizer's name.
+    pub optimizer: &'static str,
+    /// The Table-1 operator whose inverse is missing.
+    pub op: OpKind,
+    /// Why, with the offending values.
+    pub reason: String,
+}
+
+impl std::fmt::Display for NotUndoable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}: `{}` cannot be undone: {}",
+            self.optimizer,
+            self.op.name(),
+            self.reason
+        )
+    }
+}
+
+impl std::error::Error for NotUndoable {}
 
 #[cfg(test)]
 mod tests {
@@ -135,6 +269,7 @@ mod tests {
             let g = Tensor::full([4], 0.1);
             opt.step(std::slice::from_mut(&mut p), std::slice::from_ref(&g));
             assert_eq!(opt.iteration(), 1);
+            assert_eq!(opt.name(), k.name());
             names.push(opt.name());
         }
         assert_eq!(
@@ -143,46 +278,64 @@ mod tests {
         );
     }
 
+    /// One row per verdict edge of `check_undoable`, plus the job
+    /// builder's everyday configurations. A rejection names the optimizer
+    /// and the reason's key symbol.
     #[test]
-    fn invertibility_matches_table1() {
-        let profiles = table1();
-        for profile in &profiles {
-            let kind = match profile.optimizer {
-                "SGD" => OptimizerKind::Sgd {
-                    lr: 0.1,
-                    weight_decay: 0.0,
-                },
-                "Adam" => OptimizerKind::Adam {
+    fn check_undoable_verdict_edges() {
+        let sgd = |lr, weight_decay| OptimizerKind::Sgd { lr, weight_decay };
+        let adam = |lr, weight_decay| OptimizerKind::Adam { lr, weight_decay };
+        let adamw = |lr, weight_decay| OptimizerKind::AdamW { lr, weight_decay };
+        let lamb = |lr, weight_decay| OptimizerKind::Lamb { lr, weight_decay };
+        let momentum = |momentum| OptimizerKind::SgdMomentum {
+            lr: 0.1,
+            weight_decay: 0.01,
+            momentum,
+            dampening: 0.1,
+        };
+        let just_below_one = 1.0 - f32::EPSILON / 2.0;
+        let rows = [
+            // η·λ just below 1, at 1 and above 1.
+            (sgd(just_below_one, 1.0), None),
+            (sgd(1.0, 1.0), Some("η·λ")),
+            (sgd(2.0, 0.6), Some("η·λ")),
+            (adamw(just_below_one, 1.0), None),
+            (adamw(1.0, 1.0), Some("η·λ")),
+            (adamw(2.0, 0.6), Some("η·λ")),
+            // The ends of the momentum range [0, 1).
+            (momentum(0.0), None),
+            (momentum(0.999), None),
+            (momentum(1.0), Some("μ")),
+            (momentum(-0.1), Some("μ")),
+            // Adam and LAMB have no decay factor to check.
+            (adam(2.0, 0.6), None),
+            (lamb(2.0, 0.6), None),
+            // EW-max is rejected at every setting.
+            (
+                OptimizerKind::AmsGrad {
                     lr: 1e-3,
                     weight_decay: 0.0,
                 },
-                "AdamW" => OptimizerKind::AdamW {
-                    lr: 1e-3,
-                    weight_decay: 0.01,
-                },
-                "LAMB" => OptimizerKind::Lamb {
-                    lr: 1e-3,
-                    weight_decay: 0.01,
-                },
-                "AMSGrad" => OptimizerKind::AmsGrad {
-                    lr: 1e-3,
-                    weight_decay: 0.0,
-                },
-                other => panic!("unknown optimizer {other}"),
-            };
-            let opt = kind.build();
-            assert_eq!(
-                opt.invertible(),
-                profile.undoable(),
-                "{} invertibility disagrees with Table 1",
-                profile.optimizer
-            );
-            assert_eq!(
-                opt.operators(),
-                profile.ops,
-                "{} operator set",
-                profile.optimizer
-            );
+                Some("EW-max"),
+            ),
+            // Everyday configurations.
+            (sgd(0.1, 0.01), None),
+            (momentum(0.9), None),
+            (adam(1e-3, 0.01), None),
+            (adamw(1e-3, 0.01), None),
+            (lamb(1e-3, 0.01), None),
+        ];
+        for (kind, rejection) in rows {
+            match (kind.check_undoable(), rejection) {
+                (Ok(()), None) => {}
+                (Err(e), Some(symbol)) => {
+                    let msg = e.to_string();
+                    assert_eq!(e.optimizer, kind.name(), "{kind:?}");
+                    assert!(msg.contains(kind.name()), "{kind:?}: {msg}");
+                    assert!(msg.contains(symbol), "{kind:?}: {msg}");
+                }
+                (got, want) => panic!("{kind:?}: got {got:?}, want a rejection naming {want:?}"),
+            }
         }
     }
 }

@@ -1,10 +1,11 @@
-//! Operator inventory for optimizer update rules (paper Table 1), plus the
-//! fused update/undo kernels the optimizers execute.
+//! The primitive operators of the paper's Table 1, plus the fused
+//! update/undo kernels the optimizers execute.
 //!
-//! An optimizer's update step is a composition of primitive operators. The
-//! update is *undoable* exactly when every operator in it is mathematically
-//! invertible (or, as with LAMB's norm, a small scalar can be saved to make
-//! it so).
+//! An optimizer's update step is a composition of primitive operators;
+//! [`OptimizerKind::operators`](crate::OptimizerKind::operators) states
+//! which ones each optimizer uses. The update is *undoable* when every
+//! operator in it is mathematically invertible (or, as with LAMB's norm, a
+//! small scalar can be saved to make it so).
 //!
 //! [`fused`] exposes each composition as one tensor-level pass backed by
 //! `swift_tensor::simd`'s runtime-dispatched microkernels: no intermediate
@@ -62,85 +63,6 @@ impl OpKind {
             OpKind::Sum,
         ]
     }
-}
-
-/// One row of the paper's Table 1: an optimizer and the operators its
-/// update rule uses.
-#[derive(Debug, Clone)]
-pub struct OperatorProfile {
-    /// Optimizer name.
-    pub optimizer: &'static str,
-    /// Operators used by the update rule.
-    pub ops: &'static [OpKind],
-}
-
-impl OperatorProfile {
-    /// Whether every operator in the profile is invertible, i.e., the
-    /// update can be undone without auxiliary data.
-    pub fn fully_invertible(&self) -> bool {
-        self.ops.iter().all(|o| o.invertible())
-    }
-
-    /// Whether the update can be undone at all (possibly by saving a
-    /// scalar, as LAMB does for its norm).
-    pub fn undoable(&self) -> bool {
-        // EW-max destroys information that no scalar can recover; a scalar
-        // `sum`/norm can be saved.
-        !self.ops.contains(&OpKind::EwMax)
-    }
-}
-
-/// The paper's Table 1, generated from the optimizer implementations.
-pub fn table1() -> Vec<OperatorProfile> {
-    // lint:alloc-ok (documentation table, never on a train-step path)
-    vec![
-        OperatorProfile {
-            optimizer: "SGD",
-            ops: &[OpKind::EwAdd, OpKind::ScalarMul],
-        },
-        OperatorProfile {
-            optimizer: "Adam",
-            ops: &[
-                OpKind::EwAdd,
-                OpKind::ScalarMul,
-                OpKind::EwMul,
-                OpKind::EwSqrt,
-                OpKind::EwDiv,
-            ],
-        },
-        OperatorProfile {
-            optimizer: "AdamW",
-            ops: &[
-                OpKind::EwAdd,
-                OpKind::ScalarMul,
-                OpKind::EwMul,
-                OpKind::EwSqrt,
-                OpKind::EwDiv,
-            ],
-        },
-        OperatorProfile {
-            optimizer: "LAMB",
-            ops: &[
-                OpKind::EwAdd,
-                OpKind::ScalarMul,
-                OpKind::EwMul,
-                OpKind::EwSqrt,
-                OpKind::EwDiv,
-                OpKind::Sum,
-            ],
-        },
-        OperatorProfile {
-            optimizer: "AMSGrad",
-            ops: &[
-                OpKind::EwAdd,
-                OpKind::ScalarMul,
-                OpKind::EwMul,
-                OpKind::EwSqrt,
-                OpKind::EwDiv,
-                OpKind::EwMax,
-            ],
-        },
-    ]
 }
 
 /// Fused optimizer update/undo kernels over whole tensors.
@@ -290,23 +212,6 @@ mod tests {
         assert!(OpKind::EwDiv.invertible());
         assert!(!OpKind::EwMax.invertible());
         assert!(!OpKind::Sum.invertible());
-    }
-
-    #[test]
-    fn table1_matches_paper() {
-        let t = table1();
-        assert_eq!(t.len(), 5);
-        // SGD: only linear ops, fully invertible.
-        assert!(t[0].fully_invertible() && t[0].undoable());
-        // Adam/AdamW: all element-wise invertible ops.
-        assert!(t[1].fully_invertible() && t[2].fully_invertible());
-        // LAMB: contains a non-invertible sum but is undoable via a saved
-        // scalar, exactly as the paper states.
-        assert!(!t[3].fully_invertible());
-        assert!(t[3].undoable());
-        // AMSGrad: EW-max makes undo impossible.
-        assert!(!t[4].fully_invertible());
-        assert!(!t[4].undoable());
     }
 
     #[test]

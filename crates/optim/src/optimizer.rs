@@ -16,8 +16,6 @@ use swift_tensor::{
     encoded_size as encoded_tensor_size, Tensor,
 };
 
-use crate::ops::OpKind;
-
 /// Why an update could not be undone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UndoError {
@@ -57,12 +55,6 @@ impl std::error::Error for UndoError {}
 pub trait Optimizer: Send {
     /// Optimizer name as it appears in the paper's Table 1.
     fn name(&self) -> &'static str;
-
-    /// Operators used by the update rule (paper Table 1 column).
-    fn operators(&self) -> &'static [OpKind];
-
-    /// Whether `undo_one` is supported.
-    fn invertible(&self) -> bool;
 
     /// Current learning rate.
     fn lr(&self) -> f32;

@@ -3,7 +3,7 @@
 
 use swift_tensor::Tensor;
 
-use crate::ops::{fused, OpKind};
+use crate::ops::fused;
 use crate::optimizer::{slot, OptimState, Optimizer, UndoError};
 
 /// Plain SGD with weight decay (paper Algorithm 3).
@@ -39,14 +39,6 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn name(&self) -> &'static str {
         "SGD"
-    }
-
-    fn operators(&self) -> &'static [OpKind] {
-        &[OpKind::EwAdd, OpKind::ScalarMul]
-    }
-
-    fn invertible(&self) -> bool {
-        true
     }
 
     fn lr(&self) -> f32 {
@@ -171,14 +163,6 @@ impl SgdMomentum {
 impl Optimizer for SgdMomentum {
     fn name(&self) -> &'static str {
         "SGD-momentum"
-    }
-
-    fn operators(&self) -> &'static [OpKind] {
-        &[OpKind::EwAdd, OpKind::ScalarMul]
-    }
-
-    fn invertible(&self) -> bool {
-        true
     }
 
     fn lr(&self) -> f32 {

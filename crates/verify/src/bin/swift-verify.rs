@@ -6,9 +6,9 @@
 //!   fence, re-entrant fences with stale traffic) and replays each trace
 //!   through the happens-before checker.
 //! - **fsm** — analyzes the declarative recovery transition table.
-//! - **invert** — certifies every optimizer family's undo derivation and
-//!   numeric round trip, and that the known-non-invertible configurations
-//!   are rejected.
+//! - **invert** — round-trips a step through every undoable optimizer
+//!   family's real `step_one`/`undo_one`, and checks that the known
+//!   non-invertible configurations are rejected.
 //!
 //! Run via `cargo xtask verify` (which also applies the source lints) or
 //! directly with `cargo run -p swift-verify`.
@@ -60,7 +60,7 @@ fn main() {
     sections += 1;
 
     let vs = invert::check_all();
-    report("invert: optimizer undo-derivation sweep", &vs);
+    report("invert: optimizer step/undo round trips", &vs);
     all.extend(vs);
     sections += 1;
 

@@ -13,16 +13,16 @@
 //!   ([`swift_core::recovery_fsm`]): reachability, terminal states with no
 //!   exits, a failure edge from every non-terminal phase back to the
 //!   restart state, and no cycles outside backoff-bounded restart edges.
-//! - [`invert`] — checks every optimizer's symbolic update chain
-//!   ([`swift_optim::chain_for`]): the undo must be derivable
-//!   (`undo ∘ apply = id`), its primitive-operator set must agree with the
-//!   optimizer's declared Table-1 set, and the numeric round-trip must
-//!   restore the state. AMSGrad and AdamW with `η·λ ≥ 1` must be
-//!   *rejected*.
+//! - [`invert`] — round-trips the optimizers that train: for every
+//!   configuration [`swift_optim::OptimizerKind::check_undoable`] accepts,
+//!   the built optimizer's `undo_one` must restore the parameters and
+//!   every slot after a `step_one` (`undo ∘ step = id`). AMSGrad and
+//!   SGD/AdamW with `η·λ ≥ 1` must be *rejected*, and AMSGrad's own
+//!   `undo_one` must refuse.
 //!
 //! The `swift-verify` binary (driven by `cargo xtask verify` and CI) runs
-//! all three against live traced executions and the real tables/chains,
-//! exiting nonzero on any violation.
+//! all three against live traced executions, the real transition table
+//! and the real optimizers, exiting nonzero on any violation.
 
 pub mod fsm;
 pub mod invert;

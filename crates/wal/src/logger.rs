@@ -18,7 +18,7 @@
 //! "flush the queue of uncompleted logging tasks".
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -57,6 +57,43 @@ impl WriteJob {
 
 /// Background writer threads sharing the job queue.
 const WRITER_POOL: usize = 2;
+
+/// Jobs handed to the writer threads and not yet finished. The writer
+/// that finishes the last one wakes every thread waiting for the queue to
+/// drain, so a flush returns on that write instead of on a polling tick.
+#[derive(Debug, Default)]
+struct InFlight {
+    count: Mutex<u64>,
+    drained: Condvar,
+}
+
+impl InFlight {
+    fn lock(&self) -> std::sync::MutexGuard<'_, u64> {
+        // The count stays consistent even if a holder panicked: every
+        // critical section is a single arithmetic update.
+        self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn add(&self) {
+        *self.lock() += 1;
+    }
+
+    fn done(&self) {
+        let mut n = self.lock();
+        *n -= 1;
+        if *n == 0 {
+            self.drained.notify_all();
+        }
+    }
+
+    /// Blocks until every job handed to the writers has finished.
+    fn wait_drained(&self) {
+        let mut n = self.lock();
+        while *n > 0 {
+            n = self.drained.wait(n).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
 
 /// Default bubble budget (§5.4): how many staged bytes may wait for a
 /// bubble before `log_send` starts spilling synchronously. Generous by
@@ -111,7 +148,7 @@ pub struct Logger {
     bubble_budget_bytes: usize,
     tx: Option<Sender<WriteJob>>,
     writers: Vec<JoinHandle<()>>,
-    in_flight: Arc<AtomicU64>,
+    in_flight: Arc<InFlight>,
     /// Records below this iteration are superseded by a checkpoint; queued
     /// jobs under it are dropped instead of written.
     gc_watermark: Arc<AtomicU64>,
@@ -144,7 +181,7 @@ impl Logger {
         precision: LogPrecision,
     ) -> Self {
         let stats = Arc::new(LogStats::default());
-        let in_flight = Arc::new(AtomicU64::new(0));
+        let in_flight = Arc::new(InFlight::default());
         let gc_watermark = Arc::new(AtomicU64::new(0));
         let (pool_tx, pool_rx) = unbounded::<WriteJob>();
         let (tx, writers) = if mode == LogMode::Sync {
@@ -172,7 +209,7 @@ impl Logger {
                             // back for reuse; the logger may already be
                             // gone, in which case it simply drops.
                             let _ = pool_tx.send(job.recycle());
-                            in_flight2.fetch_sub(1, Ordering::SeqCst);
+                            in_flight2.done();
                         }
                     })
                     .expect("failed to spawn wal writer");
@@ -296,7 +333,7 @@ impl Logger {
                 // BubbleBytes counts exactly what a bubble hid; spilled
                 // records were counted as SpilledBytes at log_send.
                 swift_obs::add(swift_obs::Counter::BubbleBytes, job.payload.len() as u64);
-                self.in_flight.fetch_add(1, Ordering::SeqCst);
+                self.in_flight.add();
                 self.tx
                     .as_ref()
                     .unwrap()
@@ -308,7 +345,7 @@ impl Logger {
     }
 
     fn enqueue(&mut self, job: WriteJob) {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        self.in_flight.add();
         self.tx
             .as_ref()
             .unwrap()
@@ -336,9 +373,7 @@ impl Logger {
                 for job in staged {
                     self.enqueue(job);
                 }
-                while self.in_flight.load(Ordering::SeqCst) > 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                }
+                self.in_flight.wait_drained();
             }
         }
     }
@@ -357,9 +392,7 @@ impl Logger {
         // Wait out in-flight writes so a straggler below the watermark
         // can't land after the delete pass (writers drop such jobs from
         // here on).
-        while self.in_flight.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(100));
-        }
+        self.in_flight.wait_drained();
         for key in self.store.list("wal/")? {
             // Keys embed the iteration: wal/it{iter:012}/...
             if let Some(it) = key
@@ -426,6 +459,13 @@ mod tests {
         Logger::new(mode, topo.clone(), GroupMap::singletons(2), store)
     }
 
+    /// Drops the logger, which flushes it, then removes its store.
+    fn destroy(l: Logger) {
+        let store = l.store().clone();
+        drop(l);
+        store.destroy().unwrap();
+    }
+
     fn ctx(it: u64, mb: u64) -> StepCtx {
         StepCtx::new(it, mb)
     }
@@ -438,6 +478,7 @@ mod tests {
         assert_eq!(l.stats().records_skipped.load(Ordering::Relaxed), 1);
         l.log_send(1, 2, ctx(0, 0), MsgKind::Activation, &Tensor::ones([4]));
         assert_eq!(l.stats().records_written.load(Ordering::Relaxed), 1);
+        destroy(l);
     }
 
     #[test]
@@ -453,6 +494,7 @@ mod tests {
         l.log_send(0, 1, ctx(0, 0), MsgKind::Activation, &Tensor::ones([2]));
         l.log_send(1, 2, ctx(0, 0), MsgKind::Activation, &Tensor::ones([2]));
         assert_eq!(l.stats().records_written.load(Ordering::Relaxed), 1);
+        destroy(l);
     }
 
     #[test]
@@ -460,6 +502,7 @@ mod tests {
         let mut l = setup(LogMode::Sync);
         l.log_send(1, 2, ctx(3, 1), MsgKind::Gradient, &Tensor::full([8], 2.0));
         assert_eq!(l.store().list("wal/").unwrap().len(), 1);
+        destroy(l);
     }
 
     #[test]
@@ -472,6 +515,7 @@ mod tests {
         assert_eq!(l.staged_len(), 0);
         l.flush();
         assert_eq!(l.stats().records_written.load(Ordering::Relaxed), 2);
+        destroy(l);
     }
 
     #[test]
@@ -481,6 +525,7 @@ mod tests {
         // Failure detected before any bubble: flush must persist it.
         l.flush();
         assert_eq!(l.store().list("wal/").unwrap().len(), 1);
+        destroy(l);
     }
 
     #[test]
@@ -493,6 +538,7 @@ mod tests {
         assert_eq!(l.stats().records_written.load(Ordering::Relaxed), 4);
         // Each record stores its metadata header plus the 64-byte payload.
         assert!(l.stats().bytes_written.load(Ordering::Relaxed) >= 4 * 64);
+        destroy(l);
     }
 
     #[test]
@@ -508,6 +554,7 @@ mod tests {
         assert!(remaining
             .iter()
             .all(|k| k.contains("it000000000004") || k.contains("it000000000005")));
+        destroy(l);
     }
 
     #[test]
@@ -538,6 +585,8 @@ mod tests {
         let key = full.store().list("wal/").unwrap().remove(0);
         let rec = crate::record::LogRecord::decode(half.store().get(&key).unwrap()).unwrap();
         assert!(rec.tensor.bit_eq(&t));
+        destroy(full);
+        destroy(half);
     }
 
     #[test]
@@ -558,6 +607,7 @@ mod tests {
         assert!(remaining
             .iter()
             .all(|k| k.contains("it000000000004") || k.contains("it000000000005")));
+        destroy(l);
     }
 
     #[test]
@@ -571,6 +621,7 @@ mod tests {
         l.flush();
         assert_eq!(l.stats().records_written.load(Ordering::Relaxed), 64);
         assert_eq!(l.store().list("wal/").unwrap().len(), 64);
+        destroy(l);
     }
 
     /// One randomized round for the replay-equivalence proptest: logs the
@@ -625,14 +676,15 @@ mod tests {
         let mut bg_keys = bg.store().list("wal/").unwrap();
         sync_keys.sort();
         bg_keys.sort();
-        if sync_keys != bg_keys {
-            return false;
-        }
-        sync_keys.iter().all(|k| {
-            let a = crate::record::LogRecord::decode(sync.store().get(k).unwrap()).unwrap();
-            let b = crate::record::LogRecord::decode(bg.store().get(k).unwrap()).unwrap();
-            a.tensor.bit_eq(&b.tensor)
-        })
+        let same = sync_keys == bg_keys
+            && sync_keys.iter().all(|k| {
+                let a = crate::record::LogRecord::decode(sync.store().get(k).unwrap()).unwrap();
+                let b = crate::record::LogRecord::decode(bg.store().get(k).unwrap()).unwrap();
+                a.tensor.bit_eq(&b.tensor)
+            });
+        destroy(sync);
+        destroy(bg);
+        same
     }
 
     mod proptests {
@@ -668,5 +720,6 @@ mod tests {
             l.log_send(0, 1, ctx(9, 0), MsgKind::Gradient, &Tensor::ones([4]));
         } // drop
         assert_eq!(store.list("wal/").unwrap().len(), 1);
+        store.destroy().unwrap();
     }
 }

@@ -350,12 +350,13 @@ mod tests {
             )
             .unwrap();
         assert_eq!(t.data(), &[1.0, 1.0]);
+        store.destroy().unwrap();
     }
 
     #[test]
     fn reader_missing_record_errors() {
         let store = BlobStore::new_temp("walm").unwrap();
-        let reader = WalReader::new(store);
+        let reader = WalReader::new(store.clone());
         assert!(reader
             .read(
                 0,
@@ -365,6 +366,7 @@ mod tests {
                 MsgKind::Activation,
             )
             .is_err());
+        store.destroy().unwrap();
     }
 
     fn populated_reader(microbatches: u64) -> WalReader {
@@ -406,6 +408,7 @@ mod tests {
         assert_eq!(torn, vec![victim.key()]);
         assert_eq!(recs.len(), 7, "the 7 intact records survive");
         assert!(recs.iter().all(|r| r.key() != victim.key()));
+        reader.store.destroy().unwrap();
     }
 
     #[test]
@@ -425,6 +428,7 @@ mod tests {
             let (recs, torn) = reader.records_for_audited(IterationId::new(0)).unwrap();
             assert_eq!(torn.len(), 1, "keep={keep}");
             assert_eq!(recs.len(), 5, "keep={keep}");
+            reader.store.destroy().unwrap();
         }
     }
 }
@@ -448,13 +452,14 @@ mod audit_tests {
                 }
             }
         }
-        let reader = WalReader::new(store);
+        let reader = WalReader::new(store.clone());
         let audit = reader.verify(
             &[(0, 1, MsgKind::Activation), (2, 1, MsgKind::Gradient)],
             3..6,
             2,
         );
         assert!(audit.complete(), "{:?}", audit.missing);
+        store.destroy().unwrap();
     }
 
     #[test]
@@ -469,11 +474,12 @@ mod audit_tests {
         // Corrupt the middle: delete iteration 1, micro-batch 1.
         let victim = LogRecord::new(0, 1, 1, 1, MsgKind::Activation, Tensor::ones([2]));
         store.delete(&victim.key()).unwrap();
-        let reader = WalReader::new(store);
+        let reader = WalReader::new(store.clone());
         let audit = reader.verify(&[(0, 1, MsgKind::Activation)], 0..3, 2);
         assert_eq!(audit.missing, vec![(0, 1, 1, 1, MsgKind::Activation)]);
         assert!(audit.torn.is_empty());
         assert!(!audit.complete());
+        store.destroy().unwrap();
     }
 
     #[test]
@@ -491,10 +497,11 @@ mod audit_tests {
         let gone = LogRecord::new(0, 1, 2, 0, MsgKind::Activation, Tensor::ones([2]));
         store.delete(&gone.key()).unwrap();
 
-        let reader = WalReader::new(store);
+        let reader = WalReader::new(store.clone());
         let audit = reader.verify(&[(0, 1, MsgKind::Activation)], 0..3, 1);
         assert_eq!(audit.torn, vec![(0, 1, 1, 0, MsgKind::Activation)]);
         assert_eq!(audit.missing, vec![(0, 1, 2, 0, MsgKind::Activation)]);
         assert!(!audit.complete());
+        store.destroy().unwrap();
     }
 }

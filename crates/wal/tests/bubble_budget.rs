@@ -21,7 +21,12 @@ fn bubble_budget_spills_synchronously_and_accounts_hidden_bytes() {
 
     let topo = Topology::uniform(2, 2); // ranks 0,1 | 2,3
     let store = BlobStore::new_temp("wal").unwrap();
-    let mut l = Logger::new(LogMode::BubbleAsync, topo, GroupMap::singletons(2), store);
+    let mut l = Logger::new(
+        LogMode::BubbleAsync,
+        topo,
+        GroupMap::singletons(2),
+        store.clone(),
+    );
     let t = Tensor::ones([4]);
     let one = LogRecord::encoded_len(&t, false);
     // Budget fits exactly one staged record; the second must spill.
@@ -43,4 +48,6 @@ fn bubble_budget_spills_synchronously_and_accounts_hidden_bytes() {
     assert_eq!(rec.counter(Counter::SpilledBytes), one as u64);
     assert_eq!(rec.counter(Counter::BubbleBytes), one as u64);
     assert_eq!(rec.counter(Counter::BytesLogged), 2 * one as u64);
+    drop(l);
+    store.destroy().unwrap();
 }

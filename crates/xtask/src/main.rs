@@ -24,12 +24,14 @@
 //!      allocations per train step, and a stray `vec![]` in a kernel
 //!      silently re-introduces per-step malloc traffic. Cold code opts
 //!      out with a `lint:alloc-ok` comment on the line;
-//!    - no `thread::sleep(` / `RetryPolicy::poll()` in the `crates/core`
-//!      recovery modules ([`RECOVERY_WAIT_PATHS`]) — a rendezvous wait
-//!      parks on the KV revision and wakes on the write it waits for,
-//!      so a sleep there puts a poll tick on the recovery critical
-//!      path. Timers that are not rendezvous (restart backoff, the
-//!      process reaper) opt out with a `lint:sleep-ok` comment;
+//!    - no `thread::sleep(` / `RetryPolicy::poll()` in the recovery
+//!      modules ([`RECOVERY_WAIT_PATHS`]: the `crates/core` recovery
+//!      modules and the WAL logger) — a rendezvous wait parks on the KV
+//!      revision and wakes on the write it waits for, and a WAL flush
+//!      wakes on its last write, so a sleep there puts a poll tick on
+//!      the recovery critical path. Timers that are not rendezvous
+//!      (restart backoff, the process reaper) opt out with a
+//!      `lint:sleep-ok` comment;
 //!    - no `without_init_draws` (swift-tensor's no-draws scope) outside
 //!      `crates/core/src/replication.rs` in `crates/*/src`, `src/` and
 //!      `examples/` — a model built inside it has all-zero parameters,
@@ -40,7 +42,8 @@
 //!    bottom of each file by repo convention) and comment lines.
 //!
 //! 2. **The `swift-verify` analyzers** (race / fsm / invert) against live
-//!    traced executions and the real transition table and update chains.
+//!    traced executions, the real transition table and the real
+//!    optimizers.
 //!
 //! `cargo xtask bench [--quick] [--json]` runs the microbenchmark suites
 //! (`swift-bench`'s `fastpath` binary, release profile): the recovery
@@ -628,8 +631,9 @@ fn lint_no_alloc_in_hot_loops(root: &Path) -> usize {
     violations
 }
 
-/// The `crates/core` modules on the recovery path: their waits must wake
-/// on the event they wait for, never on a sleep tick.
+/// The modules on the recovery path: their waits must wake on the event
+/// they wait for, never on a sleep tick. The WAL logger is here because a
+/// survivor flushes it inside its undo phase.
 const RECOVERY_WAIT_PATHS: &[&str] = &[
     "crates/core/src/supervisor.rs",
     "crates/core/src/fence.rs",
@@ -639,6 +643,7 @@ const RECOVERY_WAIT_PATHS: &[&str] = &[
     "crates/core/src/scenario.rs",
     "crates/core/src/fsdp.rs",
     "crates/core/src/process.rs",
+    "crates/wal/src/logger.rs",
 ];
 
 /// What sleep-polling looks like: a raw sleep, or the backoff schedule
@@ -662,8 +667,8 @@ fn lint_no_sleep_polling_in_recovery(root: &Path) -> usize {
                 |line| {
                     format!(
                         "`{line}` sleep-polls on the recovery path — wait on the KV \
-                         revision instead (a timer that is not a rendezvous: mark the \
-                         line `lint:sleep-ok`)"
+                         revision or a condvar the awaited write signals instead (a \
+                         timer that is not a rendezvous: mark the line `lint:sleep-ok`)"
                     )
                 },
             )

@@ -10,18 +10,22 @@
 use swift_core::{repair_partial_update, UpdateTracker};
 use swift_dnn::models::mlp;
 use swift_dnn::{Mode, StepCtx};
-use swift_optim::{table1, OptimizerKind, UndoError};
+use swift_optim::{OptimizerKind, UndoError};
 use swift_tensor::{CounterRng, Tensor};
 
 fn main() {
-    // --- 1. Table 1: which optimizers are undoable, generated from code.
+    // --- 1. Table 1: which optimizers are undoable, as the job builder
+    // checks it.
     println!("optimizer invertibility (paper Table 1):");
-    for profile in table1() {
+    for kind in OptimizerKind::TABLE1 {
         println!(
             "  {:<8} ops {:?} → undoable: {}",
-            profile.optimizer,
-            profile.ops.iter().map(|o| o.name()).collect::<Vec<_>>(),
-            profile.undoable()
+            kind.name(),
+            kind.operators()
+                .iter()
+                .map(|o| o.name())
+                .collect::<Vec<_>>(),
+            kind.check_undoable().is_ok()
         );
     }
 
